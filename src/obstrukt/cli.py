@@ -13,8 +13,9 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from .collapse import strong_collapse_core
 from .codes import NeuralCode, NotationForm, parse_codeword
 from .codemaps import (
     AddTrivialOff,
@@ -55,10 +56,23 @@ def _parse_gamma(text: str, n: int) -> tuple[int, ...]:
         raise MalformedText(f"permutation must be comma-separated integers, got {text!r}")
 
 
+def _top_level_chunks(text: str) -> Iterator[tuple[int, str]]:
+    """Split at the commas outside braces; yield each chunk with its offset."""
+    depth = start = 0
+    for i, ch in enumerate(text):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            yield start, text[start:i]
+            start = i + 1
+    yield start, text[start:]
+
+
 def _code_from_inline(text: str, form: NotationForm, n: int) -> NeuralCode:
     words = []
-    pos = 0
-    for chunk in text.split(","):
+    for pos, chunk in _top_level_chunks(text):
         token = chunk.strip()
         if token:
             try:
@@ -66,7 +80,6 @@ def _code_from_inline(text: str, form: NotationForm, n: int) -> NeuralCode:
             except MalformedText as exc:
                 col = pos + chunk.index(token) + (exc.column or 1)
                 raise MalformedText(f"{exc} (inline code)", line=1, column=col) from exc
-        pos += len(chunk) + 1
     return NeuralCode(n, frozenset(words))
 
 
@@ -133,7 +146,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         payload["void"] = True
         _emit(args, payload, ["empty code: void complex"])
         return 0
-    payload["homology"] = reduced_homology(K, fld).to_json_dict()
+    # the strong-collapse core has K's homotopy type and far fewer faces
+    payload["homology"] = reduced_homology(strong_collapse_core(K).core, fld).to_json_dict()
     payload.update(analysis_json_dict(K, fld))
     payload["sr_ideal"] = sr_ideal(K).to_lists()
     payload["dual_complex_facets"] = _sorted_binaries(dual_complex(K).facet_index())

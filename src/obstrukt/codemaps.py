@@ -165,10 +165,14 @@ def map_faces(step: ElementaryMap, K: SimplicialComplex) -> frozenset[Codeword]:
 
 
 def image_complex(step: ElementaryMap, K: SimplicialComplex) -> SimplicialComplex:
-    """Downward closure of the image face set."""
+    """Downward closure of the image face set.
+
+    Every elementary map is monotone on masks, so the images of the facets
+    generate the same closure as the images of all faces.
+    """
     out_n = validate_step(step, K.n)
     return SimplicialComplex.from_masks(
-        (apply_step_mask(step, m, K.n) for m in K.face_bits), out_n
+        (apply_step_mask(step, m, K.n) for m in K.facet_bits), out_n
     )
 
 
@@ -180,16 +184,11 @@ class CodeMap:
     steps: tuple[ElementaryMap, ...]
 
     def __post_init__(self) -> None:
-        code = self.domain
-        for step in self.steps:
-            code = map_code(step, code)
+        self.image  # maps the domain once, validating every step
 
     @property
     def codomain_width(self) -> int:
-        n = self.domain.n
-        for step in self.steps:
-            n = validate_step(step, n)
-        return n
+        return self.image.n
 
     def apply(self, cw: Codeword) -> Codeword:
         if cw.n != self.domain.n:
@@ -204,9 +203,6 @@ class CodeMap:
         for step in self.steps:
             code = map_code(step, code)
         return code
-
-    def image_code(self) -> NeuralCode:
-        return self.image
 
     def describe(self) -> str:
         return " ; ".join(step.describe() for step in self.steps) or "identity"
@@ -323,10 +319,14 @@ def _aggregate_check(name: str, failures: list[Codeword], note: str = "") -> Che
     )
 
 
-def _empty_report(theorem: str, code: NeuralCode, desc: str, fld: Field) -> VerificationReport:
-    return VerificationReport(
-        theorem, code, desc, fld, (), (("empty_code", True),)
-    )
+def _sides(theorem: str, code: NeuralCode, step: ElementaryMap, fld: Field):
+    """Validate the step against the code.  Return the report of an empty
+    code, or else both complexes and both mandatory sets."""
+    validate_step(step, code.n)
+    if not code.words:
+        return VerificationReport(theorem, code, step.describe(), fld, (), (("empty_code", True),))
+    K, K2 = code_complex(code), code_complex(map_code(step, code))
+    return K, K2, mandatory_set(K, fld).faces, mandatory_set(K2, fld).faces
 
 
 def verify_permutation(
@@ -334,12 +334,10 @@ def verify_permutation(
 ) -> VerificationReport:
     """Permutation preserves the mandatory set and the certified partition."""
     step = Permute(permutation_tuple(gamma, code.n))
-    if not code.words:
-        return _empty_report("permutation", code, step.describe(), fld)
-    K = code_complex(code)
-    K2 = code_complex(map_code(step, code))
-    mh1 = mandatory_set(K, fld).faces
-    mh2 = mandatory_set(K2, fld).faces
+    sides = _sides("permutation", code, step, fld)
+    if isinstance(sides, VerificationReport):
+        return sides
+    K, K2, mh1, mh2 = sides
     checks = [_equality_check("mh_image_equal", _image_set(step, mh1, K.n), mh2)]
     p1 = mandatory_partition(K, fld)
     p2 = mandatory_partition(K2, fld)
@@ -364,12 +362,10 @@ def verify_add_trivial_on(code: NeuralCode, fld: Field = Field.GF2) -> Verificat
     certified partition shifts by the empty word according to whether the
     starting complex is contractible."""
     step = AddTrivialOn()
-    if not code.words:
-        return _empty_report("add_trivial_on", code, step.describe(), fld)
-    K = code_complex(code)
-    K2 = code_complex(map_code(step, code))
-    mh1 = mandatory_set(K, fld).faces
-    mh2 = mandatory_set(K2, fld).faces
+    sides = _sides("add_trivial_on", code, step, fld)
+    if isinstance(sides, VerificationReport):
+        return sides
+    K, K2, mh1, mh2 = sides
     checks = [_equality_check("mh_image_equal", _image_set(step, mh1, K.n), mh2)]
     p1 = mandatory_partition(K, fld)
     p2 = mandatory_partition(K2, fld)
@@ -411,12 +407,10 @@ def verify_add_trivial_off(code: NeuralCode, fld: Field = Field.GF2) -> Verifica
     """Appending an always-off neuron changes nothing: mandatory data map
     across verbatim and the Stanley-Reisner data gain exactly one variable."""
     step = AddTrivialOff()
-    if not code.words:
-        return _empty_report("add_trivial_off", code, step.describe(), fld)
-    K = code_complex(code)
-    K2 = code_complex(map_code(step, code))
-    mh1 = mandatory_set(K, fld).faces
-    mh2 = mandatory_set(K2, fld).faces
+    sides = _sides("add_trivial_off", code, step, fld)
+    if isinstance(sides, VerificationReport):
+        return sides
+    K, K2, mh1, mh2 = sides
     checks = [_equality_check("mh_image_equal", _image_set(step, mh1, K.n), mh2)]
     p1 = mandatory_partition(K, fld)
     p2 = mandatory_partition(K2, fld)
@@ -428,32 +422,22 @@ def verify_add_trivial_off(code: NeuralCode, fld: Field = Field.GF2) -> Verifica
         checks.append(_equality_check(name, _image_set(step, a, K.n), b))
 
     new_bit = 1 << K.n
+
+    def words(masks: Iterable[int]) -> frozenset[Codeword]:
+        return frozenset(Codeword(m, K2.n) for m in masks)
+
     sr1 = sr_ideal(K)
     sr2 = sr_ideal(K2)
     expected_sr2 = frozenset(sr1.gen_bits) | {new_bit}
-    checks.append(
-        CheckResult(
-            "sr_ideal_gains_one_variable",
-            "=",
-            tuple(sorted(Codeword(m, K2.n).binary() for m in sr2.gen_bits)),
-            tuple(sorted(Codeword(m, K2.n).binary() for m in expected_sr2)),
-            Outcome.HOLDS if frozenset(sr2.gen_bits) == expected_sr2 else Outcome.VIOLATED,
-        )
-    )
+    checks.append(_equality_check("sr_ideal_gains_one_variable",
+                                  words(sr2.gen_bits), words(expected_sr2)))
     if sr1.is_zero:
         expected_dual2 = frozenset({new_bit})
     else:
         expected_dual2 = frozenset(g | new_bit for g in alexander_dual(sr1).gen_bits)
     dual2 = alexander_dual(sr2)
-    checks.append(
-        CheckResult(
-            "dual_ideal_gens_gain_new_variable_factor",
-            "=",
-            tuple(sorted(Codeword(m, K2.n).binary() for m in dual2.gen_bits)),
-            tuple(sorted(Codeword(m, K2.n).binary() for m in expected_dual2)),
-            Outcome.HOLDS if frozenset(dual2.gen_bits) == expected_dual2 else Outcome.VIOLATED,
-        )
-    )
+    checks.append(_equality_check("dual_ideal_gens_gain_new_variable_factor",
+                                  words(dual2.gen_bits), words(expected_dual2)))
     return VerificationReport("add_trivial_off", code, step.describe(), fld, tuple(checks))
 
 
@@ -464,14 +448,11 @@ def verify_duplicate(
     are homotopic to the original links, which the engine checks at the level
     of homology in every degree, plus the two-case link formula."""
     step = Duplicate(source)
-    if not code.words:
-        return _empty_report("duplicate", code, step.describe(), fld)
+    sides = _sides("duplicate", code, step, fld)
+    if isinstance(sides, VerificationReport):
+        return sides
+    K, K2, mh1, mh2 = sides
     n = code.n
-    validate_step(step, n)
-    K = code_complex(code)
-    K2 = code_complex(map_code(step, code))
-    mh1 = mandatory_set(K, fld).faces
-    mh2 = mandatory_set(K2, fld).faces
     checks = [_equality_check("mh_image_equal", _image_set(step, mh1, n), mh2)]
 
     src_bit = 1 << (source - 1)
@@ -484,13 +465,8 @@ def verify_duplicate(
         lk2 = link(K2, q_sigma)
         if reduced_homology(lk1, fld) != reduced_homology(lk2, fld):
             homology_failures.append(sigma)
-        if m & src_bit:
-            expected = lk1.face_bits
-        else:
-            expected = SimplicialComplex.from_masks(
-                (apply_step_mask(step, w, n) for w in lk1.face_bits), n + 1
-            ).face_bits
-        if lk2.face_bits != expected:
+        expected = lk1.widen(n + 1) if m & src_bit else image_complex(step, lk1)
+        if lk2 != expected:
             formula_failures.append(sigma)
     checks.append(_aggregate_check("link_homology_preserved", homology_failures))
     checks.append(_aggregate_check("link_two_case_formula", formula_failures))
@@ -515,14 +491,11 @@ def verify_projection(
     the target mandatory set is contained in the image of the source one, and
     links in the target are exactly the images of the zero-extended links."""
     step = Project(delete)
-    if not code.words:
-        return _empty_report("projection", code, step.describe(), fld)
+    sides = _sides("projection", code, step, fld)
+    if isinstance(sides, VerificationReport):
+        return sides
+    K, K2, mh1, mh2 = sides
     n = code.n
-    validate_step(step, n)
-    K = code_complex(code)
-    K2 = code_complex(map_code(step, code))
-    mh1 = mandatory_set(K, fld).faces
-    mh2 = mandatory_set(K2, fld).faces
     q_mh1 = _image_set(step, mh1, n)
     checks = [_subset_check("mh_containment", mh2, q_mh1)]
 
@@ -530,8 +503,7 @@ def verify_projection(
     for m2 in sorted(K2.face_bits):
         sigma2 = Codeword(m2, n - 1)
         lifted = Codeword(embed_mask(m2, delete), n)
-        image = {project_mask(w, delete) for w in link(K, lifted).face_bits}
-        if image != link(K2, sigma2).face_bits:
+        if image_complex(step, link(K, lifted)) != link(K2, sigma2):
             failures.append(sigma2)
     checks.append(_aggregate_check("link_image_formula", failures))
 

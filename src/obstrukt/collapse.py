@@ -126,10 +126,7 @@ def strong_collapse_core(K: SimplicialComplex) -> CollapseSequence:
 
 def is_single_point(K: SimplicialComplex) -> bool:
     """True for a complex whose faces are exactly ∅ and one vertex."""
-    if len(K.face_bits) != 2 or 0 not in K.face_bits:
-        return False
-    other = max(K.face_bits)
-    return other.bit_count() == 1
+    return len(K.facet_bits) == 1 and max(K.facet_bits).bit_count() == 1
 
 
 def free_face_pairs(K: SimplicialComplex) -> list[tuple[Codeword, Codeword]]:
@@ -164,7 +161,7 @@ def elementary_collapse(K: SimplicialComplex, sigma: Codeword, tau: Codeword) ->
     star_masks = {m for m in K.face_bits if s & ~m == 0}
     if star_masks != {s, t}:
         raise NotAFreeFacePair(f"star of {sigma!r} is not exactly {{σ, τ}}")
-    return SimplicialComplex(K.n, K.face_bits - {s, t})
+    return SimplicialComplex.from_masks(K.face_bits - {s, t}, K.n)
 
 
 def contractibility(K: SimplicialComplex, field: Field = Field.GF2) -> ContractibilityVerdict:

@@ -1,9 +1,10 @@
-"""Simplicial-complex kernel: downward-closed face sets on n vertices.
+"""Simplicial-complex kernel: each complex is stored as its facets.
 
-Faces are stored explicitly as bit masks together with the antichain of
-maximal faces.  The void complex (no faces at all) is a first-class value,
-distinct from the complex whose only face is the empty set; the latter is the
-link of a facet and is not contractible.
+The antichain of maximal faces, as bit masks, is the only stored state; every
+operation works on it, and the full face set is derived lazily where chain
+groups or face listings need it.  The void complex (no faces at all) has no
+facets and is a first-class value, distinct from the complex whose only face
+is the empty set; the latter is the link of a facet and is not contractible.
 """
 
 from __future__ import annotations
@@ -41,26 +42,49 @@ def maximal_masks(masks: Iterable[int]) -> frozenset[int]:
     )
 
 
+def minimal_transversals(edges: Iterable[int]) -> frozenset[int]:
+    """Minimal masks meeting every given mask (Berge's algorithm).
+
+    No edges give {0}; an empty edge gives no transversal at all.  When edge
+    e is added, the old transversals that miss e are extended by one vertex
+    of e.  These extensions are pairwise incomparable and none lies below an
+    old transversal that meets e, so an extension is minimal unless it
+    contains one of those.
+    """
+    found = {0}
+    for e in sorted(edges):
+        hit = [t for t in found if t & e]
+        missed = [t for t in found if not t & e]
+        found = set(hit)
+        for t in missed:
+            rest = e
+            while rest:
+                low = rest & -rest
+                grown = t | low
+                if not any(h & ~grown == 0 for h in hit):
+                    found.add(grown)
+                rest ^= low
+    return frozenset(found)
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A downward-closed collection of faces, each a subset of {1, ..., n}."""
+    """A simplicial complex on {1, ..., n}, given by its facets."""
 
     n: int
-    face_bits: frozenset[int]
+    facet_bits: frozenset[int]
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_NEURONS:
             raise NeuronOutOfRange(f"vertex count must be in 1..{MAX_NEURONS}, got {self.n}")
-        faces = self.face_bits
-        for m in faces:
+        facets = self.facet_bits
+        for m in facets:
             if m < 0 or m >> self.n:
-                raise WidthMismatch(f"face {m:#x} does not fit width {self.n}")
-            rest = m
-            while rest:
-                low = rest & -rest
-                if (m ^ low) not in faces:
-                    raise ValueError(f"face set is not downward closed at {m:#x}")
-                rest ^= low
+                raise WidthMismatch(f"facet {m:#x} does not fit width {self.n}")
+        for m in facets:
+            for f in facets:
+                if m & ~f == 0 and m != f:
+                    raise ValueError(f"facet {m:#x} lies inside facet {f:#x}")
 
     @classmethod
     def void(cls, n: int) -> "SimplicialComplex":
@@ -69,18 +93,18 @@ class SimplicialComplex:
     @classmethod
     def from_masks(cls, masks: Iterable[int], n: int) -> "SimplicialComplex":
         """Smallest complex containing the given faces (downward closure)."""
-        closed: set[int] = set()
-        for m in maximal_masks(masks):
-            closed.update(iter_submasks(m))
-        return cls(n, frozenset(closed))
+        return cls(n, maximal_masks(masks))
 
     @property
     def is_void(self) -> bool:
-        return not self.face_bits
+        return not self.facet_bits
 
     @cached_property
-    def facet_bits(self) -> frozenset[int]:
-        return maximal_masks(self.face_bits)
+    def face_bits(self) -> frozenset[int]:
+        faces: set[int] = set()
+        for f in self.facet_bits:
+            faces.update(iter_submasks(f))
+        return frozenset(faces)
 
     @cached_property
     def vertex_bits(self) -> int:
@@ -94,7 +118,7 @@ class SimplicialComplex:
         """Max face dimension; -1 for the complex {∅}.  Undefined when void."""
         if self.is_void:
             raise VoidComplex("the void complex has no dimension")
-        return max(m.bit_count() for m in self.face_bits) - 1
+        return max(m.bit_count() for m in self.facet_bits) - 1
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.vertex_bits >> i & 1)
@@ -108,7 +132,7 @@ class SimplicialComplex:
         )
 
     def __contains__(self, face: Codeword) -> bool:
-        return face.n == self.n and face.bits in self.face_bits
+        return face.n == self.n and any(face.bits & ~f == 0 for f in self.facet_bits)
 
     def __len__(self) -> int:
         return len(self.face_bits)
@@ -117,7 +141,7 @@ class SimplicialComplex:
         """Reinterpret on a larger vertex count; new vertices stay unused."""
         if n < self.n:
             raise WidthMismatch(f"cannot shrink width {self.n} to {n}")
-        return SimplicialComplex(n, self.face_bits)
+        return SimplicialComplex(n, self.facet_bits)
 
     def __repr__(self) -> str:
         if self.is_void:
@@ -137,7 +161,7 @@ def closure_of(faces: Iterable[Codeword], n: int) -> SimplicialComplex:
 
 
 def full_simplex(n: int) -> SimplicialComplex:
-    return SimplicialComplex.from_masks([(1 << n) - 1], n)
+    return SimplicialComplex(n, frozenset({(1 << n) - 1}))
 
 
 def code_complex(code: NeuralCode) -> SimplicialComplex:
@@ -148,19 +172,25 @@ def code_complex(code: NeuralCode) -> SimplicialComplex:
     return SimplicialComplex.from_masks(code.masks(), code.n)
 
 
-def _require_member(K: SimplicialComplex, sigma: Codeword) -> int:
+def _facets_over(K: SimplicialComplex, sigma: Codeword) -> tuple[int, list[int]]:
+    """sigma as a mask and the facets containing it; sigma must be a face."""
     if sigma.n != K.n:
         raise WidthMismatch(f"face width {sigma.n} differs from complex width {K.n}")
-    if sigma.bits not in K.face_bits:
+    s = sigma.bits
+    over = [f for f in K.facet_bits if s & ~f == 0]
+    if not over:
         raise FaceNotInComplex(f"{sigma!r} is not a face of the complex")
-    return sigma.bits
+    return s, over
 
 
 def link(K: SimplicialComplex, sigma: Codeword) -> SimplicialComplex:
-    """Faces disjoint from sigma whose union with sigma is a face of K."""
-    s = _require_member(K, sigma)
-    faces = frozenset(m for m in K.face_bits if m & s == 0 and (m | s) in K.face_bits)
-    return SimplicialComplex(K.n, faces)
+    """Faces disjoint from sigma whose union with sigma is a face of K.
+
+    Its facets are F ∖ sigma for the facets F containing sigma; these form an
+    antichain because the F do.
+    """
+    s, over = _facets_over(K, sigma)
+    return SimplicialComplex(K.n, frozenset(f & ~s for f in over))
 
 
 def restriction(K: SimplicialComplex, gamma: Iterable[Codeword]) -> SimplicialComplex:
@@ -170,23 +200,19 @@ def restriction(K: SimplicialComplex, gamma: Iterable[Codeword]) -> SimplicialCo
         if g.n != K.n:
             raise WidthMismatch(f"restriction set width {g.n} differs from complex width {K.n}")
         gmasks.append(g.bits)
-    gmasks = list(maximal_masks(gmasks))
-    faces = frozenset(m for m in K.face_bits if any(m & ~g == 0 for g in gmasks))
-    return SimplicialComplex(K.n, faces)
+    return SimplicialComplex.from_masks((f & g for f in K.facet_bits for g in gmasks), K.n)
 
 
 def star(K: SimplicialComplex, sigma: Codeword) -> frozenset[Codeword]:
     """Faces of K containing sigma.  Not downward closed in general."""
-    s = _require_member(K, sigma)
-    return frozenset(Codeword(m, K.n) for m in K.face_bits if s & ~m == 0)
+    s, over = _facets_over(K, sigma)
+    return frozenset(Codeword(s | m, K.n) for f in over for m in iter_submasks(f & ~s))
 
 
 def closed_star(K: SimplicialComplex, sigma: Codeword) -> SimplicialComplex:
-    """Downward closure of the star of sigma."""
-    s = _require_member(K, sigma)
-    return SimplicialComplex.from_masks(
-        (m for m in K.face_bits if s & ~m == 0), K.n
-    )
+    """Downward closure of the star of sigma: the facets containing sigma."""
+    _, over = _facets_over(K, sigma)
+    return SimplicialComplex(K.n, frozenset(over))
 
 
 def cone(K: SimplicialComplex, apex: int) -> SimplicialComplex:
@@ -198,16 +224,13 @@ def cone(K: SimplicialComplex, apex: int) -> SimplicialComplex:
     if apex == n + 1:
         if n + 1 > MAX_NEURONS:
             raise NeuronOutOfRange(f"widening past {MAX_NEURONS} vertices")
-        K = K.widen(n + 1)
         n += 1
     elif not 1 <= apex <= n:
         raise NeuronOutOfRange(f"cone apex {apex} outside 1..{n + 1}")
     bit = 1 << (apex - 1)
     if K.vertex_bits & bit:
         raise VertexAlreadyPresent(f"vertex {apex} already belongs to the complex")
-    faces = set(K.face_bits)
-    faces.update(m | bit for m in K.face_bits)
-    return SimplicialComplex(n, frozenset(faces))
+    return SimplicialComplex(n, frozenset(f | bit for f in K.facet_bits))
 
 
 def facet_intersection(K: SimplicialComplex, sigma: Codeword) -> Codeword:
@@ -216,26 +239,23 @@ def facet_intersection(K: SimplicialComplex, sigma: Codeword) -> Codeword:
     Whenever the result differs from sigma, the link of sigma is a cone and
     hence contractible.
     """
-    s = _require_member(K, sigma)
-    acc = (1 << K.n) - 1
-    for f in K.facet_bits:
-        if s & ~f == 0:
-            acc &= f
+    _, over = _facets_over(K, sigma)
+    acc = over[0]
+    for f in over:
+        acc &= f
     return Codeword(acc, K.n)
 
 
 def dual_complex(K: SimplicialComplex) -> SimplicialComplex:
     """Combinatorial Alexander dual: complements of non-faces.
 
-    Enumerates all 2^n subsets, so this is a desk-scale operation.  The dual
-    of the full simplex is void and vice versa.
+    Its facets are the complements of the minimal non-faces of K, which are
+    the minimal transversals of the complements of the facets of K.  The
+    dual of the full simplex is void and vice versa.
     """
-    n = K.n
-    top = (1 << n) - 1
-    faces = frozenset(
-        m for m in range(1 << n) if (top ^ m) not in K.face_bits
-    )
-    return SimplicialComplex(n, faces)
+    top = (1 << K.n) - 1
+    non_faces = minimal_transversals(top ^ f for f in K.facet_bits)
+    return SimplicialComplex(K.n, frozenset(top ^ m for m in non_faces))
 
 
 def delete_vertex(K: SimplicialComplex, v: int) -> SimplicialComplex:
@@ -243,7 +263,7 @@ def delete_vertex(K: SimplicialComplex, v: int) -> SimplicialComplex:
     if not 1 <= v <= K.n:
         raise NeuronOutOfRange(f"vertex {v} outside 1..{K.n}")
     bit = 1 << (v - 1)
-    return SimplicialComplex(K.n, frozenset(m for m in K.face_bits if m & bit == 0))
+    return SimplicialComplex.from_masks((f & ~bit for f in K.facet_bits), K.n)
 
 
 def complex_to_json(K: SimplicialComplex) -> str:
@@ -256,33 +276,16 @@ def complex_to_json(K: SimplicialComplex) -> str:
 def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:
     """All simplicial complexes on n labelled vertices, void included.
 
-    Iterates over every family of subsets of {1, ..., n}, so it is only
-    practical for n <= 4.
+    Yields one complex per antichain of subsets of {1, ..., n}, building each
+    antichain in increasing mask order.  Their number is the Dedekind number
+    of n, so this is only practical for n <= 4.
     """
-    size = 1 << n
-    subfaces = []
-    for m in range(size):
-        subs = []
-        rest = m
-        while rest:
-            low = rest & -rest
-            subs.append(m ^ low)
-            rest ^= low
-        subfaces.append(tuple(subs))
-    for fam in range(1 << size):
-        if fam and not fam & 1:  # nonvoid complexes must contain ∅
-            continue
-        ok = True
-        probe = fam
-        while probe and ok:
-            low = probe & -probe
-            m = low.bit_length() - 1
-            for s in subfaces[m]:
-                if not fam >> s & 1:
-                    ok = False
-                    break
-            probe ^= low
-        if ok:
-            yield SimplicialComplex(
-                n, frozenset(m for m in range(size) if fam >> m & 1)
-            )
+
+    def extend(chosen: list[int], start: int) -> Iterator[SimplicialComplex]:
+        yield SimplicialComplex(n, frozenset(chosen))
+        for m in range(start, 1 << n):
+            # m exceeds every chosen mask, so only f ⊆ m can break the antichain
+            if all(f & ~m for f in chosen):
+                yield from extend(chosen + [m], m + 1)
+
+    return extend([], 0)

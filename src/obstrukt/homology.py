@@ -3,7 +3,7 @@
 The chain complex is augmented: the empty face spans degree -1, so the
 complex {∅} has one dimension of homology in degree -1.  Ranks are computed
 exactly, over GF(2) with bit-set Gaussian elimination and over the rationals
-with fraction-free integer elimination.
+with fraction-free sparse integer elimination.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import gcd
 
 from .errors import DegreeOutOfRange, VoidComplex
 from .complexes import SimplicialComplex
@@ -75,8 +76,7 @@ class HomologyProfile:
 
 def _grades(K: SimplicialComplex) -> list[list[int]]:
     """Faces grouped by cardinality, each grade sorted by bit-vector value."""
-    top = max(m.bit_count() for m in K.face_bits)
-    grades: list[list[int]] = [[] for _ in range(top + 1)]
+    grades: list[list[int]] = [[] for _ in range(K.dim + 2)]
     for m in sorted(K.face_bits):
         grades[m.bit_count()].append(m)
     return grades
@@ -94,19 +94,36 @@ def boundary_matrix(K: SimplicialComplex, i: int, field: Field) -> list[list[int
     if not -1 <= i <= K.dim:
         raise DegreeOutOfRange(f"degree {i} outside -1..{K.dim}")
     grades = _grades(K)
-    cols = grades[i + 1]
     rows = grades[i] if i >= 0 else []
+    return _dense(len(rows), _boundary_columns(rows, grades[i + 1]), field)
+
+
+def _boundary_columns(rows: list[int], cols: list[int]) -> list[list[tuple[int, int]]]:
+    """For each column face, the (row, sign) entries of its boundary.
+
+    Deleting the j-th smallest vertex (counting from 0) has sign (-1)^j.
+    """
     row_index = {m: r for r, m in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
-    for c, m in enumerate(cols):
+    columns = []
+    for m in cols:
+        entries = []
         sign = 1
         rest = m
         while rest:
             low = rest & -rest
-            r = row_index[m ^ low]
-            matrix[r][c] = sign if field is Field.RATIONAL else 1
+            entries.append((row_index[m ^ low], sign))
             sign = -sign
             rest ^= low
+        columns.append(entries)
+    return columns
+
+
+def _dense(nrows: int, columns: list[list[tuple[int, int]]], field: Field) -> list[list[int]]:
+    """Row-major matrix of boundary columns; over GF(2) every entry is 1."""
+    matrix = [[0] * len(columns) for _ in range(nrows)]
+    for c, entries in enumerate(columns):
+        for r, sign in entries:
+            matrix[r][c] = sign if field is Field.RATIONAL else 1
     return matrix
 
 
@@ -127,61 +144,45 @@ def rank_gf2(columns: list[int]) -> int:
 
 
 def rank_fraction_free(rows: list[list[int]]) -> int:
-    """Exact rank over the rationals by Bareiss fraction-free elimination."""
-    m = [r[:] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((k for k in range(r, nrows) if m[k][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pivot = m[r][c]
-        for k in range(r + 1, nrows):
-            factor = m[k][c]
-            if factor or pivot != prev:
-                for j in range(c + 1, ncols):
-                    m[k][j] = (m[k][j] * pivot - factor * m[r][j]) // prev
-            m[k][c] = 0
-        prev = pivot
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
+    """Exact rank over the rationals by fraction-free sparse elimination:
+    each row is cleared against kept rows, which have distinct leading
+    columns, by integer combinations and divided by the gcd of its entries."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        vec = {c: x for c, x in enumerate(row) if x}
+        while vec:
+            lead = min(vec)
+            other = pivots.get(lead)
+            if other is None:
+                pivots[lead] = vec
+                break
+            a, b = other[lead], vec[lead]
+            vec = {c: a * x for c, x in vec.items()}
+            for c, y in other.items():
+                x = vec.get(c, 0) - b * y
+                if x:
+                    vec[c] = x
+                else:
+                    del vec[c]
+            g = gcd(*vec.values())
+            if g > 1:
+                vec = {c: x // g for c, x in vec.items()}
+    return len(pivots)
 
 
-def _boundary_rank(grades: list[list[int]], k: int, field: Field) -> int:
-    """Rank of the boundary map sending k-vertex faces to (k-1)-vertex faces."""
+def _boundary_rank(grades: list[list[int]], k: int, field: Field, room: int) -> int:
+    """Rank of the boundary map sending k-vertex faces to (k-1)-vertex faces.
+
+    Its image lies in a kernel of dimension at most ``room``, and its GF(2)
+    rank is a lower bound of its rational rank (an odd minor is nonzero), so
+    over the rationals integer elimination runs only below that bound."""
     if k <= 0 or k >= len(grades) or not grades[k]:
         return 0
-    rows = grades[k - 1]
-    cols = grades[k]
-    row_index = {m: r for r, m in enumerate(rows)}
-    if field is Field.GF2:
-        packed = []
-        for m in cols:
-            col = 0
-            rest = m
-            while rest:
-                low = rest & -rest
-                col |= 1 << row_index[m ^ low]
-                rest ^= low
-            packed.append(col)
-        return rank_gf2(packed)
-    dense = [[0] * len(cols) for _ in rows]
-    for c, m in enumerate(cols):
-        sign = 1
-        rest = m
-        while rest:
-            low = rest & -rest
-            dense[row_index[m ^ low]][c] = sign
-            sign = -sign
-            rest ^= low
-    return rank_fraction_free(dense)
+    columns = _boundary_columns(grades[k - 1], grades[k])
+    rank = rank_gf2([sum(1 << r for r, _ in entries) for entries in columns])
+    if field is Field.GF2 or rank >= room:
+        return rank
+    return rank_fraction_free(_dense(len(grades[k - 1]), columns, field))
 
 
 @lru_cache(maxsize=65536)
@@ -193,7 +194,8 @@ def reduced_homology(K: SimplicialComplex, field: Field = Field.GF2) -> Homology
     top = len(grades) - 1  # largest face cardinality
     ranks = [0] * (top + 2)
     for k in range(1, top + 1):
-        ranks[k] = _boundary_rank(grades, k, field)
+        room = min(len(grades[k]), len(grades[k - 1]) - ranks[k - 1])
+        ranks[k] = _boundary_rank(grades, k, field, room)
     betti = []
     for k in range(top + 1):
         betti.append(len(grades[k]) - ranks[k] - ranks[k + 1])
@@ -206,7 +208,22 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     """Reduced Euler characteristic: the empty face counts -1."""
     if K.is_void:
         raise VoidComplex("Euler characteristic of the void complex")
-    total = 0
-    for m in K.face_bits:
-        total += 1 if m.bit_count() % 2 else -1
-    return total
+    return link_euler_characteristics(K)[0]  # the link of ∅ is K
+
+
+def link_euler_characteristics(K: SimplicialComplex) -> dict[int, int]:
+    """Reduced Euler characteristic of the link of every face, by face mask:
+    χ̃(lk σ) = -(-1)^|σ| Σ (-1)^|τ| over the faces τ ⊇ σ.  The superset sums
+    are taken one vertex at a time; every set between a face and its subset
+    is a face, so none is missed."""
+    sums = {m: -1 if m.bit_count() % 2 else 1 for m in K.face_bits}
+    rest = K.vertex_bits
+    while rest:
+        bit = rest & -rest
+        for m in sums:
+            if not m & bit:
+                up = sums.get(m | bit)
+                if up is not None:
+                    sums[m] += up
+        rest ^= bit
+    return {m: -s if m.bit_count() % 2 == 0 else s for m, s in sums.items()}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .codes import MAX_NEURONS, Codeword
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, minimal_transversals
 from .errors import DegenerateDualWarning, NeuronOutOfRange, NotAPermutation, VoidComplex, WidthMismatch
 
 
@@ -87,33 +87,23 @@ class MonomialIdeal:
 
 
 def sr_ideal(K: SimplicialComplex) -> MonomialIdeal:
-    """Stanley-Reisner ideal: generated by the minimal non-faces of K."""
+    """Stanley-Reisner ideal: generated by the minimal non-faces of K.
+
+    These are the minimal transversals of the complements of the facets
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.7).
+    """
     if K.is_void:
         raise VoidComplex("Stanley-Reisner ideal of the void complex")
-    gens = []
-    faces = K.face_bits
-    for m in range(1 << K.n):
-        if m in faces:
-            continue
-        rest = m
-        minimal = True
-        while rest:
-            low = rest & -rest
-            if (m ^ low) not in faces:
-                minimal = False
-                break
-            rest ^= low
-        if minimal:
-            gens.append(m)
-    return MonomialIdeal(K.n, frozenset(gens))
+    top = (1 << K.n) - 1
+    return MonomialIdeal(K.n, minimal_transversals(top ^ f for f in K.facet_bits))
 
 
 def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
     """Intersection of the variable ideals of the generators.
 
-    Expands transversals (hitting sets of the generator supports) with
-    immediate minimisation.  The dual of the zero ideal is returned unchanged
-    with a :class:`DegenerateDualWarning`.
+    Its generators are the minimal transversals of the generator supports.
+    The dual of the zero ideal is returned unchanged with a
+    :class:`DegenerateDualWarning`.
     """
     if I.is_zero:
         warnings.warn(
@@ -122,20 +112,7 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
             stacklevel=2,
         )
         return I
-    partial: set[int] = {0}
-    for g in sorted(I.gen_bits):
-        nxt: set[int] = set()
-        for t in partial:
-            if t & g:
-                nxt.add(t)
-                continue
-            rest = g
-            while rest:
-                low = rest & -rest
-                nxt.add(t | low)
-                rest ^= low
-        partial = set(minimal_masks(nxt))
-    return MonomialIdeal(I.n, frozenset(partial))
+    return MonomialIdeal(I.n, minimal_transversals(I.gen_bits))
 
 
 def ideal_contains(I: MonomialIdeal, J: MonomialIdeal) -> bool:

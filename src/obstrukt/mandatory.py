@@ -5,7 +5,9 @@ over the chosen field.  The certified partition routes every face by the
 contractibility verdict of its link; the empty face is mandatory by
 definition regardless of its link.  A cone shortcut is applied first: when
 the intersection of facets containing σ exceeds σ, the link is a cone and
-therefore contractible.
+therefore contractible.  Next, a link with nonzero reduced Euler
+characteristic (computed for all faces at once) has nonzero homology over
+every field; only the links of characteristic 0 are built and collapsed.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from functools import lru_cache
 
 from .codes import Codeword, NeuralCode
 from .complexes import SimplicialComplex, code_complex, facet_intersection, link
-from .collapse import ContractibilityVerdict, Verdict, contractibility
+from .collapse import (ContractibilityVerdict, Verdict, contractibility, is_single_point,
+                       strong_collapse_core)
 from .errors import VoidComplex
-from .homology import Field, reduced_homology
+from .homology import Field, link_euler_characteristics, reduced_homology
 
 
 @dataclass(frozen=True)
@@ -58,44 +61,55 @@ class MandatoryPartition:
         }
 
 
+def _link_status(lk: SimplicialComplex, field: Field) -> Verdict:
+    """The status ``contractibility(lk, field)`` reports, read from the same
+    certificates: the strong-collapse core is a point, has nonzero
+    homology, or neither."""
+    core = strong_collapse_core(lk).core
+    if is_single_point(core):
+        return Verdict.CONTRACTIBLE
+    if not reduced_homology(core, field).is_trivial:
+        return Verdict.NON_CONTRACTIBLE
+    return Verdict.UNKNOWN
+
+
 @lru_cache(maxsize=65536)
-def mandatory_set(
-    K: SimplicialComplex, field: Field = Field.GF2, use_cone_shortcut: bool = True
-) -> MandatorySet:
-    """Faces whose link has nonzero reduced homology in some degree."""
+def mandatory_set(K: SimplicialComplex, field: Field = Field.GF2) -> MandatorySet:
+    """Faces whose link has nonzero reduced homology in some degree.
+
+    A link has nonzero homology exactly when the partition certifies it
+    non-contractible, so these are the nonempty faces of ``certified_in``,
+    plus ∅ (whose link is K) when K is certified non-contractible.
+    """
     if K.is_void:
         raise VoidComplex("mandatory set of the void complex")
-    hits = []
-    for m in sorted(K.face_bits):
-        sigma = Codeword(m, K.n)
-        if use_cone_shortcut and facet_intersection(K, sigma).bits != m:
-            continue
-        if not reduced_homology(link(K, sigma), field).is_trivial:
-            hits.append(sigma)
-    return MandatorySet(field, frozenset(hits))
+    part = mandatory_partition(K, field)
+    faces = part.certified_in - {Codeword.empty(K.n)}
+    if part.ambient_verdict.is_non_contractible_certified:
+        faces |= {Codeword.empty(K.n)}
+    return MandatorySet(field, faces)
 
 
 @lru_cache(maxsize=65536)
-def mandatory_partition(
-    K: SimplicialComplex, field: Field = Field.GF2, use_cone_shortcut: bool = True
-) -> MandatoryPartition:
+def mandatory_partition(K: SimplicialComplex, field: Field = Field.GF2) -> MandatoryPartition:
     """Certified three-way split of all faces by link contractibility."""
     if K.is_void:
         raise VoidComplex("mandatory partition of the void complex")
     ambient = contractibility(K, field)
+    chi = link_euler_characteristics(K)
     cin, cout, unknown = [], [], []
     for m in sorted(K.face_bits):
         sigma = Codeword(m, K.n)
         if m == 0:
             cin.append(sigma)  # ∅ is mandatory by definition
             continue
-        if use_cone_shortcut and facet_intersection(K, sigma).bits != m:
+        if facet_intersection(K, sigma).bits != m:
             cout.append(sigma)
             continue
-        verdict = contractibility(link(K, sigma), field)
-        if verdict.status is Verdict.NON_CONTRACTIBLE:
+        status = Verdict.NON_CONTRACTIBLE if chi[m] else _link_status(link(K, sigma), field)
+        if status is Verdict.NON_CONTRACTIBLE:
             cin.append(sigma)
-        elif verdict.status is Verdict.CONTRACTIBLE:
+        elif status is Verdict.CONTRACTIBLE:
             cout.append(sigma)
         else:
             unknown.append(sigma)

@@ -54,12 +54,12 @@ def code_reports(
 ) -> list[VerificationReport]:
     """All requested theorem instances for one code, in a fixed order."""
     n = code.n
-    if gammas is None:
-        gammas = tuple(itertools.permutations(range(1, n + 1)))
     if projection_deletes is None:
         projection_deletes = tuple(range(1, n + 1)) if n >= 2 else ()
     reports: list[VerificationReport] = []
     if "permutation" in theorems:
+        if gammas is None:
+            gammas = itertools.permutations(range(1, n + 1))
         reports.extend(verify_permutation(code, g, fld) for g in gammas)
     if "add_trivial_on" in theorems:
         reports.append(verify_add_trivial_on(code, fld))

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
+from obstrukt import NotationForm, format_codeword
 from obstrukt.cli import main
+
+from conftest import neural_codes
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +76,37 @@ class TestInputs:
         status, _, err = run_cli(capsys, "mh", "--code", "12")
         assert status == 2
 
+    def test_inline_set_form_multi_neuron_words(self, capsys):
+        status, out, _ = run_cli(
+            capsys, "mh", "--n", "4", "--form", "set", "--code", "{1,2,3}, {2,4},{2}"
+        )
+        assert status == 0
+        assert json.loads(out) == {"mh": ["0100", "0101", "1110"]}
+
+    def test_inline_set_form_error_column(self, capsys):
+        status, _, err = run_cli(
+            capsys, "mh", "--n", "3", "--form", "set", "--code", "{1,2}, {2,x}"
+        )
+        assert status == 2
+        assert "line 1, column 11" in err
+
+
+@pytest.mark.parametrize("form", list(NotationForm))
+@given(data=st.data())
+def test_inline_round_trip(form, data):
+    # format each word, join with commas, and read the code back through the CLI
+    c = data.draw(neural_codes(max_n=9 if form is NotationForm.WORD else 12))
+    text = ",".join(format_codeword(cw, form) for cw in c.sorted_words())
+    identity = ",".join(str(i) for i in range(1, c.n + 1))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["map", "--n", str(c.n), "--form", form.value, "--code", text,
+                       "--op", "permute", "--gamma", identity])
+    assert status == 0
+    assert json.loads(out.getvalue()) == {
+        "n": c.n, "words": sorted(cw.binary() for cw in c.words)
+    }
+
 
 class TestAnalysis:
     def test_analyze_keys(self, capsys):
@@ -110,6 +148,22 @@ class TestAnalysis:
         payload = json.loads(out)
         assert payload["sr_ideal"] == [[1, 2]]
         assert payload["dual_ideal"] == [[1], [2]]
+
+    @pytest.mark.parametrize("command", ["analyze", "dual"])
+    def test_two_word_code_on_64_neurons(self, capsys, command):
+        # the words {1,2} and {3,64}: 2 facets, and 64 minimal non-faces
+        n = 64
+        words = "1" * 2 + "0" * 62 + "," + "001" + "0" * 60 + "1"
+        start = time.perf_counter()
+        status, out, _ = run_cli(capsys, command, "--n", str(n), "--form", "binary",
+                                 "--code", words)
+        elapsed = time.perf_counter() - start
+        assert status == 0
+        assert elapsed < 2.0
+        payload = json.loads(out)
+        sr = payload["sr_ideal"]
+        assert len(sr) == 64
+        assert sorted(g for g in sr if len(g) == 2) == [[1, 3], [1, 64], [2, 3], [2, 64]]
 
 
 class TestMap:
@@ -187,6 +241,21 @@ class TestVerify:
         # one JSON line per instance plus the closing summary line
         assert len(lines) == 16 * 2 + 1
         assert all(json.loads(line) for line in lines)
+
+    @pytest.mark.parametrize("theorem,n,extra", [
+        ("permutation", 3, ["--gamma", "1,1,2"]),
+        ("duplicate", 3, ["--source", "7"]),
+        ("projection", 3, ["--delete", "9"]),
+        ("add-trivial-on", 64, []),
+        ("add-trivial-off", 64, []),
+    ])
+    def test_invalid_map_rejected_on_empty_code(self, capsys, theorem, n, extra):
+        for words in ("", "1" * n):
+            status, out, err = run_cli(
+                capsys, "verify", "--theorem", theorem, "--n", str(n), "--form", "binary",
+                "--code", words, *extra,
+            )
+            assert status == 2 and out == "" and "input error" in err
 
     def test_single_instance_all_theorems(self, capsys):
         status, out, _ = run_cli(

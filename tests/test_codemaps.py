@@ -31,7 +31,7 @@ from obstrukt import (
     verify_projection,
 )
 from obstrukt.codemaps import apply_step_mask, embed_mask, project_mask
-from obstrukt.errors import NeuronOutOfRange, NotInDomain, WidthMismatch
+from obstrukt.errors import NeuronOutOfRange, NotAPermutation, NotInDomain, WidthMismatch
 
 from conftest import code, w
 
@@ -238,7 +238,7 @@ class TestCodeMap:
     def test_image_code(self):
         c = code(["1", "2"], 2)
         cm = CodeMap(c, (Duplicate(2), Permute((3, 2, 1))))
-        assert cm.image_code() == map_code(
+        assert cm.image == map_code(
             Permute((3, 2, 1)), map_code(Duplicate(2), c)
         )
 
@@ -269,7 +269,7 @@ class TestCodeMap:
                     width += 1
             cm = CodeMap(c, tuple(steps))
             K = code_complex(c)
-            K2 = code_complex(cm.image_code())
+            K2 = code_complex(cm.image)
             mh1 = mandatory_set(K, Field.GF2).faces
             mh2 = mandatory_set(K2, Field.GF2).faces
             assert frozenset(cm.apply(s) for s in mh1) == mh2
@@ -377,3 +377,20 @@ class TestReportShape:
         report = verify_projection(code(["123", "24", "2"], 4), 4)
         check = next(c for c in report.checks if c.name == "mh_containment")
         assert set(check.lhs) <= set(check.rhs)
+
+
+@pytest.mark.parametrize("n,verify,error", [
+    (3, lambda c: verify_permutation(c, (1, 1, 2)), NotAPermutation),
+    (3, lambda c: verify_duplicate(c, 7), NeuronOutOfRange),
+    (3, lambda c: verify_projection(c, 9), NeuronOutOfRange),
+    (64, verify_add_trivial_on, NeuronOutOfRange),
+    (64, verify_add_trivial_off, NeuronOutOfRange),
+])
+def test_invalid_map_rejected_whatever_the_code(n, verify, error):
+    # the step is validated before the shortcut for the empty code
+    messages = []
+    for masks in ([], [1]):
+        with pytest.raises(error) as info:
+            verify(NeuralCode.from_masks(n, masks))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]

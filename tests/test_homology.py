@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,16 +11,46 @@ from obstrukt import (
     SimplicialComplex,
     boundary_matrix,
     code_complex,
-    cone,
     euler_characteristic,
     full_simplex,
+    link,
     reduced_homology,
 )
+from obstrukt.complexes import cone, enumerate_complexes
+from obstrukt.homology import link_euler_characteristics, rank_fraction_free
 from obstrukt.errors import DegreeOutOfRange, VoidComplex
 
 from conftest import RP2_FACETS, code, complexes, cx, seeded_complexes, w
 
 BOTH = (Field.GF2, Field.RATIONAL)
+
+
+def rank_by_fractions(rows):
+    """Reference rank: Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((k for k in range(rank, len(m)) if m[k][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for k in range(len(m)):
+            if k != rank and m[k][c]:
+                f = m[k][c] / m[rank][c]
+                m[k] = [x - f * y for x, y in zip(m[k], m[rank])]
+        rank += 1
+    return rank
+
+
+def betti_by_fractions(K):
+    """Reference rational reduced Betti numbers from the boundary matrices."""
+    faces = [sum(1 for m in K.face_bits if m.bit_count() == k) for k in range(K.dim + 2)]
+    ranks = [0] + [rank_by_fractions(boundary_matrix(K, i, Field.RATIONAL))
+                   for i in range(0, K.dim + 1)] + [0]
+    betti = [faces[k] - ranks[k] - ranks[k + 1] for k in range(len(faces))]
+    while betti and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)
 
 
 def matmul(a, b):
@@ -182,6 +213,57 @@ class TestFieldSensitivity:
         assert gf2.dim_at(1) == 1 and gf2.dim_at(2) == 1
         assert rat.is_trivial
         assert gf2 != rat
+
+
+class TestRationalRank:
+    def test_matches_fraction_elimination(self):
+        rng = random.Random(8)
+        for _ in range(400):
+            r, c = rng.randint(1, 8), rng.randint(1, 8)
+            values = rng.choice([(-1, 0, 1), (-3, -1, 0, 0, 1, 2), tuple(range(-9, 10))])
+            rows = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
+            if r > 1 and rng.random() < 0.5:  # a dependent row
+                a, b = rng.sample(range(r), 2)
+                rows.append([3 * x - 2 * y for x, y in zip(rows[a], rows[b])])
+            assert rank_fraction_free(rows) == rank_by_fractions(rows), rows
+
+    def test_empty_and_zero_matrices(self):
+        assert rank_fraction_free([]) == 0
+        assert rank_fraction_free([[0, 0], [0, 0]]) == 0
+
+    def test_projective_plane_and_its_cones_against_fractions(self):
+        # 2-torsion: the GF(2) rank of the top boundary is below its
+        # rational rank, so the rational elimination must run there
+        rp2 = cx(RP2_FACETS, 6)
+        for K in (rp2, cone(rp2, 7), cone(cone(rp2, 7), 8)):
+            assert reduced_homology(K, Field.RATIONAL).betti == betti_by_fractions(K)
+
+    def test_rational_homology_against_fractions(self):
+        for K in seeded_complexes(60, seed=71, max_n=6):
+            assert reduced_homology(K, Field.RATIONAL).betti == betti_by_fractions(K)
+
+
+class TestLinkEuler:
+    def test_every_link_on_small_complexes(self):
+        for n in range(1, 5):
+            for K in enumerate_complexes(n):
+                if K.is_void:
+                    continue
+                chi = link_euler_characteristics(K)
+                assert set(chi) == set(K.face_bits)
+                for m, value in chi.items():
+                    assert value == euler_characteristic(link(K, Codeword(m, n)))
+
+    def test_projective_plane(self):
+        K = cx(RP2_FACETS, 6)
+        chi = link_euler_characteristics(K)
+        assert chi[0] == euler_characteristic(K) == 0
+        assert all(chi[m] == -1 for m in K.facet_bits)  # link {∅}
+        assert all(chi[m] == -1 for m in K.face_bits if m.bit_count() == 1)  # 5-cycles
+        assert all(chi[m] == 1 for m in K.face_bits if m.bit_count() == 2)  # two points
+
+    def test_void_complex_has_no_faces(self):
+        assert link_euler_characteristics(SimplicialComplex.void(2)) == {}
 
 
 class TestProfileValue:

@@ -8,6 +8,7 @@ from obstrukt import (
     Verdict,
     check_no_local_obstruction,
     code_complex,
+    contractibility,
     facet_intersection,
     full_simplex,
     link,
@@ -17,7 +18,9 @@ from obstrukt import (
 )
 from obstrukt.errors import VoidComplex
 
-from conftest import code, cx, seeded_complexes, w
+from obstrukt.complexes import cone, enumerate_complexes
+
+from conftest import RP2_FACETS, code, cx, seeded_complexes, w
 
 BOTH = (Field.GF2, Field.RATIONAL)
 
@@ -68,11 +71,17 @@ class TestMandatorySet:
                 assert has_empty == (not reduced_homology(K, field).is_trivial)
 
     def test_shortcut_equivalence(self):
+        # the cone shortcut skips faces whose link is a cone; computing the
+        # homology of every link must give the same set
         for K in seeded_complexes(50, seed=29, max_n=5):
             for field in BOTH:
-                fast = mandatory_set(K, field, True)
-                slow = mandatory_set(K, field, False)
-                assert fast.faces == slow.faces
+                fast = mandatory_set(K, field)
+                slow = {
+                    Codeword(m, K.n)
+                    for m in K.face_bits
+                    if not reduced_homology(link(K, Codeword(m, K.n)), field).is_trivial
+                }
+                assert fast.faces == slow
 
     def test_void_raises(self):
         with pytest.raises(VoidComplex):
@@ -129,12 +138,18 @@ class TestMandatoryPartition:
                 assert is_single_point(core)
 
     def test_shortcut_equivalence(self):
+        # without the cone shortcut every nonempty face is routed by the
+        # contractibility verdict of its link
         for K in seeded_complexes(40, seed=53, max_n=5):
-            fast = mandatory_partition(K, Field.GF2, True)
-            slow = mandatory_partition(K, Field.GF2, False)
-            assert fast.certified_in == slow.certified_in
-            assert fast.certified_out == slow.certified_out
-            assert fast.unknown == slow.unknown
+            fast = mandatory_partition(K, Field.GF2)
+            slow = {status: set() for status in Verdict}
+            slow[Verdict.NON_CONTRACTIBLE].add(Codeword.empty(K.n))
+            for m in K.face_bits - {0}:
+                sigma = Codeword(m, K.n)
+                slow[contractibility(link(K, sigma), Field.GF2).status].add(sigma)
+            assert fast.certified_in == slow[Verdict.NON_CONTRACTIBLE]
+            assert fast.certified_out == slow[Verdict.CONTRACTIBLE]
+            assert fast.unknown == slow[Verdict.UNKNOWN]
 
     def test_ambient_verdict_exposed(self):
         part = mandatory_partition(full_simplex(3), Field.GF2)
@@ -178,3 +193,40 @@ class TestObstructionCheck:
     def test_empty_code_raises(self):
         with pytest.raises(VoidComplex):
             check_no_local_obstruction(NeuralCode(2, frozenset()))
+
+
+def _by_definition(K, field):
+    """M_H and the partition computed from every link directly."""
+    mh, part = set(), {status: set() for status in Verdict}
+    for m in K.face_bits:
+        sigma = Codeword(m, K.n)
+        lk = link(K, sigma)
+        if not reduced_homology(lk, field).is_trivial:
+            mh.add(sigma)
+        status = Verdict.NON_CONTRACTIBLE if m == 0 else contractibility(lk, field).status
+        part[status].add(sigma)
+    return mh, part
+
+
+@pytest.mark.parametrize("field", BOTH)
+def test_mandatory_sets_match_their_definitions(field):
+    rp2 = cx(RP2_FACETS, 6)
+    cases = [K for n in range(1, 5) for K in enumerate_complexes(n) if not K.is_void]
+    cases += [rp2, cone(rp2, 7), cone(cone(rp2, 7), 8)]
+    for K in cases:
+        mh, part = _by_definition(K, field)
+        fast = mandatory_partition(K, field)
+        assert mandatory_set(K, field).faces == mh
+        assert fast.certified_in == part[Verdict.NON_CONTRACTIBLE]
+        assert fast.certified_out == part[Verdict.CONTRACTIBLE]
+        assert fast.unknown == part[Verdict.UNKNOWN]
+
+
+def test_projective_plane_link_is_unknown_over_q():
+    # the apex link is RP² itself: no dominated vertex, Euler characteristic
+    # 0, and trivial rational homology, so only GF(2) certifies it
+    K = cone(cx(RP2_FACETS, 6), 7)
+    apex = Codeword(1 << 6, 7)
+    assert apex in mandatory_partition(K, Field.RATIONAL).unknown
+    assert apex in mandatory_set(K, Field.GF2).faces
+    assert apex not in mandatory_set(K, Field.RATIONAL).faces
