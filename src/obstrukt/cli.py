@@ -33,7 +33,7 @@ from .homology import Field, reduced_homology
 from .ideals import alexander_dual, sr_ideal
 from .mandatory import analysis_json_dict, mandatory_set
 from .randgen import random_code
-from .suites import ALL_THEOREMS, code_reports, run_exhaustive, run_sampled
+from .suites import ALL_THEOREMS, MAX_EXHAUSTIVE_N, code_reports, run_exhaustive, run_sampled
 
 _THEOREM_FLAGS = {
     "permutation": "permutation",
@@ -281,9 +281,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.n is None:
             raise MalformedText("suite mode needs --n")
         if args.exhaustive:
-            if args.n > 3:
+            if args.n > MAX_EXHAUSTIVE_N:
                 raise MalformedText(
-                    "exhaustive mode is capped at n = 3; use --samples for larger n"
+                    f"exhaustive mode is capped at n = {MAX_EXHAUSTIVE_N}; "
+                    "use --samples for larger n"
                 )
             result = run_exhaustive(args.n, fld, theorems=theorems, jobs=args.jobs,
                                     keep_lines=not args.summary)
@@ -376,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--source", type=int, default=1)
     p_verify.add_argument("--delete", type=int)
     p_verify.add_argument("--exhaustive", action="store_true",
-                          help="all codes on --n neurons (use n <= 3)")
+                          help="all codes on --n neurons (n <= 4); each distinct complex "
+                               "is verified once")
     p_verify.add_argument("--samples", type=int, default=0, help="number of random codes")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--density", type=float, default=0.3)

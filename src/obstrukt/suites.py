@@ -2,12 +2,16 @@
 
 Exhaustive mode enumerates every code on n neurons (each set of nonempty
 codewords, with and without the empty word); sampled mode draws seeded random
-codes.  Instances fan out over a worker pool and results aggregate in
-instance order, so output is deterministic for fixed inputs.
+codes.  Every check depends on a code only through its complex (or on the
+code being empty), so a suite verifies each distinct complex once and gives
+each code a copy of those reports with its own ``code`` field.  The distinct
+complexes fan out over a worker pool and results aggregate in instance order,
+so output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import random
@@ -24,19 +28,44 @@ from .codemaps import (
     verify_permutation,
     verify_projection,
 )
+from .complexes import code_complex
+from .errors import NeuronOutOfRange
 from .homology import Field
 from .randgen import random_code
 
 ALL_THEOREMS = ("permutation", "add_trivial_on", "add_trivial_off", "duplicate", "projection")
 
+MAX_EXHAUSTIVE_N = 4  # n = 5 would mean 2^32 codes
+MAX_SYMMETRIC_N = 8  # 8! = 40,320 permutations per check
+
+
+@functools.cache
+def symmetric_group(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every permutation of 1..n, built once per width.
+
+    Raises ``NeuronOutOfRange`` above n = 8, where checking every
+    permutation stops finishing in seconds.
+    """
+    if n > MAX_SYMMETRIC_N:
+        raise NeuronOutOfRange(
+            f"checking all {n}! permutations is capped at n = {MAX_SYMMETRIC_N}; "
+            "name one permutation with --gamma"
+        )
+    return tuple(itertools.permutations(range(1, n + 1)))
+
 
 def exhaustive_codes(n: int) -> Iterator[NeuralCode]:
     """Every code on n neurons: all sets of nonempty words, ∅ toggled both ways."""
+    if not 1 <= n <= MAX_EXHAUSTIVE_N:
+        raise NeuronOutOfRange(
+            f"exhaustive codes enumerate 2^(2^n) codes; need 1 <= n <= {MAX_EXHAUSTIVE_N}, got {n}"
+        )
     top = (1 << n) - 1
-    for bits in range(1 << top):
-        masks = [m for m in range(1, top + 1) if bits >> (m - 1) & 1]
-        yield NeuralCode.from_masks(n, masks)
-        yield NeuralCode.from_masks(n, masks + [0])
+    return (
+        NeuralCode.from_masks(n, [m for m in range(1, top + 1) if bits >> (m - 1) & 1] + empty)
+        for bits in range(1 << top)
+        for empty in ([], [0])
+    )
 
 
 def sampled_codes(n: int, count: int, seed: int, density: float = 0.3) -> list[NeuralCode]:
@@ -59,7 +88,7 @@ def code_reports(
     reports: list[VerificationReport] = []
     if "permutation" in theorems:
         if gammas is None:
-            gammas = itertools.permutations(range(1, n + 1))
+            gammas = symmetric_group(n)
         reports.extend(verify_permutation(code, g, fld) for g in gammas)
     if "add_trivial_on" in theorems:
         reports.append(verify_add_trivial_on(code, fld))
@@ -100,8 +129,8 @@ def _sample_gammas(n: int, rng: random.Random, count: int) -> tuple[tuple[int, .
 
 
 def _run_one(args: tuple) -> list[dict]:
-    n, masks, field_name, theorems, gammas, dup_sources, deletes = args
-    code = NeuralCode.from_masks(n, masks)
+    n, facets, field_name, theorems, gammas, dup_sources, deletes = args
+    code = NeuralCode.from_masks(n, facets)
     fld = Field.from_name(field_name)
     reports = code_reports(
         code,
@@ -127,31 +156,36 @@ def run_suite(
     """Run the theorem suite over many codes.
 
     ``gammas_per_code=None`` uses the whole symmetric group (exhaustive mode);
-    an integer draws that many seeded permutations per code instead.
+    an integer draws that many seeded permutations per code instead.  Codes
+    that share a task key (their complex and the maps to check) are verified
+    once, on the code made of the complex's facets.
     """
-    tasks = []
+    tasks: dict[tuple, tuple] = {}  # each key maps to itself, so codes share one key object
+    keyed = []
     for idx, code in enumerate(codes):
         n = code.n
-        if gammas_per_code is None:
-            gammas = tuple(itertools.permutations(range(1, n + 1)))
+        if "permutation" not in theorems:
+            gammas = ()
+        elif gammas_per_code is None:
+            gammas = symmetric_group(n)
         else:
             rng = random.Random(gamma_seed * 1_000_003 + idx)
             gammas = _sample_gammas(n, rng, gammas_per_code)
         deletes = tuple(range(1, n + 1)) if n >= 2 else ()
-        tasks.append(
-            (n, tuple(sorted(code.masks())), fld.value, tuple(theorems), gammas,
-             tuple(duplicate_sources), deletes)
-        )
+        facets = tuple(sorted(code_complex(code).facet_bits))
+        key = (n, facets, fld.value, tuple(theorems), gammas, tuple(duplicate_sources), deletes)
+        keyed.append((sorted(w.binary() for w in code.words), tasks.setdefault(key, key)))
 
-    result = SuiteResult()
     if jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.imap(_run_one, tasks, chunksize=max(1, len(tasks) // (jobs * 8)))
-            for dicts in chunks:
-                _absorb(result, dicts, keep_lines)
+            chunksize = max(1, len(tasks) // (jobs * 8))
+            reports = dict(zip(tasks, pool.imap(_run_one, tasks, chunksize=chunksize)))
     else:
-        for task in tasks:
-            _absorb(result, _run_one(task), keep_lines)
+        reports = {task: _run_one(task) for task in tasks}
+
+    result = SuiteResult()
+    for binaries, key in keyed:
+        _absorb(result, [dict(d, code=binaries) for d in reports[key]], keep_lines)
     return result
 
 

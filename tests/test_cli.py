@@ -219,9 +219,28 @@ class TestVerify:
 
     def test_exhaustive_capped(self, capsys):
         status, _, err = run_cli(
-            capsys, "verify", "--theorem", "all", "--exhaustive", "--n", "4"
+            capsys, "verify", "--theorem", "all", "--exhaustive", "--n", "5"
         )
         assert status == 2 and "--samples" in err
+
+    @pytest.mark.parametrize("n", [10, 64])
+    def test_all_permutations_capped(self, capsys, n):
+        start = time.perf_counter()
+        status, out, err = run_cli(
+            capsys, "verify", "--n", str(n), "--form", "binary", "--code", "11" + "0" * (n - 2)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert status == 2 and out == "" and "--gamma" in err
+
+    def test_named_permutation_past_the_cap(self, capsys):
+        status, out, _ = run_cli(
+            capsys, "verify", "--n", "10", "--form", "binary", "--code", "1100000000",
+            "--gamma", "2,1,3,4,5,6,7,8,9,10",
+        )
+        assert status == 0
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert [d["theorem"] for d in lines[:2]] == ["permutation", "add_trivial_on"]
+        assert all(d["verdict"] == "holds" for d in lines)
 
     def test_sampled_with_seed(self, capsys):
         status, out, _ = run_cli(

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from obstrukt import (
@@ -8,10 +10,11 @@ from obstrukt import (
     run_exhaustive,
     run_sampled,
     run_suite,
+    suites,
 )
-from obstrukt.errors import BadDensity
+from obstrukt.errors import BadDensity, NeuronOutOfRange
 from obstrukt.randgen import random_complex
-from obstrukt.suites import code_reports, sampled_codes
+from obstrukt.suites import code_reports, sampled_codes, symmetric_group
 
 
 class TestRandomCodes:
@@ -56,6 +59,18 @@ class TestEnumeration:
         without = [c for c in codes if 0 not in c.masks()]
         assert len(with_empty) == len(without) == 8
 
+    def test_width_guard(self):
+        with pytest.raises(NeuronOutOfRange):
+            exhaustive_codes(5)
+        with pytest.raises(NeuronOutOfRange):
+            exhaustive_codes(0)
+
+    def test_symmetric_group_shared_and_capped(self):
+        assert symmetric_group(3) is symmetric_group(3)
+        assert len(symmetric_group(4)) == 24 and len(set(symmetric_group(4))) == 24
+        with pytest.raises(NeuronOutOfRange, match="--gamma"):
+            symmetric_group(9)
+
     def test_sampled_codes_reproducible(self):
         a = sampled_codes(4, 5, seed=9)
         b = sampled_codes(4, 5, seed=9)
@@ -95,6 +110,13 @@ class TestRunner:
         result = run_sampled(3, 5, seed=4, theorems=("projection",))
         assert result.instances == 5 * 3
 
+    def test_no_permutations_built_without_the_permutation_theorem(self):
+        wide = NeuralCode.from_masks(10, [0b11, 0b1000000000])
+        result = run_suite([wide], theorems=("projection",))
+        assert result.instances == 10 and result.ok
+        with pytest.raises(NeuronOutOfRange, match="--gamma"):
+            run_suite([wide])
+
     def test_violation_accounting(self):
         from obstrukt.suites import SuiteResult, _absorb
 
@@ -104,3 +126,71 @@ class TestRunner:
         assert (result.instances, result.holds, result.partial, result.violated) == (3, 1, 1, 1)
         assert not result.ok
         assert result.violations[0]["theorem"] == "x"
+
+
+def per_code_lines(n: int, fld: Field) -> list[str]:
+    """The ungrouped suite: every check run on every code, in instance order."""
+    return [
+        json.dumps(r.to_json_dict())
+        for code in exhaustive_codes(n)
+        for r in code_reports(code, fld)
+    ]
+
+
+class TestGrouping:
+    """Verifying each distinct complex once gives the bytes of the per-code loop."""
+
+    @pytest.mark.parametrize("fld", [Field.GF2, Field.RATIONAL])
+    def test_grouped_lines_match_per_code_n3(self, fld):
+        assert run_exhaustive(3, fld, keep_lines=True).lines == per_code_lines(3, fld)
+
+    def test_grouped_pool_matches_per_code_n2(self):
+        grouped = run_exhaustive(2, Field.GF2, jobs=2, keep_lines=True)
+        assert grouped.lines == per_code_lines(2, Field.GF2)
+
+    @pytest.mark.parametrize("n,complexes", [(2, 6), (3, 20)])
+    def test_one_verification_per_complex(self, monkeypatch, n, complexes):
+        # Dedekind numbers D(2) = 6 and D(3) = 20 count the complexes, void included
+        calls = []
+        real = suites._run_one
+
+        def counting(task):
+            calls.append(task)
+            return real(task)
+
+        monkeypatch.setattr(suites, "_run_one", counting)
+        result = run_exhaustive(n)
+        assert len(calls) == len(set(calls)) == complexes
+        assert result.instances == sum(len(code_reports(c)) for c in exhaustive_codes(n))
+
+    def test_pool_maps_distinct_keys_only(self, monkeypatch):
+        mapped = []
+
+        class RecordingPool:
+            def __init__(self, jobs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks, chunksize):
+                mapped.extend(tasks)
+                return map(fn, mapped)
+
+        monkeypatch.setattr(suites.multiprocessing, "Pool", RecordingPool)
+        result = run_exhaustive(3, jobs=2, keep_lines=True)
+        assert len(mapped) == len(set(mapped)) == 20
+        assert result.lines == per_code_lines(3, Field.GF2)
+
+    def test_empty_code_and_empty_word_stay_apart(self):
+        lines = [json.loads(line) for line in run_exhaustive(2, keep_lines=True).lines]
+        empty_code = [d for d in lines if d["code"] == []]
+        empty_word = [d for d in lines if d["code"] == ["00"]]
+        assert len(empty_code) == len(empty_word) == 7
+        for d in empty_code:
+            assert d["observations"] == {"empty_code": True} and d["checks"] == []
+        for d in empty_word:
+            assert "empty_code" not in d["observations"] and d["checks"]
