@@ -47,6 +47,7 @@ from .collapse import (
     DominationWitness,
     Verdict,
     contractibility,
+    core_homology,
     dominated_vertices,
     elementary_collapse,
     free_face_pairs,

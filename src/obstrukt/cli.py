@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Iterator, Sequence
 
-from .collapse import strong_collapse_core
+from .collapse import core_homology
 from .codes import NeuralCode, NotationForm, parse_codeword
 from .codemaps import (
     AddTrivialOff,
@@ -146,8 +146,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         payload["void"] = True
         _emit(args, payload, ["empty code: void complex"])
         return 0
-    # the strong-collapse core has K's homotopy type and far fewer faces
-    payload["homology"] = reduced_homology(strong_collapse_core(K).core, fld).to_json_dict()
+    payload["homology"] = core_homology(K, fld).to_json_dict()
     payload.update(analysis_json_dict(K, fld))
     payload["sr_ideal"] = sr_ideal(K).to_lists()
     payload["dual_complex_facets"] = _sorted_binaries(dual_complex(K).facet_index())

@@ -95,7 +95,7 @@ class Codeword:
         return Codeword(self.bits, n)
 
     def binary(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1]
 
     def __repr__(self) -> str:
         return f"Codeword({self.binary()!r})"

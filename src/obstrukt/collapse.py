@@ -16,7 +16,7 @@ from enum import Enum
 from .codes import Codeword
 from .complexes import SimplicialComplex, delete_vertex
 from .errors import NotAFreeFacePair, VoidComplex
-from .homology import Field, reduced_homology
+from .homology import Field, HomologyProfile, reduced_homology
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,24 @@ def strong_collapse_core(K: SimplicialComplex) -> CollapseSequence:
         steps.append(step)
         current = delete_vertex(current, step.dominated)
     return CollapseSequence(K, tuple(steps), current)
+
+
+def core_homology(K: SimplicialComplex, field: Field = Field.GF2) -> HomologyProfile:
+    """``reduced_homology(K, field)``, read from a complex certified to have
+    K's homotopy type: a cone (facets sharing a vertex) is acyclic, and any
+    other complex is ranked on its strong-collapse core, narrowed to its
+    highest vertex so that copies of K on wider vertex sets share one memo
+    entry."""
+    if K.is_void:
+        raise VoidComplex("homology of the void complex")
+    meet = -1
+    for f in K.facet_bits:
+        meet &= f
+    if meet:
+        return HomologyProfile(field, ())
+    core = strong_collapse_core(K).core
+    narrowed = SimplicialComplex(max(1, core.vertex_bits.bit_length()), core.facet_bits)
+    return reduced_homology(narrowed, field)
 
 
 def is_single_point(K: SimplicialComplex) -> bool:

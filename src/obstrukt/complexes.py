@@ -35,11 +35,16 @@ def iter_submasks(mask: int) -> Iterator[int]:
 
 
 def maximal_masks(masks: Iterable[int]) -> frozenset[int]:
-    """Antichain of masks maximal under bitwise containment."""
-    pool = set(masks)
-    return frozenset(
-        m for m in pool if not any(m != v and m & ~v == 0 for v in pool)
-    )
+    """Antichain of masks maximal under bitwise containment.
+
+    Masks are scanned by decreasing size, so anything containing a mask was
+    seen before it and is either kept or inside a kept mask.
+    """
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if all(m & ~k for k in kept):
+            kept.append(m)
+    return frozenset(kept)
 
 
 def minimal_transversals(edges: Iterable[int]) -> frozenset[int]:

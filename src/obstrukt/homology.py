@@ -3,7 +3,11 @@
 The chain complex is augmented: the empty face spans degree -1, so the
 complex {∅} has one dimension of homology in degree -1.  Ranks are computed
 exactly, over GF(2) with bit-set Gaussian elimination and over the rationals
-with fraction-free sparse integer elimination.
+with fraction-free sparse integer elimination.  ``reduced_homology`` always
+ranks the complex it is given; callers that need only the homotopy type
+(``analyze``, the duplicate theorem's link check) go through
+``collapse.core_homology``, which answers cones without ranks and ranks any
+other complex on its strong-collapse core.
 """
 
 from __future__ import annotations

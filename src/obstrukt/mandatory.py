@@ -7,7 +7,10 @@ definition regardless of its link.  A cone shortcut is applied first: when
 the intersection of facets containing σ exceeds σ, the link is a cone and
 therefore contractible.  Next, a link with nonzero reduced Euler
 characteristic (computed for all faces at once) has nonzero homology over
-every field; only the links of characteristic 0 are built and collapsed.
+every field; only the links of characteristic 0 are built and collapsed,
+and their homology is ranked on the strong-collapse core.  The duplicate
+theorem's link check reads ``collapse.core_homology``, which applies the
+same two certificates (cone, then strong-collapse core).
 """
 
 from __future__ import annotations

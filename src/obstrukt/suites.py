@@ -4,15 +4,18 @@ Exhaustive mode enumerates every code on n neurons (each set of nonempty
 codewords, with and without the empty word); sampled mode draws seeded random
 codes.  Every check depends on a code only through its complex (or on the
 code being empty), so a suite verifies each distinct complex once and gives
-each code a copy of those reports with its own ``code`` field.  The distinct
-complexes fan out over a worker pool and results aggregate in instance order,
-so output is deterministic for fixed inputs.
+each code a copy of those reports with its own ``code`` field; a summary
+copies only violated reports and counts the others once per complex.  The
+distinct complexes fan out over a worker pool and results aggregate in
+instance order, so output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import json
 import multiprocessing
 import random
 from dataclasses import dataclass, field
@@ -37,6 +40,7 @@ ALL_THEOREMS = ("permutation", "add_trivial_on", "add_trivial_off", "duplicate",
 
 MAX_EXHAUSTIVE_N = 4  # n = 5 would mean 2^32 codes
 MAX_SYMMETRIC_N = 8  # 8! = 40,320 permutations per check
+_HOLDS, _PARTIAL, _VIOLATED = Outcome.HOLDS.value, Outcome.PARTIAL.value, Outcome.VIOLATED.value
 
 
 @functools.cache
@@ -158,10 +162,61 @@ def run_suite(
     ``gammas_per_code=None`` uses the whole symmetric group (exhaustive mode);
     an integer draws that many seeded permutations per code instead.  Codes
     that share a task key (their complex and the maps to check) are verified
-    once, on the code made of the complex's facets.
+    once, on the code made of the complex's facets.  Serially each key is
+    verified when first met, so nothing is kept per code; a pool first
+    collects the distinct keys.
     """
-    tasks: dict[tuple, tuple] = {}  # each key maps to itself, so codes share one key object
-    keyed = []
+    tasks: dict[tuple, int] = {}  # each distinct key and its position
+    reports: list[list[dict]] = []  # the report dicts of each key
+    violated: list[list[dict]] = []  # the violated ones among them
+
+    def verified(key: tuple) -> int:
+        i = tasks.get(key)
+        if i is None:
+            i = tasks[key] = len(reports)
+            reports.append(_run_one(key))
+            violated.append([d for d in reports[i] if d["verdict"] == _VIOLATED])
+        return i
+
+    keyed = _keyed(codes, fld, theorems, gammas_per_code, gamma_seed, duplicate_sources)
+    if jobs > 1:
+        keyed = [(binaries, tasks.setdefault(key, len(tasks))) for binaries, key in keyed]
+        if len(tasks) > 1:
+            with multiprocessing.Pool(jobs) as pool:
+                chunksize = max(1, len(tasks) // (jobs * 8))
+                reports = list(pool.imap(_run_one, tasks, chunksize=chunksize))
+        else:
+            reports = [_run_one(task) for task in tasks]
+        violated = [[d for d in ds if d["verdict"] == _VIOLATED] for ds in reports]
+    else:
+        keyed = ((binaries, verified(key)) for binaries, key in keyed)
+
+    result = SuiteResult()
+    if keep_lines:
+        for binaries, i in keyed:
+            _absorb(result, [dict(d, code=binaries) for d in reports[i]], keep_lines)
+        return result
+    # Without lines, verdicts are counted once per key, weighted by its codes.
+    weights: collections.Counter[int] = collections.Counter()
+    for binaries, i in keyed:
+        weights[i] += 1
+        if violated[i]:
+            result.violations.extend(dict(d, code=binaries) for d in violated[i])
+    for i, weight in weights.items():
+        for d in reports[i]:
+            _count(result, d["verdict"], weight)
+    return result
+
+
+def _keyed(
+    codes: Iterable[NeuralCode],
+    fld: Field,
+    theorems: Sequence[str],
+    gammas_per_code: int | None,
+    gamma_seed: int,
+    duplicate_sources: Sequence[int],
+) -> Iterator[tuple[list[str], tuple]]:
+    """Each code's sorted binaries and task key, in instance order."""
     for idx, code in enumerate(codes):
         n = code.n
         if "permutation" not in theorems:
@@ -174,33 +229,25 @@ def run_suite(
         deletes = tuple(range(1, n + 1)) if n >= 2 else ()
         facets = tuple(sorted(code_complex(code).facet_bits))
         key = (n, facets, fld.value, tuple(theorems), gammas, tuple(duplicate_sources), deletes)
-        keyed.append((sorted(w.binary() for w in code.words), tasks.setdefault(key, key)))
+        yield sorted(w.binary() for w in code.words), key
 
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            chunksize = max(1, len(tasks) // (jobs * 8))
-            reports = dict(zip(tasks, pool.imap(_run_one, tasks, chunksize=chunksize)))
+
+def _count(result: SuiteResult, verdict: str, weight: int) -> bool:
+    """Add ``weight`` instances of one verdict; true when it is a violation."""
+    result.instances += weight
+    if verdict == _HOLDS:
+        result.holds += weight
+    elif verdict == _PARTIAL:
+        result.partial += weight
     else:
-        reports = {task: _run_one(task) for task in tasks}
-
-    result = SuiteResult()
-    for binaries, key in keyed:
-        _absorb(result, [dict(d, code=binaries) for d in reports[key]], keep_lines)
-    return result
+        result.violated += weight
+        return True
+    return False
 
 
 def _absorb(result: SuiteResult, report_dicts: list[dict], keep_lines: bool) -> None:
-    import json
-
     for d in report_dicts:
-        result.instances += 1
-        verdict = d["verdict"]
-        if verdict == Outcome.HOLDS.value:
-            result.holds += 1
-        elif verdict == Outcome.PARTIAL.value:
-            result.partial += 1
-        else:
-            result.violated += 1
+        if _count(result, d["verdict"], 1):
             result.violations.append(d)
         if keep_lines:
             result.lines.append(json.dumps(d))

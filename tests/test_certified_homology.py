@@ -1,0 +1,229 @@
+"""Differential tests for the certified fast paths on the link-check route.
+
+``core_homology`` must agree with plain boundary ranks, ``maximal_masks`` and
+``Codeword.binary`` with their earlier definitions, and ``--summary`` counts
+with the per-code tallies.
+"""
+
+import random
+
+import pytest
+
+from obstrukt import (
+    Codeword,
+    Field,
+    NeuralCode,
+    SimplicialComplex,
+    boundary_matrix,
+    code_complex,
+    core_homology,
+    exhaustive_codes,
+    link,
+    reduced_homology,
+    run_exhaustive,
+    suites,
+)
+from obstrukt import homology
+from obstrukt.codemaps import Project, image_complex
+from obstrukt.complexes import cone, enumerate_complexes, maximal_masks
+from obstrukt.errors import VoidComplex
+from obstrukt.homology import HomologyProfile, rank_fraction_free
+
+from conftest import RP2_FACETS, cx, seeded_complexes
+from test_homology import rank_by_fractions
+
+BOTH = (Field.GF2, Field.RATIONAL)
+
+
+def rp2_family():
+    rp2 = cx(RP2_FACETS, 6)
+    return [rp2, cone(rp2, 7), cone(cone(rp2, 7), 8)]
+
+
+class TestCoreHomology:
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_every_complex_up_to_n4(self, fld):
+        for n in range(1, 5):
+            for K in enumerate_complexes(n):
+                if not K.is_void:
+                    assert core_homology(K, fld) == reduced_homology(K, fld), K
+
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_every_link_of_seeded_complexes(self, fld):
+        for K in seeded_complexes(60, seed=505, max_n=8):
+            for m in K.face_bits:
+                lk = link(K, Codeword(m, K.n))
+                assert core_homology(lk, fld) == reduced_homology(lk, fld), (K, m)
+
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_projective_plane_its_cones_and_wider_copies(self, fld):
+        for K in rp2_family():
+            for wide in (K, K.widen(K.n + 1), K.widen(64)):
+                assert core_homology(wide, fld) == reduced_homology(wide, fld)
+        assert core_homology(rp2_family()[0], Field.GF2).betti == (0, 0, 1, 1)
+
+    def test_empty_face_complex_is_not_a_cone(self):
+        K = SimplicialComplex(3, frozenset({0}))
+        assert core_homology(K).betti == (1,)
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_void_raises(self, n):
+        with pytest.raises(VoidComplex):
+            core_homology(SimplicialComplex.void(n))
+
+    def test_cones_never_reach_the_ranks(self, monkeypatch):
+        def refuse(K):
+            raise AssertionError(f"ranked a cone: {K!r}")
+
+        reduced_homology.cache_clear()
+        monkeypatch.setattr(homology, "_grades", refuse)
+        cones = [cx(["12", "23"], 3), cx(["1234"], 4), *rp2_family()[1:]]
+        cones += [K.widen(64) for K in cones]
+        for K in cones:
+            for fld in BOTH:
+                assert core_homology(K, fld) == HomologyProfile(fld, ())
+        with pytest.raises(AssertionError, match="ranked"):
+            core_homology(cx(["12", "13", "23"], 5))  # the hollow triangle is no cone
+
+    def test_wider_copies_share_one_memo_entry(self, monkeypatch):
+        ranked = []
+
+        def recording(K, fld):
+            ranked.append(K)
+            return reduced_homology(K, fld)
+
+        monkeypatch.setattr("obstrukt.collapse.reduced_homology", recording)
+        K = cx(["12", "13", "23", "34"], 4)  # the pendant edge collapses away
+        for width in (4, 5, 9, 64):
+            core_homology(K.widen(width))
+        assert len(set(ranked)) == 1 and ranked[0].n == 3
+
+
+class TestRationalEliminationOnCones:
+    def test_boundary_ranks_of_the_projective_plane_cones(self):
+        # core_homology skips cones, so check the elimination on them directly
+        for K in rp2_family():
+            for i in range(0, K.dim + 1):
+                rows = boundary_matrix(K, i, Field.RATIONAL)
+                assert rank_fraction_free(rows) == rank_by_fractions(rows), (K, i)
+
+
+def maximal_by_pairs(masks):
+    """The earlier definition: compare every mask with every other."""
+    pool = set(masks)
+    return frozenset(m for m in pool if not any(m != v and m & ~v == 0 for v in pool))
+
+
+class TestMaximalMasks:
+    def test_against_pairwise_definition(self):
+        rng = random.Random(77)
+        for _ in range(500):
+            n = rng.randint(1, 10)
+            masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 25))]
+            masks += rng.sample(masks, len(masks) // 3)  # duplicates
+            masks += [m & rng.randrange(1 << n) for m in masks[:4]]  # nested
+            if rng.random() < 0.3:
+                masks.append(0)
+            assert maximal_masks(masks) == maximal_by_pairs(masks), masks
+
+    def test_edge_cases(self):
+        assert maximal_masks([]) == frozenset()
+        assert maximal_masks([0, 0]) == frozenset({0})
+        assert maximal_masks([0b1, 0b11, 0b111, 0b111]) == frozenset({0b111})
+
+
+class TestImageOfProjection:
+    def test_nested_facet_images_are_closed(self):
+        K = cx(["12", "3"], 3)  # deleting 3 sends facet 3 to ∅, inside 12
+        assert image_complex(Project(3), K).facet_bits == frozenset({0b11})
+        K = cx(["13", "23", "12"], 3)
+        assert image_complex(Project(3), K).facet_bits == frozenset({0b11})
+
+
+def test_binary_matches_the_per_bit_join():
+    rng = random.Random(64)
+    for n in range(1, 65):
+        for bits in {0, (1 << n) - 1, 1, 1 << (n - 1), rng.randrange(1 << n)}:
+            cw = Codeword(bits, n)
+            assert cw.binary() == "".join("1" if bits >> i & 1 else "0" for i in range(n))
+
+
+class TestSummaryCounts:
+    def test_pool_summary_equals_serial(self):
+        assert run_exhaustive(2, jobs=2).to_json_dict() == run_exhaustive(2).to_json_dict()
+
+    @pytest.mark.parametrize("fld", BOTH)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_summary_equals_line_tallies(self, n, fld):
+        summary = run_exhaustive(n, fld)
+        lines = run_exhaustive(n, fld, keep_lines=True)
+        assert summary.to_json_dict() == lines.to_json_dict()
+        assert summary.lines == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_violations_in_instance_order(self, monkeypatch, jobs):
+        def fake(task):
+            _, facets, *_ = task
+            out = [{"theorem": "x", "code": [], "verdict": "holds"}]
+            if len(facets) == 2:
+                out.append({"theorem": "y", "code": [], "verdict": "violated"})
+            if len(facets) == 3:
+                out.append({"theorem": "z", "code": [], "verdict": "partial"})
+            return out
+
+        class InProcessPool:
+            def __init__(self, jobs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(suites, "_run_one", fake)
+        monkeypatch.setattr(suites.multiprocessing, "Pool", InProcessPool)
+        reference = []
+        counts = [0, 0, 0]
+        for code in exhaustive_codes(3):
+            facets = len(code_complex(code).facet_bits)
+            binaries = sorted(w.binary() for w in code.words)
+            counts[0] += 1
+            if facets == 2:
+                counts[2] += 1
+                reference.append({"theorem": "y", "code": binaries, "verdict": "violated"})
+            if facets == 3:
+                counts[1] += 1
+        summary = run_exhaustive(3, jobs=jobs)
+        assert summary.violations == reference
+        assert list(summary.violations[0]) == ["theorem", "code", "verdict"]
+        assert (summary.holds, summary.partial, summary.violated) == tuple(counts)
+        assert summary.instances == sum(counts)
+        lines = run_exhaustive(3, jobs=jobs, keep_lines=True)
+        assert summary.to_json_dict() == lines.to_json_dict()
+
+
+def test_duplicate_code_counts_once_per_code():
+    code = NeuralCode.from_masks(2, [0b01, 0b11])
+    twice = suites.run_suite([code, code])
+    once = suites.run_suite([code])
+    assert twice.instances == 2 * once.instances and twice.holds == 2 * once.holds
+
+
+def test_serial_suite_verifies_each_key_when_first_met(monkeypatch):
+    drawn = []
+
+    def codes():
+        for c in exhaustive_codes(2):
+            drawn.append(c)
+            yield c
+
+    seen = []
+    real = suites._run_one
+    monkeypatch.setattr(suites, "_run_one", lambda task: seen.append(len(drawn)) or real(task))
+    result = suites.run_suite(codes())
+    assert seen[0] == 1 and seen == sorted(set(seen)) and len(seen) == 6
+    assert result.to_json_dict() == run_exhaustive(2).to_json_dict()
