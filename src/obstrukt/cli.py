@@ -29,20 +29,13 @@ from .codemaps import (
 )
 from .complexes import code_complex, complex_to_json, dual_complex, link
 from .errors import MalformedText, ObstruktError
-from .homology import Field, reduced_homology
+from .homology import Field, reduced_homology  # noqa: F401  bound for bench/test_bench.py
 from .ideals import alexander_dual, sr_ideal
 from .mandatory import analysis_json_dict, mandatory_set
 from .randgen import random_code
-from .suites import ALL_THEOREMS, MAX_EXHAUSTIVE_N, code_reports, run_exhaustive, run_sampled
+from .suites import ALL_THEOREMS, code_reports, run_exhaustive, run_sampled
 
-_THEOREM_FLAGS = {
-    "permutation": "permutation",
-    "add-trivial-on": "add_trivial_on",
-    "add-trivial-off": "add_trivial_off",
-    "duplicate": "duplicate",
-    "projection": "projection",
-    "all": "all",
-}
+_THEOREM_FLAGS = {t.replace("_", "-"): t for t in ALL_THEOREMS} | {"all": "all"}
 
 
 def _default_field() -> str:
@@ -190,7 +183,7 @@ def _cmd_cmin(args: argparse.Namespace) -> int:
 def _cmd_homology(args: argparse.Namespace) -> int:
     code = _load_code(args)
     fld = Field.from_name(args.field)
-    profile = reduced_homology(code_complex(code), fld)
+    profile = core_homology(code_complex(code), fld)
     payload = profile.to_json_dict()
     _emit(args, payload, ["homology dims: " + json.dumps(payload["dims"])])
     return 0
@@ -279,22 +272,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.exhaustive or args.samples:
         if args.n is None:
             raise MalformedText("suite mode needs --n")
+        write = None if args.summary else print
         if args.exhaustive:
-            if args.n > MAX_EXHAUSTIVE_N:
-                raise MalformedText(
-                    f"exhaustive mode is capped at n = {MAX_EXHAUSTIVE_N}; "
-                    "use --samples for larger n"
-                )
-            result = run_exhaustive(args.n, fld, theorems=theorems, jobs=args.jobs,
-                                    keep_lines=not args.summary)
+            result = run_exhaustive(args.n, fld, theorems=theorems, jobs=args.jobs, write=write)
         else:
             result = run_sampled(
                 args.n, args.samples, seed=args.seed, density=args.density, fld=fld,
-                theorems=theorems, jobs=args.jobs, keep_lines=not args.summary,
+                theorems=theorems, jobs=args.jobs, write=write,
             )
-        if not args.summary:
-            for line in result.lines:
-                print(line)
         print(json.dumps(result.to_json_dict() if args.summary else
                          {k: v for k, v in result.to_json_dict().items() if k != "violations"}))
         return 0 if result.ok else 1

@@ -3,11 +3,11 @@
 Exhaustive mode enumerates every code on n neurons (each set of nonempty
 codewords, with and without the empty word); sampled mode draws seeded random
 codes.  Every check depends on a code only through its complex (or on the
-code being empty), so a suite verifies each distinct complex once and gives
-each code a copy of those reports with its own ``code`` field; a summary
-copies only violated reports and counts the others once per complex.  The
-distinct complexes fan out over a worker pool and results aggregate in
-instance order, so output is deterministic for fixed inputs.
+code being empty), so a suite verifies each distinct complex once and counts
+its verdicts once, weighted by the codes that share it.  A code gets a copy
+of a report, with its own ``code`` field, only to write its line or to record
+a violation.  Lines stream in instance order; with a worker pool the distinct
+complexes fan out first.  Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import multiprocessing
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .codes import NeuralCode
 from .codemaps import (
@@ -62,7 +62,8 @@ def exhaustive_codes(n: int) -> Iterator[NeuralCode]:
     """Every code on n neurons: all sets of nonempty words, ∅ toggled both ways."""
     if not 1 <= n <= MAX_EXHAUSTIVE_N:
         raise NeuronOutOfRange(
-            f"exhaustive codes enumerate 2^(2^n) codes; need 1 <= n <= {MAX_EXHAUSTIVE_N}, got {n}"
+            f"exhaustive codes enumerate 2^(2^n) codes; need 1 <= n <= {MAX_EXHAUSTIVE_N}, "
+            f"got {n}; use --samples for larger n"
         )
     top = (1 << n) - 1
     return (
@@ -112,7 +113,6 @@ class SuiteResult:
     partial: int = 0
     violated: int = 0
     violations: list[dict] = field(default_factory=list)
-    lines: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -128,23 +128,15 @@ class SuiteResult:
         }
 
 
-def _sample_gammas(n: int, rng: random.Random, count: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(rng.sample(range(1, n + 1), n)) for _ in range(count))
-
-
-def _run_one(args: tuple) -> list[dict]:
-    n, facets, field_name, theorems, gammas, dup_sources, deletes = args
+def _run_one(key: tuple) -> list[dict]:
+    n, facets, field_name, theorems, gammas = key
     code = NeuralCode.from_masks(n, facets)
-    fld = Field.from_name(field_name)
-    reports = code_reports(
-        code,
-        fld,
-        theorems=theorems,
-        gammas=gammas,
-        duplicate_sources=dup_sources,
-        projection_deletes=deletes,
-    )
+    reports = code_reports(code, Field.from_name(field_name), theorems=theorems, gammas=gammas)
     return [r.to_json_dict() for r in reports]
+
+
+def _with_violated(reports: list[dict]) -> tuple[list[dict], list[dict]]:
+    return reports, [d for d in reports if d["verdict"] == _VIOLATED]
 
 
 def run_suite(
@@ -154,57 +146,50 @@ def run_suite(
     jobs: int = 1,
     gammas_per_code: int | None = None,
     gamma_seed: int = 0,
-    duplicate_sources: Sequence[int] = (1,),
-    keep_lines: bool = False,
+    write: Callable[[str], None] | None = None,
 ) -> SuiteResult:
     """Run the theorem suite over many codes.
 
     ``gammas_per_code=None`` uses the whole symmetric group (exhaustive mode);
     an integer draws that many seeded permutations per code instead.  Codes
     that share a task key (their complex and the maps to check) are verified
-    once, on the code made of the complex's facets.  Serially each key is
-    verified when first met, so nothing is kept per code; a pool first
-    collects the distinct keys.
+    once, on the code made of the complex's facets, and verdicts are counted
+    once per key, weighted by its codes.  ``write`` receives each instance's
+    JSON line in instance order.  Serially each key is verified when first
+    met and its lines are written at once, so nothing is kept per code; a
+    pool first collects the distinct keys.
     """
-    tasks: dict[tuple, int] = {}  # each distinct key and its position
-    reports: list[list[dict]] = []  # the report dicts of each key
-    violated: list[list[dict]] = []  # the violated ones among them
-
-    def verified(key: tuple) -> int:
-        i = tasks.get(key)
-        if i is None:
-            i = tasks[key] = len(reports)
-            reports.append(_run_one(key))
-            violated.append([d for d in reports[i] if d["verdict"] == _VIOLATED])
-        return i
-
-    keyed = _keyed(codes, fld, theorems, gammas_per_code, gamma_seed, duplicate_sources)
+    verified: dict[tuple, tuple[list[dict], list[dict]]] = {}  # key -> (reports, violated)
+    keyed: Iterable = _keyed(codes, fld, theorems, gammas_per_code, gamma_seed)
     if jobs > 1:
-        keyed = [(binaries, tasks.setdefault(key, len(tasks))) for binaries, key in keyed]
+        distinct: dict[tuple, tuple] = {}  # codes sharing a key share one key object
+        keyed = [(binaries, distinct.setdefault(key, key)) for binaries, key in keyed]
+        tasks = list(distinct)
         if len(tasks) > 1:
             with multiprocessing.Pool(jobs) as pool:
                 chunksize = max(1, len(tasks) // (jobs * 8))
-                reports = list(pool.imap(_run_one, tasks, chunksize=chunksize))
-        else:
-            reports = [_run_one(task) for task in tasks]
-        violated = [[d for d in ds if d["verdict"] == _VIOLATED] for ds in reports]
-    else:
-        keyed = ((binaries, verified(key)) for binaries, key in keyed)
+                done = pool.imap(_run_one, tasks, chunksize=chunksize)
+                verified = dict(zip(tasks, map(_with_violated, done)))
 
     result = SuiteResult()
-    if keep_lines:
-        for binaries, i in keyed:
-            _absorb(result, [dict(d, code=binaries) for d in reports[i]], keep_lines)
-        return result
-    # Without lines, verdicts are counted once per key, weighted by its codes.
-    weights: collections.Counter[int] = collections.Counter()
-    for binaries, i in keyed:
-        weights[i] += 1
-        if violated[i]:
-            result.violations.extend(dict(d, code=binaries) for d in violated[i])
-    for i, weight in weights.items():
-        for d in reports[i]:
-            _count(result, d["verdict"], weight)
+    weights: collections.Counter[tuple] = collections.Counter()
+    for binaries, key in keyed:
+        entry = verified.get(key)
+        if entry is None:
+            entry = verified[key] = _with_violated(_run_one(key))
+        reports, violated = entry
+        weights[key] += 1
+        if violated:
+            result.violations.extend(dict(d, code=binaries) for d in violated)
+        if write is not None:
+            for d in reports:
+                write(json.dumps(dict(d, code=binaries)))
+    tally: collections.Counter[str] = collections.Counter()
+    for key, weight in weights.items():
+        for d in verified[key][0]:
+            tally[d["verdict"]] += weight
+    result.instances = sum(tally.values())
+    result.holds, result.partial, result.violated = tally[_HOLDS], tally[_PARTIAL], tally[_VIOLATED]
     return result
 
 
@@ -214,43 +199,21 @@ def _keyed(
     theorems: Sequence[str],
     gammas_per_code: int | None,
     gamma_seed: int,
-    duplicate_sources: Sequence[int],
 ) -> Iterator[tuple[list[str], tuple]]:
-    """Each code's sorted binaries and task key, in instance order."""
+    """Each code's sorted binaries and task key, in instance order.
+
+    The key leaves out what ``code_reports`` derives from n: the projection
+    deletes and, when ``gammas`` is None, the whole symmetric group.
+    """
     for idx, code in enumerate(codes):
         n = code.n
-        if "permutation" not in theorems:
-            gammas = ()
-        elif gammas_per_code is None:
-            gammas = symmetric_group(n)
-        else:
+        gammas = None
+        if gammas_per_code is not None and "permutation" in theorems:
             rng = random.Random(gamma_seed * 1_000_003 + idx)
-            gammas = _sample_gammas(n, rng, gammas_per_code)
-        deletes = tuple(range(1, n + 1)) if n >= 2 else ()
+            gammas = tuple(tuple(rng.sample(range(1, n + 1), n)) for _ in range(gammas_per_code))
         facets = tuple(sorted(code_complex(code).facet_bits))
-        key = (n, facets, fld.value, tuple(theorems), gammas, tuple(duplicate_sources), deletes)
+        key = (n, facets, fld.value, tuple(theorems), gammas)
         yield sorted(w.binary() for w in code.words), key
-
-
-def _count(result: SuiteResult, verdict: str, weight: int) -> bool:
-    """Add ``weight`` instances of one verdict; true when it is a violation."""
-    result.instances += weight
-    if verdict == _HOLDS:
-        result.holds += weight
-    elif verdict == _PARTIAL:
-        result.partial += weight
-    else:
-        result.violated += weight
-        return True
-    return False
-
-
-def _absorb(result: SuiteResult, report_dicts: list[dict], keep_lines: bool) -> None:
-    for d in report_dicts:
-        if _count(result, d["verdict"], 1):
-            result.violations.append(d)
-        if keep_lines:
-            result.lines.append(json.dumps(d))
 
 
 def run_exhaustive(
@@ -258,11 +221,9 @@ def run_exhaustive(
     fld: Field = Field.GF2,
     theorems: Sequence[str] = ALL_THEOREMS,
     jobs: int = 1,
-    keep_lines: bool = False,
+    write: Callable[[str], None] | None = None,
 ) -> SuiteResult:
-    return run_suite(
-        exhaustive_codes(n), fld, theorems=theorems, jobs=jobs, keep_lines=keep_lines
-    )
+    return run_suite(exhaustive_codes(n), fld, theorems=theorems, jobs=jobs, write=write)
 
 
 def run_sampled(
@@ -273,15 +234,15 @@ def run_sampled(
     fld: Field = Field.GF2,
     theorems: Sequence[str] = ALL_THEOREMS,
     jobs: int = 1,
-    gammas_per_code: int = 2,
-    keep_lines: bool = False,
+    write: Callable[[str], None] | None = None,
 ) -> SuiteResult:
+    """Sampled suite: two seeded permutations per code stand in for S_n."""
     return run_suite(
         sampled_codes(n, count, seed, density),
         fld,
         theorems=theorems,
         jobs=jobs,
-        gammas_per_code=gammas_per_code,
+        gammas_per_code=2,
         gamma_seed=seed,
-        keep_lines=keep_lines,
+        write=write,
     )

@@ -5,6 +5,8 @@
 with the per-code tallies.
 """
 
+import collections
+import json
 import random
 
 import pytest
@@ -156,9 +158,12 @@ class TestSummaryCounts:
     @pytest.mark.parametrize("n", [2, 3])
     def test_summary_equals_line_tallies(self, n, fld):
         summary = run_exhaustive(n, fld)
-        lines = run_exhaustive(n, fld, keep_lines=True)
+        written = []
+        lines = run_exhaustive(n, fld, write=written.append)
         assert summary.to_json_dict() == lines.to_json_dict()
-        assert summary.lines == []
+        verdicts = collections.Counter(json.loads(line)["verdict"] for line in written)
+        assert (summary.holds, summary.partial, summary.violated) == (
+            verdicts["holds"], verdicts["partial"], verdicts["violated"])
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_violations_in_instance_order(self, monkeypatch, jobs):
@@ -202,8 +207,10 @@ class TestSummaryCounts:
         assert list(summary.violations[0]) == ["theorem", "code", "verdict"]
         assert (summary.holds, summary.partial, summary.violated) == tuple(counts)
         assert summary.instances == sum(counts)
-        lines = run_exhaustive(3, jobs=jobs, keep_lines=True)
+        written = []
+        lines = run_exhaustive(3, jobs=jobs, write=written.append)
         assert summary.to_json_dict() == lines.to_json_dict()
+        assert len(written) == summary.instances
 
 
 def test_duplicate_code_counts_once_per_code():

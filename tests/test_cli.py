@@ -135,6 +135,16 @@ class TestAnalysis:
         )
         assert json.loads(out)["field"] == "GF2"
 
+    def test_homology_of_the_full_simplex_on_64_neurons(self, capsys):
+        # one word on all 64 neurons: a cone, answered without building faces
+        start = time.perf_counter()
+        status, out, _ = run_cli(
+            capsys, "homology", "--n", "64", "--form", "binary", "--code", "1" * 64,
+            "--field", "GF2",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert status == 0 and json.loads(out) == {"field": "GF2", "dims": {}}
+
     def test_link(self, capsys):
         status, out, _ = run_cli(
             capsys, "link", "--n", "6", "--code", "24,35,45,123", "--sigma", "2"

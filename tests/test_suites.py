@@ -97,9 +97,10 @@ class TestRunner:
         ]
 
     def test_sampled_deterministic_and_parallel_equal(self):
-        serial = run_sampled(4, 12, seed=5, jobs=1, keep_lines=True)
-        parallel = run_sampled(4, 12, seed=5, jobs=2, keep_lines=True)
-        assert serial.lines == parallel.lines
+        serial_lines, parallel_lines = [], []
+        serial = run_sampled(4, 12, seed=5, jobs=1, write=serial_lines.append)
+        parallel = run_sampled(4, 12, seed=5, jobs=2, write=parallel_lines.append)
+        assert serial_lines == parallel_lines
         assert serial.ok and parallel.ok
 
     def test_rational_field_suite(self):
@@ -117,15 +118,19 @@ class TestRunner:
         with pytest.raises(NeuronOutOfRange, match="--gamma"):
             run_suite([wide])
 
-    def test_violation_accounting(self):
-        from obstrukt.suites import SuiteResult, _absorb
+    def test_violation_accounting(self, monkeypatch):
+        def fake(task):
+            _, facets, *_ = task
+            if facets == (0b01,):
+                return [{"verdict": "violated", "theorem": "x"}]
+            return [{"verdict": "holds"}, {"verdict": "partial"}]
 
-        result = SuiteResult()
-        _absorb(result, [{"verdict": "violated", "theorem": "x"}], keep_lines=False)
-        _absorb(result, [{"verdict": "holds"}, {"verdict": "partial"}], keep_lines=False)
+        monkeypatch.setattr(suites, "_run_one", fake)
+        codes = [NeuralCode.from_masks(2, [0b01]), NeuralCode.from_masks(2, [0b11])]
+        result = run_suite(codes)
         assert (result.instances, result.holds, result.partial, result.violated) == (3, 1, 1, 1)
         assert not result.ok
-        assert result.violations[0]["theorem"] == "x"
+        assert result.violations == [{"verdict": "violated", "theorem": "x", "code": ["10"]}]
 
 
 def per_code_lines(n: int, fld: Field) -> list[str]:
@@ -142,11 +147,14 @@ class TestGrouping:
 
     @pytest.mark.parametrize("fld", [Field.GF2, Field.RATIONAL])
     def test_grouped_lines_match_per_code_n3(self, fld):
-        assert run_exhaustive(3, fld, keep_lines=True).lines == per_code_lines(3, fld)
+        lines = []
+        run_exhaustive(3, fld, write=lines.append)
+        assert lines == per_code_lines(3, fld)
 
     def test_grouped_pool_matches_per_code_n2(self):
-        grouped = run_exhaustive(2, Field.GF2, jobs=2, keep_lines=True)
-        assert grouped.lines == per_code_lines(2, Field.GF2)
+        lines = []
+        run_exhaustive(2, Field.GF2, jobs=2, write=lines.append)
+        assert lines == per_code_lines(2, Field.GF2)
 
     @pytest.mark.parametrize("n,complexes", [(2, 6), (3, 20)])
     def test_one_verification_per_complex(self, monkeypatch, n, complexes):
@@ -181,12 +189,28 @@ class TestGrouping:
                 return map(fn, mapped)
 
         monkeypatch.setattr(suites.multiprocessing, "Pool", RecordingPool)
-        result = run_exhaustive(3, jobs=2, keep_lines=True)
+        lines = []
+        run_exhaustive(3, jobs=2, write=lines.append)
         assert len(mapped) == len(set(mapped)) == 20
-        assert result.lines == per_code_lines(3, Field.GF2)
+        assert lines == per_code_lines(3, Field.GF2)
+
+    def test_serial_lines_stream_as_codes_are_met(self, monkeypatch):
+        # the first code's lines are written before the second complex is verified
+        written, verified_after = [], []
+        real = suites._run_one
+
+        def recording(task):
+            verified_after.append(len(written))
+            return real(task)
+
+        monkeypatch.setattr(suites, "_run_one", recording)
+        run_exhaustive(2, write=written.append)
+        assert verified_after[0] == 0 and verified_after[1] > 0
 
     def test_empty_code_and_empty_word_stay_apart(self):
-        lines = [json.loads(line) for line in run_exhaustive(2, keep_lines=True).lines]
+        written = []
+        run_exhaustive(2, write=written.append)
+        lines = [json.loads(line) for line in written]
         empty_code = [d for d in lines if d["code"] == []]
         empty_word = [d for d in lines if d["code"] == ["00"]]
         assert len(empty_code) == len(empty_word) == 7
