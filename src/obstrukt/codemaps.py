@@ -1,10 +1,13 @@
-"""Elementary code maps and mechanical verification of their preservation laws.
+"""Elementary code maps and the theorem table.
 
 Maps: permutation, adding a trivial on/off neuron, duplicating a neuron
 (appended at position n+1), projecting a neuron away, and inclusion.  Each
-verification routine recomputes both sides of a preservation statement with
-the engine and reports holds / violated / partial, where partial means a
-certificate was unavailable (contractibility is undecidable in general).
+row of ``THEOREMS`` states what one preservation theorem claims about a code
+and its image: the relation on the mandatory set, and laws on links, on the
+certified partition and on the Stanley-Reisner ideals.  One interpreter
+recomputes both sides with the engine and reports holds / violated /
+partial, where partial means a certificate was unavailable (contractibility
+is undecidable in general).
 """
 
 from __future__ import annotations
@@ -13,14 +16,14 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .codes import MAX_NEURONS, Codeword, NeuralCode
 from .collapse import core_homology
 from .complexes import SimplicialComplex, code_complex, link
 from .errors import NeuronOutOfRange, NotInDomain, WidthMismatch
 from .homology import Field, reduced_homology  # noqa: F401  bound for bench/test_bench.py
-from .ideals import alexander_dual, permutation_tuple, sr_ideal
+from .ideals import MonomialIdeal, alexander_dual, permutation_tuple, sr_ideal
 from .mandatory import mandatory_partition, mandatory_set
 
 
@@ -283,166 +286,203 @@ def _binaries(cws: Iterable[Codeword]) -> tuple[str, ...]:
     return tuple(sorted(c.binary() for c in cws))
 
 
-def _image_set(step: ElementaryMap, cws: Iterable[Codeword], n: int) -> frozenset[Codeword]:
-    out_n = validate_step(step, n)
-    return frozenset(Codeword(apply_step_mask(step, c.bits, n), out_n) for c in cws)
+def _check(name: str, relation: str, lhs, rhs=frozenset(), holds: bool | None = None,
+           note: str = "") -> CheckResult:
+    """One relation instance; unless ``holds`` is given, ``relation`` (= or
+    ⊆) is evaluated on the two sets."""
+    if holds is None:
+        holds = lhs == rhs if relation == "=" else lhs <= rhs
+    outcome = Outcome.HOLDS if holds else Outcome.VIOLATED
+    return CheckResult(name, relation, _binaries(lhs), _binaries(rhs), outcome, note)
 
 
-def _equality_check(name: str, lhs: frozenset[Codeword], rhs: frozenset[Codeword]) -> CheckResult:
-    return CheckResult(
-        name,
-        "=",
-        _binaries(lhs),
-        _binaries(rhs),
-        Outcome.HOLDS if lhs == rhs else Outcome.VIOLATED,
-    )
-
-
-def _subset_check(name: str, lhs: frozenset[Codeword], rhs: frozenset[Codeword]) -> CheckResult:
-    return CheckResult(
-        name,
-        "⊆",
-        _binaries(lhs),
-        _binaries(rhs),
-        Outcome.HOLDS if lhs <= rhs else Outcome.VIOLATED,
-    )
-
-
-def _partial_check(name: str, note: str) -> CheckResult:
+def _partial(name: str, note: str) -> CheckResult:
     return CheckResult(name, "=", (), (), Outcome.PARTIAL, note)
 
 
-def _aggregate_check(name: str, failures: list[Codeword], note: str = "") -> CheckResult:
-    return CheckResult(
-        name,
-        "∀",
-        _binaries(failures),
-        (),
-        Outcome.HOLDS if not failures else Outcome.VIOLATED,
-        note or ("" if not failures else "faces listed on the left violate the relation"),
-    )
+# ---- the theorem table -------------------------------------------------------
+
+@dataclass(frozen=True)
+class Theorem:
+    """What one preservation theorem claims about a code C and its image q(C).
+
+    ``mh`` relates M_H(q(C)) to q(M_H(C)): "=", or "⊆" for the target inside
+    the image, whose reverse containment is then reported as an observation.
+    ``links`` are laws on link(K, σ) and link(K2, σ') for every face pair
+    (listed face, σ, σ') that ``faces`` yields; a failing pair lists its
+    first entry.  ``classes`` pairs a check name with a partition class whose
+    image must equal the target's class; ``partial`` names the check that
+    stands in when either partition has uncertified links (None compares the
+    classes regardless).  ``shift`` replaces the class comparison for a map
+    that moves the partition.  ``ideals`` are laws on the Stanley-Reisner
+    ideals of K and K2, each giving the observed and the expected generators.
+    """
+
+    mh: str = "="
+    faces: Callable | None = None
+    links: tuple[tuple[str, Callable], ...] = ()
+    classes: tuple[tuple[str, str], ...] = ()
+    partial: str | None = None
+    shift: Callable | None = None
+    ideals: tuple[tuple[str, Callable], ...] = ()
 
 
-def _sides(theorem: str, code: NeuralCode, step: ElementaryMap, fld: Field):
-    """Validate the step against the code.  Return the report of an empty
-    code, or else both complexes and both mandatory sets."""
-    validate_step(step, code.n)
+def _image_faces(step: ElementaryMap, K: SimplicialComplex, K2: SimplicialComplex):
+    """Each face σ of K with its image q(σ)."""
+    for m in sorted(K.face_bits):
+        sigma = Codeword(m, K.n)
+        yield sigma, sigma, Codeword(apply_step_mask(step, m, K.n), K2.n)
+
+
+def _lifted_faces(step: Project, K: SimplicialComplex, K2: SimplicialComplex):
+    """Each face σ' of the projected complex with its zero-extension."""
+    for m2 in sorted(K2.face_bits):
+        sigma2 = Codeword(m2, K2.n)
+        yield sigma2, Codeword(embed_mask(m2, step.delete), K.n), sigma2
+
+
+def _same_homology(step, sigma, lk1, lk2, fld) -> bool:
+    return core_homology(lk1, fld) == core_homology(lk2, fld)
+
+
+def _two_case_formula(step: Duplicate, sigma, lk1, lk2, fld) -> bool:
+    # a face holding the source keeps its link; any other's link maps across
+    if sigma.bits >> (step.source - 1) & 1:
+        return lk2 == lk1.widen(lk2.n)
+    return lk2 == image_complex(step, lk1)
+
+
+def _image_formula(step, sigma, lk1, lk2, fld) -> bool:
+    return image_complex(step, lk1) == lk2
+
+
+def _shift_by_empty_word(q, K, K2, p1, p2) -> CheckResult:
+    """∅ is certified on both sides by definition, and its image, the new
+    vertex, has link K: so the image of the certified set is the target's
+    minus ∅ when K is non-contractible, and their nonempty parts agree when
+    K is contractible."""
+    empty1, empty2 = Codeword.empty(K.n), Codeword.empty(K2.n)
+    ambient = p1.ambient_verdict
+    if ambient.is_contractible_certified:
+        return _check("cmin_nonempty_image_equal", "=",
+                      q(p1.certified_in - {empty1}), p2.certified_in - {empty2})
+    if ambient.is_non_contractible_certified:
+        lhs = q(p1.certified_in)
+        return _check("cmin_image_strictly_below", "⊊", lhs, p2.certified_in,
+                      holds=lhs == p2.certified_in - {empty2} and empty2 in p2.certified_in,
+                      note="image must equal the target minus the empty word")
+    return _partial("cmin_branch", "contractibility of the complex is unknown")
+
+
+def _sr_gains_one_variable(sr1: MonomialIdeal, sr2: MonomialIdeal):
+    return sr2.gen_bits, sr1.gen_bits | {1 << sr1.n}
+
+
+def _dual_gains_new_variable_factor(sr1: MonomialIdeal, sr2: MonomialIdeal):
+    new_bit = 1 << sr1.n
+    if sr1.is_zero:
+        expected = {new_bit}
+    else:
+        expected = {g | new_bit for g in alexander_dual(sr1).gen_bits}
+    return alexander_dual(sr2).gen_bits, expected
+
+
+_IN = ("cmin_in_image_equal", "certified_in")
+_OUT = ("cmin_out_image_equal", "certified_out")
+
+THEOREMS: dict[str, Theorem] = {
+    "permutation": Theorem(classes=(_IN, _OUT), partial="cmin_image_equal"),
+    "add_trivial_on": Theorem(shift=_shift_by_empty_word, partial="cmin_branch"),
+    "add_trivial_off": Theorem(
+        classes=(_IN, _OUT, ("cmin_unknown_image_equal", "unknown")),
+        ideals=(("sr_ideal_gains_one_variable", _sr_gains_one_variable),
+                ("dual_ideal_gens_gain_new_variable_factor", _dual_gains_new_variable_factor)),
+    ),
+    "duplicate": Theorem(
+        faces=_image_faces,
+        links=(("link_homology_preserved", _same_homology),
+               ("link_two_case_formula", _two_case_formula)),
+        classes=(_IN,),
+        partial="cmin_in_image_equal",
+    ),
+    "projection": Theorem(
+        mh="⊆", faces=_lifted_faces, links=(("link_image_formula", _image_formula),)
+    ),
+}
+
+
+def _verify(theorem: str, code: NeuralCode, step: ElementaryMap, fld: Field) -> VerificationReport:
+    """Check one row of ``THEOREMS`` on a code and a map.
+
+    Checks come in the order M_H, links, partition, ideals.  An empty code
+    has no complex, so its report holds no checks.
+    """
+    spec = THEOREMS[theorem]
+    n, out_n = code.n, validate_step(step, code.n)
     if not code.words:
         return VerificationReport(theorem, code, step.describe(), fld, (), (("empty_code", True),))
-    K, K2 = code_complex(code), code_complex(map_code(step, code))
-    return K, K2, mandatory_set(K, fld).faces, mandatory_set(K2, fld).faces
+    K = code_complex(code)
+    K2 = image_complex(step, K)
+
+    def q(words: Iterable[Codeword]) -> frozenset[Codeword]:
+        return frozenset(Codeword(apply_step_mask(step, w.bits, n), out_n) for w in words)
+
+    q_mh1, mh2 = q(mandatory_set(K, fld).faces), mandatory_set(K2, fld).faces
+    observations: tuple[tuple[str, bool], ...] = ()
+    if spec.mh == "=":
+        checks = [_check("mh_image_equal", "=", q_mh1, mh2)]
+    else:
+        checks = [_check("mh_containment", "⊆", mh2, q_mh1)]
+        observations = (("mh_reverse_containment_holds", q_mh1 <= mh2),)
+
+    if spec.links:
+        failures: list[list[Codeword]] = [[] for _ in spec.links]
+        for shown, sigma, sigma2 in spec.faces(step, K, K2):
+            lk1, lk2 = link(K, sigma), link(K2, sigma2)
+            for (_, law), failed in zip(spec.links, failures):
+                if not law(step, sigma, lk1, lk2, fld):
+                    failed.append(shown)
+        for (name, _), failed in zip(spec.links, failures):
+            note = "faces listed on the left violate the relation" if failed else ""
+            checks.append(_check(name, "∀", failed, holds=not failed, note=note))
+
+    if spec.classes or spec.shift:
+        p1, p2 = mandatory_partition(K, fld), mandatory_partition(K2, fld)
+        if spec.partial and not (p1.fully_certified and p2.fully_certified):
+            checks.append(_partial(spec.partial, "uncertified links present"))
+        elif spec.shift:
+            checks.append(spec.shift(q, K, K2, p1, p2))
+        else:
+            checks.extend(_check(name, "=", q(getattr(p1, cls)), getattr(p2, cls))
+                          for name, cls in spec.classes)
+
+    if spec.ideals:
+        sr1, sr2 = sr_ideal(K), sr_ideal(K2)
+        for name, law in spec.ideals:
+            lhs, rhs = law(sr1, sr2)
+            checks.append(_check(name, "=", frozenset(Codeword(m, out_n) for m in lhs),
+                                 frozenset(Codeword(m, out_n) for m in rhs)))
+    return VerificationReport(theorem, code, step.describe(), fld, tuple(checks), observations)
 
 
 def verify_permutation(
     code: NeuralCode, gamma: Iterable[int], fld: Field = Field.GF2
 ) -> VerificationReport:
     """Permutation preserves the mandatory set and the certified partition."""
-    step = Permute(permutation_tuple(gamma, code.n))
-    sides = _sides("permutation", code, step, fld)
-    if isinstance(sides, VerificationReport):
-        return sides
-    K, K2, mh1, mh2 = sides
-    checks = [_equality_check("mh_image_equal", _image_set(step, mh1, K.n), mh2)]
-    p1 = mandatory_partition(K, fld)
-    p2 = mandatory_partition(K2, fld)
-    if p1.fully_certified and p2.fully_certified:
-        checks.append(
-            _equality_check(
-                "cmin_in_image_equal", _image_set(step, p1.certified_in, K.n), p2.certified_in
-            )
-        )
-        checks.append(
-            _equality_check(
-                "cmin_out_image_equal", _image_set(step, p1.certified_out, K.n), p2.certified_out
-            )
-        )
-    else:
-        checks.append(_partial_check("cmin_image_equal", "uncertified links present"))
-    return VerificationReport("permutation", code, step.describe(), fld, tuple(checks))
+    return _verify("permutation", code, Permute(permutation_tuple(gamma, code.n)), fld)
 
 
 def verify_add_trivial_on(code: NeuralCode, fld: Field = Field.GF2) -> VerificationReport:
     """Appending an always-on neuron preserves the mandatory set; the
     certified partition shifts by the empty word according to whether the
     starting complex is contractible."""
-    step = AddTrivialOn()
-    sides = _sides("add_trivial_on", code, step, fld)
-    if isinstance(sides, VerificationReport):
-        return sides
-    K, K2, mh1, mh2 = sides
-    checks = [_equality_check("mh_image_equal", _image_set(step, mh1, K.n), mh2)]
-    p1 = mandatory_partition(K, fld)
-    p2 = mandatory_partition(K2, fld)
-    ambient = p1.ambient_verdict
-    empty1 = Codeword.empty(K.n)
-    empty2 = Codeword.empty(K2.n)
-    if not (p1.fully_certified and p2.fully_certified):
-        checks.append(_partial_check("cmin_branch", "uncertified links present"))
-    elif ambient.is_contractible_certified:
-        checks.append(
-            _equality_check(
-                "cmin_nonempty_image_equal",
-                _image_set(step, p1.certified_in - {empty1}, K.n),
-                p2.certified_in - {empty2},
-            )
-        )
-    elif ambient.is_non_contractible_certified:
-        lhs = _image_set(step, p1.certified_in, K.n)
-        rhs = p2.certified_in - {empty2}
-        strict = lhs == rhs and empty2 in p2.certified_in
-        checks.append(
-            CheckResult(
-                "cmin_image_strictly_below",
-                "⊊",
-                _binaries(lhs),
-                _binaries(p2.certified_in),
-                Outcome.HOLDS if strict else Outcome.VIOLATED,
-                "image must equal the target minus the empty word",
-            )
-        )
-    else:
-        checks.append(
-            _partial_check("cmin_branch", "contractibility of the complex is unknown")
-        )
-    return VerificationReport("add_trivial_on", code, step.describe(), fld, tuple(checks))
+    return _verify("add_trivial_on", code, AddTrivialOn(), fld)
 
 
 def verify_add_trivial_off(code: NeuralCode, fld: Field = Field.GF2) -> VerificationReport:
     """Appending an always-off neuron changes nothing: mandatory data map
     across verbatim and the Stanley-Reisner data gain exactly one variable."""
-    step = AddTrivialOff()
-    sides = _sides("add_trivial_off", code, step, fld)
-    if isinstance(sides, VerificationReport):
-        return sides
-    K, K2, mh1, mh2 = sides
-    checks = [_equality_check("mh_image_equal", _image_set(step, mh1, K.n), mh2)]
-    p1 = mandatory_partition(K, fld)
-    p2 = mandatory_partition(K2, fld)
-    for name, a, b in (
-        ("cmin_in_image_equal", p1.certified_in, p2.certified_in),
-        ("cmin_out_image_equal", p1.certified_out, p2.certified_out),
-        ("cmin_unknown_image_equal", p1.unknown, p2.unknown),
-    ):
-        checks.append(_equality_check(name, _image_set(step, a, K.n), b))
-
-    new_bit = 1 << K.n
-
-    def words(masks: Iterable[int]) -> frozenset[Codeword]:
-        return frozenset(Codeword(m, K2.n) for m in masks)
-
-    sr1 = sr_ideal(K)
-    sr2 = sr_ideal(K2)
-    expected_sr2 = frozenset(sr1.gen_bits) | {new_bit}
-    checks.append(_equality_check("sr_ideal_gains_one_variable",
-                                  words(sr2.gen_bits), words(expected_sr2)))
-    if sr1.is_zero:
-        expected_dual2 = frozenset({new_bit})
-    else:
-        expected_dual2 = frozenset(g | new_bit for g in alexander_dual(sr1).gen_bits)
-    dual2 = alexander_dual(sr2)
-    checks.append(_equality_check("dual_ideal_gens_gain_new_variable_factor",
-                                  words(dual2.gen_bits), words(expected_dual2)))
-    return VerificationReport("add_trivial_off", code, step.describe(), fld, tuple(checks))
+    return _verify("add_trivial_off", code, AddTrivialOff(), fld)
 
 
 def verify_duplicate(
@@ -451,41 +491,7 @@ def verify_duplicate(
     """Duplicating a neuron preserves the mandatory set; links of image faces
     are homotopic to the original links, which the engine checks at the level
     of homology in every degree, plus the two-case link formula."""
-    step = Duplicate(source)
-    sides = _sides("duplicate", code, step, fld)
-    if isinstance(sides, VerificationReport):
-        return sides
-    K, K2, mh1, mh2 = sides
-    n = code.n
-    checks = [_equality_check("mh_image_equal", _image_set(step, mh1, n), mh2)]
-
-    src_bit = 1 << (source - 1)
-    homology_failures: list[Codeword] = []
-    formula_failures: list[Codeword] = []
-    for m in sorted(K.face_bits):
-        sigma = Codeword(m, n)
-        q_sigma = Codeword(apply_step_mask(step, m, n), n + 1)
-        lk1 = link(K, sigma)
-        lk2 = link(K2, q_sigma)
-        if core_homology(lk1, fld) != core_homology(lk2, fld):
-            homology_failures.append(sigma)
-        expected = lk1.widen(n + 1) if m & src_bit else image_complex(step, lk1)
-        if lk2 != expected:
-            formula_failures.append(sigma)
-    checks.append(_aggregate_check("link_homology_preserved", homology_failures))
-    checks.append(_aggregate_check("link_two_case_formula", formula_failures))
-
-    p1 = mandatory_partition(K, fld)
-    p2 = mandatory_partition(K2, fld)
-    if p1.fully_certified and p2.fully_certified:
-        checks.append(
-            _equality_check(
-                "cmin_in_image_equal", _image_set(step, p1.certified_in, n), p2.certified_in
-            )
-        )
-    else:
-        checks.append(_partial_check("cmin_in_image_equal", "uncertified links present"))
-    return VerificationReport("duplicate", code, step.describe(), fld, tuple(checks))
+    return _verify("duplicate", code, Duplicate(source), fld)
 
 
 def verify_projection(
@@ -494,26 +500,4 @@ def verify_projection(
     """Deleting a neuron can only shrink the mandatory set through the image:
     the target mandatory set is contained in the image of the source one, and
     links in the target are exactly the images of the zero-extended links."""
-    step = Project(delete)
-    sides = _sides("projection", code, step, fld)
-    if isinstance(sides, VerificationReport):
-        return sides
-    K, K2, mh1, mh2 = sides
-    n = code.n
-    q_mh1 = _image_set(step, mh1, n)
-    checks = [_subset_check("mh_containment", mh2, q_mh1)]
-
-    failures: list[Codeword] = []
-    for m2 in sorted(K2.face_bits):
-        sigma2 = Codeword(m2, n - 1)
-        lifted = Codeword(embed_mask(m2, delete), n)
-        if image_complex(step, link(K, lifted)) != link(K2, sigma2):
-            failures.append(sigma2)
-    checks.append(_aggregate_check("link_image_formula", failures))
-
-    observations = (
-        ("mh_reverse_containment_holds", q_mh1 <= mh2),
-    )
-    return VerificationReport(
-        "projection", code, step.describe(), fld, tuple(checks), observations
-    )
+    return _verify("projection", code, Project(delete), fld)

@@ -137,9 +137,15 @@ def core_homology(K: SimplicialComplex, field: Field = Field.GF2) -> HomologyPro
         meet &= f
     if meet:
         return HomologyProfile(field, ())
-    core = strong_collapse_core(K).core
-    narrowed = SimplicialComplex(max(1, core.vertex_bits.bit_length()), core.facet_bits)
-    return reduced_homology(narrowed, field)
+    return _narrowed_homology(strong_collapse_core(K).core, field)
+
+
+def _narrowed_homology(core: SimplicialComplex, field: Field) -> HomologyProfile:
+    """Homology of a complex ranked on its copy narrowed to its highest vertex,
+    so that copies on wider vertex sets share one memo entry.  A complex that
+    is already narrow is ranked as it is, keeping the face set it cached."""
+    n = max(1, core.vertex_bits.bit_length())
+    return reduced_homology(core if n == core.n else SimplicialComplex(n, core.facet_bits), field)
 
 
 def is_single_point(K: SimplicialComplex) -> bool:
@@ -190,7 +196,7 @@ def contractibility(K: SimplicialComplex, field: Field = Field.GF2) -> Contracti
     seq = strong_collapse_core(K)
     if is_single_point(seq.core):
         return ContractibilityVerdict(Verdict.CONTRACTIBLE, field, collapse=seq)
-    profile = reduced_homology(seq.core, field)
+    profile = _narrowed_homology(seq.core, field)
     if not profile.is_trivial:
         return ContractibilityVerdict(
             Verdict.NON_CONTRACTIBLE, field, nonzero_degree=profile.nonzero_degrees()[0]

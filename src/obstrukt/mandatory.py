@@ -7,10 +7,11 @@ definition regardless of its link.  A cone shortcut is applied first: when
 the intersection of facets containing σ exceeds σ, the link is a cone and
 therefore contractible.  Next, a link with nonzero reduced Euler
 characteristic (computed for all faces at once) has nonzero homology over
-every field; only the links of characteristic 0 are built and collapsed,
-and their homology is ranked on the strong-collapse core.  The duplicate
-theorem's link check reads ``collapse.core_homology``, which applies the
-same two certificates (cone, then strong-collapse core).
+every field; only the links of characteristic 0 are built, and
+``collapse.contractibility`` decides them (strong collapse to a point, or
+nonzero homology of the strong-collapse core).  The duplicate theorem's link
+check reads ``collapse.core_homology``, which ranks the same narrowed core
+and so shares its memo entries.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from functools import lru_cache
 
 from .codes import Codeword, NeuralCode
 from .complexes import SimplicialComplex, code_complex, facet_intersection, link
-from .collapse import (ContractibilityVerdict, Verdict, contractibility, is_single_point,
-                       strong_collapse_core)
+from .collapse import ContractibilityVerdict, Verdict, contractibility
 from .errors import VoidComplex
-from .homology import Field, link_euler_characteristics, reduced_homology
+from .homology import Field, link_euler_characteristics
+from .homology import reduced_homology  # noqa: F401  bound for bench/test_bench.py
 
 
 @dataclass(frozen=True)
@@ -64,19 +65,6 @@ class MandatoryPartition:
         }
 
 
-def _link_status(lk: SimplicialComplex, field: Field) -> Verdict:
-    """The status ``contractibility(lk, field)`` reports, read from the same
-    certificates: the strong-collapse core is a point, has nonzero
-    homology, or neither."""
-    core = strong_collapse_core(lk).core
-    if is_single_point(core):
-        return Verdict.CONTRACTIBLE
-    if not reduced_homology(core, field).is_trivial:
-        return Verdict.NON_CONTRACTIBLE
-    return Verdict.UNKNOWN
-
-
-@lru_cache(maxsize=65536)
 def mandatory_set(K: SimplicialComplex, field: Field = Field.GF2) -> MandatorySet:
     """Faces whose link has nonzero reduced homology in some degree.
 
@@ -109,7 +97,8 @@ def mandatory_partition(K: SimplicialComplex, field: Field = Field.GF2) -> Manda
         if facet_intersection(K, sigma).bits != m:
             cout.append(sigma)
             continue
-        status = Verdict.NON_CONTRACTIBLE if chi[m] else _link_status(link(K, sigma), field)
+        status = (Verdict.NON_CONTRACTIBLE if chi[m]
+                  else contractibility(link(K, sigma), field).status)
         if status is Verdict.NON_CONTRACTIBLE:
             cin.append(sigma)
         elif status is Verdict.CONTRACTIBLE:

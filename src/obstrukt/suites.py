@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .codes import NeuralCode
 from .codemaps import (
+    THEOREMS,
     Outcome,
     VerificationReport,
     verify_add_trivial_off,
@@ -36,7 +37,7 @@ from .errors import NeuronOutOfRange
 from .homology import Field
 from .randgen import random_code
 
-ALL_THEOREMS = ("permutation", "add_trivial_on", "add_trivial_off", "duplicate", "projection")
+ALL_THEOREMS = tuple(THEOREMS)
 
 MAX_EXHAUSTIVE_N = 4  # n = 5 would mean 2^32 codes
 MAX_SYMMETRIC_N = 8  # 8! = 40,320 permutations per check

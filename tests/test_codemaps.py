@@ -32,6 +32,7 @@ from obstrukt import (
 )
 from obstrukt.codemaps import apply_step_mask, embed_mask, project_mask
 from obstrukt.errors import NeuronOutOfRange, NotAPermutation, NotInDomain, WidthMismatch
+from obstrukt.suites import exhaustive_codes
 
 from conftest import code, w
 
@@ -92,11 +93,23 @@ class TestApply:
 
 
 class TestComplexExtension:
-    def test_permutation_maps_complex_exactly(self):
+    def test_every_theorem_map_maps_complex_exactly(self):
+        # the verifier builds K2 as image_complex(step, K); it must be the
+        # complex of the image code for every code with n <= 3 and every map
+        # a theorem checks, and for one wider code under a permutation
         c = code(["24", "35", "45", "123"], 6)
         gamma = (3, 1, 2, 6, 5, 4)
         K2 = code_complex(map_code(Permute(gamma), c))
         assert image_complex(Permute(gamma), code_complex(c)) == K2
+        for n in (1, 2, 3):
+            steps = [Permute(g) for g in itertools.permutations(range(1, n + 1))]
+            steps += [AddTrivialOn(), AddTrivialOff()]
+            steps += [Duplicate(s) for s in range(1, n + 1)]
+            steps += [Project(d) for d in range(1, n + 1) if n >= 2]
+            for c in exhaustive_codes(n):
+                K = code_complex(c)
+                for step in steps:
+                    assert image_complex(step, K) == code_complex(map_code(step, c)), (c, step)
 
     def test_add_on_image_generates_target_complex(self):
         c = code(["24", "35", "45", "123"], 6)

@@ -1,8 +1,11 @@
-"""Golden outputs: the SHA-256 of the stdout of three fixed verify runs.
+"""Golden outputs: the SHA-256 of the stdout of four fixed verify runs.
 
-The runs cover the exhaustive n = 3 suite over both fields and a seeded
-sampled suite at n = 5, so any change to a verdict, a check, an observation
-or the order of the JSON lines changes a digest.
+The runs cover the exhaustive n = 3 suite over both fields and two seeded
+sampled suites, so any change to a verdict, a check, an observation or the
+order of the JSON lines changes a digest.  The n = 6 run is there for its
+partial instances (two permutation, one add-trivial-on, one duplicate),
+which pin the names and notes of the checks that stand in for an
+uncertified partition.
 """
 
 import hashlib
@@ -23,6 +26,10 @@ GOLDEN = {
     "sampled_n5_seed1": (
         ["verify", "--n", "5", "--samples", "200", "--seed", "1"],
         "924a8b4db20f68675317181e0ddba68757822c61f21a1007eb2d4ec9c59c406f",
+    ),
+    "sampled_n6_seed167_partial": (
+        ["verify", "--n", "6", "--samples", "1", "--seed", "167"],
+        "0ba5ae52b24a88a52c4f5c538179315ae7379a7813c223b6bdf71ccc12e59be8",
     ),
 }
 
