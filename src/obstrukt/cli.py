@@ -42,7 +42,7 @@ def _default_field() -> str:
     return os.environ.get("OBSTRUKT_FIELD", "GF2")
 
 
-def _parse_gamma(text: str, n: int) -> tuple[int, ...]:
+def _parse_gamma(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
@@ -229,7 +229,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     if args.op == "permute":
         if args.gamma is None:
             raise MalformedText("permute needs --gamma")
-        step = Permute(_parse_gamma(args.gamma, code.n))
+        step = Permute(_parse_gamma(args.gamma))
     elif args.op == "add-on":
         step = AddTrivialOn()
     elif args.op == "add-off":
@@ -287,7 +287,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     code = _load_code(args)
     gammas = None
     if args.gamma is not None:
-        gammas = (_parse_gamma(args.gamma, code.n),)
+        gammas = (_parse_gamma(args.gamma),)
     deletes = (args.delete,) if args.delete is not None else None
     reports = code_reports(
         code,
@@ -366,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=0, help="number of random codes")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--density", type=float, default=0.3)
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes for suites")
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="worker processes for suites, capped at the CPU count")
     p_verify.add_argument("--summary", action="store_true",
                           help="print only the aggregate result")
     p_verify.set_defaults(fn=_cmd_verify)

@@ -273,9 +273,7 @@ def delete_vertex(K: SimplicialComplex, v: int) -> SimplicialComplex:
 
 def complex_to_json(K: SimplicialComplex) -> str:
     """Render as ``{"n": int, "facets": [...]}`` with sorted binary strings."""
-    return json.dumps(
-        {"n": K.n, "facets": sorted(c.binary() for c in K.facet_index())}
-    )
+    return json.dumps({"n": K.n, "facets": [c.binary() for c in K.facet_index()]})
 
 
 def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:

@@ -6,17 +6,20 @@ codes.  Every check depends on a code only through its complex (or on the
 code being empty), so a suite verifies each distinct complex once and counts
 its verdicts once, weighted by the codes that share it.  A code gets a copy
 of a report, with its own ``code`` field, only to write its line or to record
-a violation.  Lines stream in instance order; with a worker pool the distinct
-complexes fan out first.  Output is deterministic for fixed inputs.
+a violation.  Codes are read in windows (one code serially, 64 per worker
+with a pool); a window's new complexes are verified, then its lines stream
+out in instance order.  Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import itertools
 import json
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -41,6 +44,7 @@ ALL_THEOREMS = tuple(THEOREMS)
 
 MAX_EXHAUSTIVE_N = 4  # n = 5 would mean 2^32 codes
 MAX_SYMMETRIC_N = 8  # 8! = 40,320 permutations per check
+_WINDOW = 64  # codes read ahead per pool worker
 _HOLDS, _PARTIAL, _VIOLATED = Outcome.HOLDS.value, Outcome.PARTIAL.value, Outcome.VIOLATED.value
 
 
@@ -156,35 +160,31 @@ def run_suite(
     that share a task key (their complex and the maps to check) are verified
     once, on the code made of the complex's facets, and verdicts are counted
     once per key, weighted by its codes.  ``write`` receives each instance's
-    JSON line in instance order.  Serially each key is verified when first
-    met and its lines are written at once, so nothing is kept per code; a
-    pool first collects the distinct keys.
+    JSON line in instance order.  Codes are read in windows, one at a time
+    serially and ``_WINDOW * jobs`` with a pool: the window's unseen keys are
+    verified, then its lines are written, so nothing is kept per code.
+    ``jobs`` is capped at the CPU count; output does not depend on it.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     verified: dict[tuple, tuple[list[dict], list[dict]]] = {}  # key -> (reports, violated)
-    keyed: Iterable = _keyed(codes, fld, theorems, gammas_per_code, gamma_seed)
-    if jobs > 1:
-        distinct: dict[tuple, tuple] = {}  # codes sharing a key share one key object
-        keyed = [(binaries, distinct.setdefault(key, key)) for binaries, key in keyed]
-        tasks = list(distinct)
-        if len(tasks) > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                chunksize = max(1, len(tasks) // (jobs * 8))
-                done = pool.imap(_run_one, tasks, chunksize=chunksize)
-                verified = dict(zip(tasks, map(_with_violated, done)))
-
-    result = SuiteResult()
     weights: collections.Counter[tuple] = collections.Counter()
-    for binaries, key in keyed:
-        entry = verified.get(key)
-        if entry is None:
-            entry = verified[key] = _with_violated(_run_one(key))
-        reports, violated = entry
-        weights[key] += 1
-        if violated:
-            result.violations.extend(dict(d, code=binaries) for d in violated)
-        if write is not None:
-            for d in reports:
-                write(json.dumps(dict(d, code=binaries)))
+    keyed = _keyed(codes, fld, theorems, gammas_per_code, gamma_seed)
+    result = SuiteResult()
+    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        mapper = map if pool is None else functools.partial(pool.imap, chunksize=1)
+        size = 1 if pool is None else _WINDOW * jobs
+        while window := list(itertools.islice(keyed, size)):
+            fresh = {key: None for _, key in window if key not in verified}
+            if fresh:
+                verified.update(zip(fresh, map(_with_violated, mapper(_run_one, fresh))))
+            for binaries, key in window:
+                reports, violated = verified[key]
+                weights[key] += 1
+                if violated:
+                    result.violations.extend(dict(d, code=binaries) for d in violated)
+                if write is not None:
+                    for d in reports:
+                        write(json.dumps(dict(d, code=binaries)))
     tally: collections.Counter[str] = collections.Counter()
     for key, weight in weights.items():
         for d in verified[key][0]:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -133,6 +134,22 @@ class TestRunner:
         assert result.violations == [{"verdict": "violated", "theorem": "x", "code": ["10"]}]
 
 
+class InProcessPool:
+    """Stands in for ``multiprocessing.Pool`` without starting a process."""
+
+    def __init__(self, jobs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, tasks, chunksize):
+        return map(fn, tasks)
+
+
 def per_code_lines(n: int, fld: Field) -> list[str]:
     """The ungrouped suite: every check run on every code, in instance order."""
     return [
@@ -174,25 +191,60 @@ class TestGrouping:
     def test_pool_maps_distinct_keys_only(self, monkeypatch):
         mapped = []
 
-        class RecordingPool:
-            def __init__(self, jobs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
+        class RecordingPool(InProcessPool):
             def imap(self, fn, tasks, chunksize):
+                tasks = list(tasks)
                 mapped.extend(tasks)
-                return map(fn, mapped)
+                return map(fn, tasks)
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(suites.multiprocessing, "Pool", RecordingPool)
         lines = []
         run_exhaustive(3, jobs=2, write=lines.append)
         assert len(mapped) == len(set(mapped)) == 20
         assert lines == per_code_lines(3, Field.GF2)
+
+    def test_pool_lines_stream_window_by_window(self, monkeypatch):
+        # the first window's lines are written before the last distinct key is mapped
+        written, mapped_after = [], []
+
+        class RecordingPool(InProcessPool):
+            def imap(self, fn, tasks, chunksize):
+                for task in tasks:
+                    mapped_after.append(len(written))
+                    yield fn(task)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(suites.multiprocessing, "Pool", RecordingPool)
+        run_exhaustive(3, jobs=2, write=written.append)
+        assert len(mapped_after) == 20
+        assert mapped_after[0] == 0 and mapped_after[-1] > 0
+
+    def test_real_pool_across_windows_matches_serial(self, monkeypatch):
+        # two workers read 128 codes a window, so 300 codes take three windows
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial_lines, pooled_lines = [], []
+        serial = run_sampled(3, 300, seed=11, jobs=1, write=serial_lines.append)
+        pooled = run_sampled(3, 300, seed=11, jobs=2, write=pooled_lines.append)
+        assert 2 * (suites._WINDOW * 2) < 300
+        assert pooled_lines == serial_lines
+        assert pooled.to_json_dict() == serial.to_json_dict()
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        asked = []
+
+        class CountingPool(InProcessPool):
+            def __init__(self, jobs):
+                asked.append(jobs)
+
+        monkeypatch.setattr(suites.multiprocessing, "Pool", CountingPool)
+        cpus = os.cpu_count() or 1
+        expected = run_sampled(3, 5, seed=2)
+        assert run_sampled(3, 5, seed=2, jobs=10_000).to_json_dict() == expected.to_json_dict()
+        assert asked == ([cpus] if cpus > 1 else [])
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        run_sampled(3, 5, seed=2, jobs=10_000)
+        assert asked[-1] == 3
 
     def test_serial_lines_stream_as_codes_are_met(self, monkeypatch):
         # the first code's lines are written before the second complex is verified
