@@ -42,6 +42,13 @@ def _default_field() -> str:
     return os.environ.get("OBSTRUKT_FIELD", "GF2")
 
 
+def _parse_field(name: str) -> Field:
+    try:
+        return Field(name)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unknown field {name!r}; use GF2 or Q") from None
+
+
 def _parse_gamma(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -128,7 +135,6 @@ def _sorted_binaries(cws) -> list[str]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     code = _load_code(args)
-    fld = Field.from_name(args.field)
     K = code_complex(code)
     payload: dict = {
         "n": code.n,
@@ -139,8 +145,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         payload["void"] = True
         _emit(args, payload, ["empty code: void complex"])
         return 0
-    payload["homology"] = core_homology(K, fld).to_json_dict()
-    payload.update(analysis_json_dict(K, fld))
+    payload["homology"] = core_homology(K, args.field).to_json_dict()
+    payload.update(analysis_json_dict(K, args.field))
     payload["sr_ideal"] = sr_ideal(K).to_lists()
     payload["dual_complex_facets"] = _sorted_binaries(dual_complex(K).facet_index())
     lines = [
@@ -158,18 +164,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_mh(args: argparse.Namespace) -> int:
     code = _load_code(args)
-    fld = Field.from_name(args.field)
     K = code_complex(code)
-    mh = mandatory_set(K, fld)
+    mh = mandatory_set(K, args.field)
     _emit(args, {"mh": mh.binaries()}, ["M_H: " + " ".join(mh.binaries())])
     return 0
 
 
 def _cmd_cmin(args: argparse.Namespace) -> int:
     code = _load_code(args)
-    fld = Field.from_name(args.field)
-    K = code_complex(code)
-    payload = analysis_json_dict(K, fld)
+    payload = analysis_json_dict(code_complex(code), args.field)
     lines = [
         "certified in: " + " ".join(payload["cmin_in"]),
         "certified out: " + " ".join(payload["cmin_out"]),
@@ -182,8 +185,7 @@ def _cmd_cmin(args: argparse.Namespace) -> int:
 
 def _cmd_homology(args: argparse.Namespace) -> int:
     code = _load_code(args)
-    fld = Field.from_name(args.field)
-    profile = core_homology(code_complex(code), fld)
+    profile = core_homology(code_complex(code), args.field)
     payload = profile.to_json_dict()
     _emit(args, payload, ["homology dims: " + json.dumps(payload["dims"])])
     return 0
@@ -254,6 +256,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
 def _cmd_random(args: argparse.Namespace) -> int:
     if args.n is None:
         raise MalformedText("random needs --n")
+    if args.count < 0:
+        raise MalformedText(f"--count must be at least 0, got {args.count}")
     codes = [random_code(args.n, args.seed + i, args.density) for i in range(args.count)]
     for c in codes:
         if args.output == "json":
@@ -265,19 +269,27 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    fld = Field.from_name(args.field)
     chosen = _THEOREM_FLAGS[args.theorem]
     theorems = ALL_THEOREMS if chosen == "all" else (chosen,)
 
+    if args.samples < 0:
+        raise MalformedText(f"--samples must be at least 0, got {args.samples}")
     if args.exhaustive or args.samples:
+        if args.exhaustive and args.samples:
+            raise MalformedText("--exhaustive and --samples exclude each other")
+        stray = [f"--{name}" for name in ("code", "input", "gamma", "source", "delete")
+                 if getattr(args, name) is not None]
+        if stray:
+            raise MalformedText(f"suite mode does not take {', '.join(stray)}")
         if args.n is None:
             raise MalformedText("suite mode needs --n")
         write = None if args.summary else print
         if args.exhaustive:
-            result = run_exhaustive(args.n, fld, theorems=theorems, jobs=args.jobs, write=write)
+            result = run_exhaustive(args.n, args.field, theorems=theorems, jobs=args.jobs,
+                                    write=write)
         else:
             result = run_sampled(
-                args.n, args.samples, seed=args.seed, density=args.density, fld=fld,
+                args.n, args.samples, seed=args.seed, density=args.density, fld=args.field,
                 theorems=theorems, jobs=args.jobs, write=write,
             )
         print(json.dumps(result.to_json_dict() if args.summary else
@@ -285,18 +297,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0 if result.ok else 1
 
     code = _load_code(args)
-    gammas = None
-    if args.gamma is not None:
-        gammas = (_parse_gamma(args.gamma),)
-    deletes = (args.delete,) if args.delete is not None else None
-    reports = code_reports(
-        code,
-        fld,
-        theorems=theorems,
-        gammas=gammas,
-        duplicate_sources=(args.source,),
-        projection_deletes=deletes,
-    )
+    gammas = None if args.gamma is None else (_parse_gamma(args.gamma),)
+    source = 1 if args.source is None else args.source
+    reports = code_reports(code, args.field, theorems, gammas, source=source, delete=args.delete)
     violated = 0
     for r in reports:
         if args.output == "json":
@@ -318,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default=_default_field(), choices=["GF2", "Q"],
+    common.add_argument("--field", default=_default_field(), type=_parse_field,
+                        metavar="{GF2,Q}",
                         help="coefficient field (env OBSTRUKT_FIELD overrides the default)")
     common.add_argument("--output", default="json", choices=["json", "text"])
 
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="check the preservation theorems")
     p_verify.add_argument("--theorem", default="all", choices=sorted(_THEOREM_FLAGS))
     p_verify.add_argument("--gamma", help="specific permutation to check")
-    p_verify.add_argument("--source", type=int, default=1)
+    p_verify.add_argument("--source", type=int, help="neuron to duplicate (default 1)")
     p_verify.add_argument("--delete", type=int)
     p_verify.add_argument("--exhaustive", action="store_true",
                           help="all codes on --n neurons (n <= 4); each distinct complex "

@@ -19,12 +19,12 @@ from functools import cached_property
 from typing import Callable, Iterable, Union
 
 from .codes import MAX_NEURONS, Codeword, NeuralCode
-from .collapse import core_homology
+from .collapse import Verdict, core_homology
 from .complexes import SimplicialComplex, code_complex, link
 from .errors import NeuronOutOfRange, NotInDomain, WidthMismatch
 from .homology import Field, reduced_homology  # noqa: F401  bound for bench/test_bench.py
 from .ideals import MonomialIdeal, alexander_dual, permutation_tuple, sr_ideal
-from .mandatory import mandatory_partition, mandatory_set
+from .mandatory import mandatory_partition
 
 
 @dataclass(frozen=True)
@@ -362,11 +362,11 @@ def _shift_by_empty_word(q, K, K2, p1, p2) -> CheckResult:
     minus ∅ when K is non-contractible, and their nonempty parts agree when
     K is contractible."""
     empty1, empty2 = Codeword.empty(K.n), Codeword.empty(K2.n)
-    ambient = p1.ambient_verdict
-    if ambient.is_contractible_certified:
+    ambient = p1.ambient_verdict.status
+    if ambient is Verdict.CONTRACTIBLE:
         return _check("cmin_nonempty_image_equal", "=",
                       q(p1.certified_in - {empty1}), p2.certified_in - {empty2})
-    if ambient.is_non_contractible_certified:
+    if ambient is Verdict.NON_CONTRACTIBLE:
         lhs = q(p1.certified_in)
         return _check("cmin_image_strictly_below", "⊊", lhs, p2.certified_in,
                       holds=lhs == p2.certified_in - {empty2} and empty2 in p2.certified_in,
@@ -427,7 +427,8 @@ def _verify(theorem: str, code: NeuralCode, step: ElementaryMap, fld: Field) -> 
     def q(words: Iterable[Codeword]) -> frozenset[Codeword]:
         return frozenset(Codeword(apply_step_mask(step, w.bits, n), out_n) for w in words)
 
-    q_mh1, mh2 = q(mandatory_set(K, fld).faces), mandatory_set(K2, fld).faces
+    p1, p2 = mandatory_partition(K, fld), mandatory_partition(K2, fld)
+    q_mh1, mh2 = q(p1.mandatory.faces), p2.mandatory.faces
     observations: tuple[tuple[str, bool], ...] = ()
     if spec.mh == "=":
         checks = [_check("mh_image_equal", "=", q_mh1, mh2)]
@@ -447,7 +448,6 @@ def _verify(theorem: str, code: NeuralCode, step: ElementaryMap, fld: Field) -> 
             checks.append(_check(name, "∀", failed, holds=not failed, note=note))
 
     if spec.classes or spec.shift:
-        p1, p2 = mandatory_partition(K, fld), mandatory_partition(K2, fld)
         if spec.partial and not (p1.fully_certified and p2.fully_certified):
             checks.append(_partial(spec.partial, "uncertified links present"))
         elif spec.shift:

@@ -58,11 +58,6 @@ class Codeword:
     def neurons(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
 
-    def has(self, neuron: int) -> bool:
-        if not 1 <= neuron <= self.n:
-            raise NeuronOutOfRange(f"neuron {neuron} outside 1..{self.n}")
-        return bool(self.bits >> (neuron - 1) & 1)
-
     def __len__(self) -> int:
         return self.bits.bit_count()
 
@@ -87,12 +82,6 @@ class Codeword:
     def __or__(self, other: "Codeword") -> "Codeword":
         self._check_width(other)
         return Codeword(self.bits | other.bits, self.n)
-
-    def widen(self, n: int) -> "Codeword":
-        """Reinterpret on a larger neuron count; appended neurons are off."""
-        if n < self.n:
-            raise WidthMismatch(f"cannot shrink width {self.n} to {n}")
-        return Codeword(self.bits, n)
 
     def binary(self) -> str:
         return format(self.bits, f"0{self.n}b")[::-1]
@@ -126,10 +115,6 @@ class NeuralCode:
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "NeuralCode":
         return cls(n, frozenset(Codeword(m, n) for m in masks))
-
-    @classmethod
-    def from_texts(cls, texts: Iterable[str], form: NotationForm, n: int) -> "NeuralCode":
-        return cls(n, frozenset(parse_codeword(t, form, n) for t in texts))
 
     def masks(self) -> frozenset[int]:
         return frozenset(w.bits for w in self.words)

@@ -9,7 +9,6 @@ in general is undecidable, so the only honest answers are certificates
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,14 +63,6 @@ class ContractibilityVerdict:
     collapse: CollapseSequence | None = None
     nonzero_degree: int | None = None
 
-    @property
-    def is_contractible_certified(self) -> bool:
-        return self.status is Verdict.CONTRACTIBLE
-
-    @property
-    def is_non_contractible_certified(self) -> bool:
-        return self.status is Verdict.NON_CONTRACTIBLE
-
     def to_json_dict(self) -> dict:
         out: dict = {"status": self.status.value, "field": self.field.value}
         if self.collapse is not None:
@@ -79,9 +70,6 @@ class ContractibilityVerdict:
         if self.nonzero_degree is not None:
             out["nonzero_degree"] = self.nonzero_degree
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def dominated_vertices(K: SimplicialComplex) -> list[DominationWitness]:

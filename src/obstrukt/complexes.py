@@ -125,9 +125,6 @@ class SimplicialComplex:
             raise VoidComplex("the void complex has no dimension")
         return max(m.bit_count() for m in self.facet_bits) - 1
 
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.vertex_bits >> i & 1)
-
     def faces(self) -> frozenset[Codeword]:
         return frozenset(Codeword(m, self.n) for m in self.face_bits)
 

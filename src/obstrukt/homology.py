@@ -12,7 +12,6 @@ other complex on its strong-collapse core.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -25,15 +24,6 @@ from .complexes import SimplicialComplex
 class Field(Enum):
     GF2 = "GF2"
     RATIONAL = "Q"
-
-    @classmethod
-    def from_name(cls, name: str) -> "Field":
-        key = name.strip().upper()
-        if key in ("GF2", "F2", "GF(2)"):
-            return cls.GF2
-        if key in ("Q", "RATIONAL", "QQ"):
-            return cls.RATIONAL
-        raise ValueError(f"unknown field {name!r}; use GF2 or Q")
 
 
 @dataclass(frozen=True)
@@ -73,9 +63,6 @@ class HomologyProfile:
             "field": self.field.value,
             "dims": {str(i - 1): b for i, b in enumerate(self.betti) if b},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _grades(K: SimplicialComplex) -> list[list[int]]:

@@ -8,7 +8,6 @@ relabelling and zero-padding.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
@@ -73,9 +72,6 @@ class MonomialIdeal:
 
     def to_lists(self) -> list[list[int]]:
         return sorted([list(g.neurons()) for g in self.generators()])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_lists())
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -17,7 +17,7 @@ and so shares its memo entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .codes import Codeword, NeuralCode
 from .complexes import SimplicialComplex, code_complex, facet_intersection, link
@@ -42,7 +42,8 @@ class MandatoryPartition:
 
     ``certified_in`` always holds the empty face; ``ambient_verdict`` carries
     the contractibility verdict for the whole complex (the link of ∅) so both
-    readings of ∅-membership stay checkable.
+    readings of ∅-membership stay checkable: ``mandatory`` is the homological
+    one.
     """
 
     field: Field
@@ -55,6 +56,15 @@ class MandatoryPartition:
     def fully_certified(self) -> bool:
         return not self.unknown
 
+    @cached_property
+    def mandatory(self) -> MandatorySet:
+        """M_H: a link has nonzero homology exactly when it is certified
+        non-contractible, so these are the nonempty faces of ``certified_in``,
+        plus ∅ (whose link is the complex) when the complex is."""
+        keep_empty = self.ambient_verdict.status is Verdict.NON_CONTRACTIBLE
+        faces = frozenset(c for c in self.certified_in if c.bits or keep_empty)
+        return MandatorySet(self.field, faces)
+
     def to_json_dict(self) -> dict:
         return {
             "field": self.field.value,
@@ -66,19 +76,11 @@ class MandatoryPartition:
 
 
 def mandatory_set(K: SimplicialComplex, field: Field = Field.GF2) -> MandatorySet:
-    """Faces whose link has nonzero reduced homology in some degree.
-
-    A link has nonzero homology exactly when the partition certifies it
-    non-contractible, so these are the nonempty faces of ``certified_in``,
-    plus ∅ (whose link is K) when K is certified non-contractible.
-    """
+    """Faces whose link has nonzero reduced homology in some degree, read
+    from the certified partition."""
     if K.is_void:
         raise VoidComplex("mandatory set of the void complex")
-    part = mandatory_partition(K, field)
-    faces = part.certified_in - {Codeword.empty(K.n)}
-    if part.ambient_verdict.is_non_contractible_certified:
-        faces |= {Codeword.empty(K.n)}
-    return MandatorySet(field, faces)
+    return mandatory_partition(K, field).mandatory
 
 
 @lru_cache(maxsize=65536)
@@ -132,10 +134,5 @@ def check_no_local_obstruction(code: NeuralCode, field: Field = Field.GF2) -> Ob
 
 def analysis_json_dict(K: SimplicialComplex, field: Field) -> dict:
     """Combined mandatory report used by the command-line front end."""
-    mh = mandatory_set(K, field)
     part = mandatory_partition(K, field)
-    out = {"field": field.value, "mh": mh.binaries()}
-    d = part.to_json_dict()
-    del d["field"]
-    out.update(d)
-    return out
+    return {"field": field.value, "mh": part.mandatory.binaries()} | part.to_json_dict()

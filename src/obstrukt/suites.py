@@ -88,27 +88,28 @@ def code_reports(
     fld: Field = Field.GF2,
     theorems: Sequence[str] = ALL_THEOREMS,
     gammas: Sequence[tuple[int, ...]] | None = None,
-    duplicate_sources: Sequence[int] = (1,),
-    projection_deletes: Sequence[int] | None = None,
+    source: int = 1,
+    delete: int | None = None,
 ) -> list[VerificationReport]:
-    """All requested theorem instances for one code, in a fixed order."""
+    """All requested theorem instances for one code, in ``THEOREMS`` order.
+
+    ``gammas=None`` checks every permutation of 1..n, and ``delete=None``
+    projects away each neuron in turn (none when n = 1).
+    """
     n = code.n
-    if projection_deletes is None:
-        projection_deletes = tuple(range(1, n + 1)) if n >= 2 else ()
-    reports: list[VerificationReport] = []
-    if "permutation" in theorems:
-        if gammas is None:
-            gammas = symmetric_group(n)
-        reports.extend(verify_permutation(code, g, fld) for g in gammas)
-    if "add_trivial_on" in theorems:
-        reports.append(verify_add_trivial_on(code, fld))
-    if "add_trivial_off" in theorems:
-        reports.append(verify_add_trivial_off(code, fld))
-    if "duplicate" in theorems:
-        reports.extend(verify_duplicate(code, s, fld) for s in duplicate_sources)
-    if "projection" in theorems:
-        reports.extend(verify_projection(code, d, fld) for d in projection_deletes)
-    return reports
+    if delete is None:
+        deletes = range(1, n + 1) if n >= 2 else ()
+    else:
+        deletes = (delete,)
+    instances = {
+        "permutation": lambda: [verify_permutation(code, g, fld) for g in
+                                (symmetric_group(n) if gammas is None else gammas)],
+        "add_trivial_on": lambda: [verify_add_trivial_on(code, fld)],
+        "add_trivial_off": lambda: [verify_add_trivial_off(code, fld)],
+        "duplicate": lambda: [verify_duplicate(code, source, fld)],
+        "projection": lambda: [verify_projection(code, d, fld) for d in deletes],
+    }
+    return [r for theorem in THEOREMS if theorem in theorems for r in instances[theorem]()]
 
 
 @dataclass
@@ -134,9 +135,9 @@ class SuiteResult:
 
 
 def _run_one(key: tuple) -> list[dict]:
-    n, facets, field_name, theorems, gammas = key
+    n, facets, fld, theorems, gammas = key
     code = NeuralCode.from_masks(n, facets)
-    reports = code_reports(code, Field.from_name(field_name), theorems=theorems, gammas=gammas)
+    reports = code_reports(code, fld, theorems=theorems, gammas=gammas)
     return [r.to_json_dict() for r in reports]
 
 
@@ -213,7 +214,7 @@ def _keyed(
             rng = random.Random(gamma_seed * 1_000_003 + idx)
             gammas = tuple(tuple(rng.sample(range(1, n + 1), n)) for _ in range(gammas_per_code))
         facets = tuple(sorted(code_complex(code).facet_bits))
-        key = (n, facets, fld.value, tuple(theorems), gammas)
+        key = (n, facets, fld, tuple(theorems), gammas)
         yield sorted(w.binary() for w in code.words), key
 
 

@@ -135,6 +135,15 @@ class TestAnalysis:
         )
         assert json.loads(out)["field"] == "GF2"
 
+    @pytest.mark.parametrize("name", ["gf2", "bogus"])
+    def test_field_env_takes_only_the_documented_spellings(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("OBSTRUKT_FIELD", name)
+        with pytest.raises(SystemExit) as exc:
+            main(["homology", "--n", "3", "--code", "12,13,23"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "use GF2 or Q" in captured.err
+
     def test_homology_of_the_full_simplex_on_64_neurons(self, capsys):
         # one word on all 64 neurons: a cone, answered without building faces
         start = time.perf_counter()
@@ -205,6 +214,10 @@ class TestRandom:
         _, out, _ = run_cli(capsys, "random", "--n", "2", "--seed", "0", "--density", "1")
         assert json.loads(out)["words"] == ["01", "10", "11"]
 
+    def test_negative_count_rejected(self, capsys):
+        status, out, err = run_cli(capsys, "random", "--n", "3", "--count", "-1")
+        assert status == 2 and out == "" and "--count" in err
+
 
 class TestVerify:
     def test_projection_instance(self, capsys):
@@ -226,6 +239,20 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["violated"] == 0
         assert payload["instances"] == 112
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["--exhaustive", "--n", "2", "--summary", "--gamma", "9,9", "--source", "7",
+          "--delete", "9"], ["--gamma", "--source", "--delete"]),
+        (["--exhaustive", "--n", "2", "--samples", "3"], ["--exhaustive", "--samples"]),
+        (["--n", "3", "--samples", "-2"], ["--samples"]),
+        (["--n", "3", "--samples", "2", "--code", "12"], ["--code"]),
+        (["--exhaustive", "--n", "2", "--input", "codes.txt"], ["--input"]),
+    ])
+    def test_suite_mode_rejects_what_it_would_ignore(self, capsys, argv, flags):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert status == 2 and out == "" and all(flag in err for flag in flags)
 
     def test_exhaustive_capped(self, capsys):
         status, _, err = run_cli(

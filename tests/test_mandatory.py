@@ -216,10 +216,16 @@ def test_mandatory_sets_match_their_definitions(field):
     for K in cases:
         mh, part = _by_definition(K, field)
         fast = mandatory_partition(K, field)
-        assert mandatory_set(K, field).faces == mh
+        assert mandatory_set(K, field).faces == fast.mandatory.faces == mh
         assert fast.certified_in == part[Verdict.NON_CONTRACTIBLE]
         assert fast.certified_out == part[Verdict.CONTRACTIBLE]
         assert fast.unknown == part[Verdict.UNKNOWN]
+
+
+def test_mandatory_set_is_read_once_from_its_partition():
+    part = mandatory_partition(full_simplex(3), Field.GF2)
+    assert part.mandatory is part.mandatory
+    assert mandatory_set(full_simplex(3), Field.GF2) is part.mandatory
 
 
 def test_projective_plane_link_is_unknown_over_q():

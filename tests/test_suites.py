@@ -97,6 +97,12 @@ class TestRunner:
             "projection",
         ]
 
+    def test_named_maps_and_theorem_order(self):
+        c = NeuralCode.from_masks(3, [0b111, 0b011])
+        reports = code_reports(c, theorems=("projection", "duplicate", "permutation"),
+                               gammas=((2, 1, 3),), source=3, delete=2)
+        assert [r.map_desc for r in reports] == ["permute(2,1,3)", "duplicate(3)", "project(2)"]
+
     def test_sampled_deterministic_and_parallel_equal(self):
         serial_lines, parallel_lines = [], []
         serial = run_sampled(4, 12, seed=5, jobs=1, write=serial_lines.append)
