@@ -13,7 +13,6 @@ from .codes import (
     NotationForm,
     WordOps,
     code_to_json,
-    facets,
     format_codeword,
     parse_codeword,
     word_ops,
@@ -29,6 +28,7 @@ from .complexes import (
     dual_complex,
     enumerate_complexes,
     facet_intersection,
+    facets,
     full_simplex,
     link,
     restriction,

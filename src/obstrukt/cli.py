@@ -16,7 +16,7 @@ import sys
 from typing import Iterator, Sequence
 
 from .collapse import core_homology
-from .codes import NeuralCode, NotationForm, parse_codeword
+from .codes import NeuralCode, NotationForm, binaries, code_to_json, parse_codeword
 from .codemaps import (
     AddTrivialOff,
     AddTrivialOn,
@@ -32,10 +32,14 @@ from .errors import MalformedText, ObstruktError
 from .homology import Field, reduced_homology  # noqa: F401  bound for bench/test_bench.py
 from .ideals import alexander_dual, sr_ideal
 from .mandatory import analysis_json_dict, mandatory_set
-from .randgen import random_code
-from .suites import ALL_THEOREMS, code_reports, run_exhaustive, run_sampled
+from .suites import ALL_THEOREMS, code_reports, run_exhaustive, run_sampled, sampled_codes
 
 _THEOREM_FLAGS = {t.replace("_", "-"): t for t in ALL_THEOREMS} | {"all": "all"}
+# the flags that name the code and the maps of a single-code verify
+_CODE_FLAGS = ("code", "input", "gamma", "source", "delete")
+# the flags each map op takes; no other op accepts them
+_MAP_FLAGS = {"permute": ("gamma",), "duplicate": ("source",), "project": ("delete",),
+              "include": ("target", "target_n")}
 
 
 def _default_field() -> str:
@@ -129,17 +133,13 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
             print(line)
 
 
-def _sorted_binaries(cws) -> list[str]:
-    return sorted(c.binary() for c in cws)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     code = _load_code(args)
     K = code_complex(code)
     payload: dict = {
         "n": code.n,
-        "code": _sorted_binaries(code.words),
-        "facets": _sorted_binaries(K.facet_index()) if not K.is_void else [],
+        "code": binaries(code.words),
+        "facets": binaries(K.facet_index()),
     }
     if K.is_void:
         payload["void"] = True
@@ -148,7 +148,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     payload["homology"] = core_homology(K, args.field).to_json_dict()
     payload.update(analysis_json_dict(K, args.field))
     payload["sr_ideal"] = sr_ideal(K).to_lists()
-    payload["dual_complex_facets"] = _sorted_binaries(dual_complex(K).facet_index())
+    payload["dual_complex_facets"] = binaries(dual_complex(K).facet_index())
     lines = [
         f"code on {code.n} neurons with {len(code.words)} words",
         "facets: " + " ".join(payload["facets"]),
@@ -198,7 +198,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
     sigma = parse_codeword(args.sigma, form, code.n)
     L = link(K, sigma)
     payload = json.loads(complex_to_json(L))
-    payload["faces"] = _sorted_binaries(L.faces())
+    payload["faces"] = binaries(L.faces())
     _emit(args, payload, ["link facets: " + " ".join(payload["facets"])])
     return 0
 
@@ -225,7 +225,17 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stray(args: argparse.Namespace, names) -> str:
+    """Those of the named flags that were given, spelled as on the command line."""
+    return ", ".join(f"--{name.replace('_', '-')}" for name in names
+                     if getattr(args, name) not in (None, False))
+
+
 def _cmd_map(args: argparse.Namespace) -> int:
+    stray = _stray(args, (name for op, names in _MAP_FLAGS.items() if op != args.op
+                          for name in names))
+    if stray:
+        raise MalformedText(f"--op {args.op} does not take {stray}")
     code = _load_code(args)
     form = NotationForm(args.form)
     if args.op == "permute":
@@ -237,7 +247,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     elif args.op == "add-off":
         step = AddTrivialOff()
     elif args.op == "duplicate":
-        step = Duplicate(args.source)
+        step = Duplicate() if args.source is None else Duplicate(args.source)
     elif args.op == "project":
         if args.delete is None:
             raise MalformedText("project needs --delete")
@@ -248,7 +258,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         target = _code_from_inline(args.target, form, args.target_n)
         step = Include(target)
     image = map_code(step, code)
-    payload = {"n": image.n, "words": _sorted_binaries(image.words)}
+    payload = {"n": image.n, "words": binaries(image.words)}
     _emit(args, payload, ["image: " + " ".join(payload["words"])])
     return 0
 
@@ -258,13 +268,9 @@ def _cmd_random(args: argparse.Namespace) -> int:
         raise MalformedText("random needs --n")
     if args.count < 0:
         raise MalformedText(f"--count must be at least 0, got {args.count}")
-    codes = [random_code(args.n, args.seed + i, args.density) for i in range(args.count)]
-    for c in codes:
-        if args.output == "json":
-            print(json.dumps({"n": c.n, "words": _sorted_binaries(c.words)}))
-        else:
-            words = " ".join(w.binary() for w in c.sorted_words()) or "(empty)"
-            print(words)
+    for c in sampled_codes(args.n, args.count, args.seed, args.density):
+        text = " ".join(binaries(c.words)) or "(empty)"
+        print(code_to_json(c) if args.output == "json" else text)
     return 0
 
 
@@ -274,24 +280,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.samples < 0:
         raise MalformedText(f"--samples must be at least 0, got {args.samples}")
+    if args.jobs is not None and args.jobs < 1:
+        raise MalformedText(f"--jobs must be at least 1, got {args.jobs}")
+    if args.exhaustive and args.samples:
+        raise MalformedText("--exhaustive and --samples exclude each other")
+    if args.exhaustive:  # an exhaustive suite draws nothing at random
+        mode, unused = "an exhaustive suite", _CODE_FLAGS + ("seed", "density")
+    elif args.samples:
+        mode, unused = "suite mode", _CODE_FLAGS
+    else:
+        mode, unused = "single-code mode", ("summary", "seed", "density", "jobs")
+    if stray := _stray(args, unused):
+        raise MalformedText(f"{mode} does not take {stray}")
     if args.exhaustive or args.samples:
-        if args.exhaustive and args.samples:
-            raise MalformedText("--exhaustive and --samples exclude each other")
-        stray = [f"--{name}" for name in ("code", "input", "gamma", "source", "delete")
-                 if getattr(args, name) is not None]
-        if stray:
-            raise MalformedText(f"suite mode does not take {', '.join(stray)}")
         if args.n is None:
             raise MalformedText("suite mode needs --n")
+        # seed, density and jobs that are not given take the suite's defaults
+        given = {k: getattr(args, k) for k in ("seed", "density", "jobs")
+                 if getattr(args, k) is not None}
         write = None if args.summary else print
         if args.exhaustive:
-            result = run_exhaustive(args.n, args.field, theorems=theorems, jobs=args.jobs,
-                                    write=write)
+            result = run_exhaustive(args.n, args.field, theorems=theorems, write=write, **given)
         else:
-            result = run_sampled(
-                args.n, args.samples, seed=args.seed, density=args.density, fld=args.field,
-                theorems=theorems, jobs=args.jobs, write=write,
-            )
+            result = run_sampled(args.n, args.samples, fld=args.field, theorems=theorems,
+                                 write=write, **given)
         print(json.dumps(result.to_json_dict() if args.summary else
                          {k: v for k, v in result.to_json_dict().items() if k != "violations"}))
         return 0 if result.ok else 1
@@ -352,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--op", required=True,
                        choices=["permute", "add-on", "add-off", "duplicate", "project", "include"])
     p_map.add_argument("--gamma", help="permutation as comma-separated images, e.g. 2,1,3")
-    p_map.add_argument("--source", type=int, default=1, help="neuron to duplicate")
+    p_map.add_argument("--source", type=int, help="neuron to duplicate (default 1)")
     p_map.add_argument("--delete", type=int, help="neuron to project away")
     p_map.add_argument("--target", help="inclusion target code (inline)")
     p_map.add_argument("--target-n", type=int, help="inclusion target neuron count")
@@ -368,10 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="all codes on --n neurons (n <= 4); each distinct complex "
                                "is verified once")
     p_verify.add_argument("--samples", type=int, default=0, help="number of random codes")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--density", type=float, default=0.3)
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for suites, capped at the CPU count")
+    p_verify.add_argument("--seed", type=int, help="sampled suites only (default 0)")
+    p_verify.add_argument("--density", type=float, help="sampled suites only (default 0.3)")
+    p_verify.add_argument("--jobs", type=int,
+                          help="worker processes for suites, capped at the CPU count (default 1)")
     p_verify.add_argument("--summary", action="store_true",
                           help="print only the aggregate result")
     p_verify.set_defaults(fn=_cmd_verify)

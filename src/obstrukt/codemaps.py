@@ -18,12 +18,13 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Union
 
-from .codes import MAX_NEURONS, Codeword, NeuralCode
+from .codes import MAX_NEURONS, Codeword, NeuralCode, binaries
 from .collapse import Verdict, core_homology
 from .complexes import SimplicialComplex, code_complex, link
 from .errors import NeuronOutOfRange, NotInDomain, WidthMismatch
 from .homology import Field, reduced_homology  # noqa: F401  bound for bench/test_bench.py
-from .ideals import MonomialIdeal, alexander_dual, permutation_tuple, sr_ideal
+from .ideals import (MonomialIdeal, alexander_dual, invert_permutation, permutation_tuple,
+                     permute_mask, sr_ideal)
 from .mandatory import mandatory_partition
 
 
@@ -104,15 +105,6 @@ def validate_step(step: ElementaryMap, n: int) -> int:
     raise TypeError(f"not an elementary map: {step!r}")
 
 
-def _permute_mask_positions(mask: int, gamma: tuple[int, ...]) -> int:
-    # position i of the image reads coordinate γ(i) of the argument
-    out = 0
-    for i, g in enumerate(gamma):
-        if mask >> (g - 1) & 1:
-            out |= 1 << i
-    return out
-
-
 def project_mask(mask: int, delete: int) -> int:
     low = mask & ((1 << (delete - 1)) - 1)
     high = (mask >> delete) << (delete - 1)
@@ -128,7 +120,8 @@ def embed_mask(mask: int, position: int) -> int:
 
 def apply_step_mask(step: ElementaryMap, mask: int, n: int) -> int:
     if isinstance(step, Permute):
-        return _permute_mask_positions(mask, step.gamma)
+        # position i of the image reads coordinate γ(i) of the argument
+        return permute_mask(mask, invert_permutation(step.gamma))
     if isinstance(step, AddTrivialOn):
         return mask | (1 << n)
     if isinstance(step, AddTrivialOff):
@@ -270,7 +263,7 @@ class VerificationReport:
         return {
             "theorem": self.theorem,
             "n": self.code.n,
-            "code": sorted(w.binary() for w in self.code.words),
+            "code": binaries(self.code.words),
             "map": self.map_desc,
             "field": self.field.value,
             "verdict": self.verdict.value,
@@ -282,10 +275,6 @@ class VerificationReport:
         return json.dumps(self.to_json_dict())
 
 
-def _binaries(cws: Iterable[Codeword]) -> tuple[str, ...]:
-    return tuple(sorted(c.binary() for c in cws))
-
-
 def _check(name: str, relation: str, lhs, rhs=frozenset(), holds: bool | None = None,
            note: str = "") -> CheckResult:
     """One relation instance; unless ``holds`` is given, ``relation`` (= or
@@ -293,7 +282,7 @@ def _check(name: str, relation: str, lhs, rhs=frozenset(), holds: bool | None = 
     if holds is None:
         holds = lhs == rhs if relation == "=" else lhs <= rhs
     outcome = Outcome.HOLDS if holds else Outcome.VIOLATED
-    return CheckResult(name, relation, _binaries(lhs), _binaries(rhs), outcome, note)
+    return CheckResult(name, relation, tuple(binaries(lhs)), tuple(binaries(rhs)), outcome, note)
 
 
 def _partial(name: str, note: str) -> CheckResult:
@@ -341,18 +330,14 @@ def _lifted_faces(step: Project, K: SimplicialComplex, K2: SimplicialComplex):
         yield sigma2, Codeword(embed_mask(m2, step.delete), K.n), sigma2
 
 
-def _same_homology(step, sigma, lk1, lk2, fld) -> bool:
+def _same_homology(step, lk1, lk2, fld) -> bool:
     return core_homology(lk1, fld) == core_homology(lk2, fld)
 
 
-def _two_case_formula(step: Duplicate, sigma, lk1, lk2, fld) -> bool:
-    # a face holding the source keeps its link; any other's link maps across
-    if sigma.bits >> (step.source - 1) & 1:
-        return lk2 == lk1.widen(lk2.n)
-    return lk2 == image_complex(step, lk1)
-
-
-def _image_formula(step, sigma, lk1, lk2, fld) -> bool:
+def _image_formula(step, lk1, lk2, fld) -> bool:
+    """The link of an image face is the image of the link.  For a duplicate
+    this is the two-case formula: a face holding the source has a link
+    without it, whose image is that link widened."""
     return image_complex(step, lk1) == lk2
 
 
@@ -401,7 +386,7 @@ THEOREMS: dict[str, Theorem] = {
     "duplicate": Theorem(
         faces=_image_faces,
         links=(("link_homology_preserved", _same_homology),
-               ("link_two_case_formula", _two_case_formula)),
+               ("link_two_case_formula", _image_formula)),
         classes=(_IN,),
         partial="cmin_in_image_equal",
     ),
@@ -441,7 +426,7 @@ def _verify(theorem: str, code: NeuralCode, step: ElementaryMap, fld: Field) -> 
         for shown, sigma, sigma2 in spec.faces(step, K, K2):
             lk1, lk2 = link(K, sigma), link(K2, sigma2)
             for (_, law), failed in zip(spec.links, failures):
-                if not law(step, sigma, lk1, lk2, fld):
+                if not law(step, lk1, lk2, fld):
                     failed.append(shown)
         for (name, _), failed in zip(spec.links, failures):
             note = "faces listed on the left violate the relation" if failed else ""
@@ -490,7 +475,8 @@ def verify_duplicate(
 ) -> VerificationReport:
     """Duplicating a neuron preserves the mandatory set; links of image faces
     are homotopic to the original links, which the engine checks at the level
-    of homology in every degree, plus the two-case link formula."""
+    of homology in every degree, plus the two-case link formula, which is
+    the image formula for links."""
     return _verify("duplicate", code, Duplicate(source), fld)
 
 

@@ -90,10 +90,6 @@ class Codeword:
         return f"Codeword({self.binary()!r})"
 
 
-def _word_sort_key(cw: Codeword) -> str:
-    return cw.binary()
-
-
 @dataclass(frozen=True)
 class NeuralCode:
     """A finite set of codewords on a declared neuron count.
@@ -120,7 +116,7 @@ class NeuralCode:
         return frozenset(w.bits for w in self.words)
 
     def sorted_words(self) -> list[Codeword]:
-        return sorted(self.words, key=_word_sort_key)
+        return sorted(self.words, key=Codeword.binary)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -144,16 +140,6 @@ class WordOps:
 
 def word_ops(a: Codeword, b: Codeword) -> WordOps:
     return WordOps(subset=a.issubset(b), meet=a & b, join=a | b)
-
-
-def facets(code: NeuralCode) -> frozenset[Codeword]:
-    """Maximal codewords: those not strictly contained in another word."""
-    words = list(code.words)
-    out = []
-    for w in words:
-        if not any(w.bits != v.bits and w.bits & ~v.bits == 0 for v in words):
-            out.append(w)
-    return frozenset(out)
 
 
 def _parse_set_form(text: str, n: int) -> Codeword:
@@ -241,6 +227,11 @@ def format_codeword(cw: Codeword, form: NotationForm) -> str:
     return "".join(str(i) for i in cw.neurons())
 
 
+def binaries(words: Iterable[Codeword]) -> list[str]:
+    """The face-list output format: binary strings in sorted order."""
+    return sorted(w.binary() for w in words)
+
+
 def code_to_json(code: NeuralCode) -> str:
-    """Render a code as ``{"n": int, "words": [...]}`` with sorted binary strings."""
-    return json.dumps({"n": code.n, "words": sorted(w.binary() for w in code.words)})
+    """Render a code as ``{"n": int, "words": [...]}`` in the face-list format."""
+    return json.dumps({"n": code.n, "words": binaries(code.words)})

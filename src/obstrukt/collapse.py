@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .codes import Codeword
+from .codes import Codeword, binaries
 from .complexes import SimplicialComplex, delete_vertex
 from .errors import NotAFreeFacePair, VoidComplex
 from .homology import Field, HomologyProfile, reduced_homology
@@ -46,7 +46,7 @@ class CollapseSequence:
     def to_json_dict(self) -> dict:
         return {
             "steps": [[w.dominated, w.dominator] for w in self.steps],
-            "core_facets": sorted(c.binary() for c in self.core.facet_index()),
+            "core_facets": binaries(self.core.facet_index()),
         }
 
 

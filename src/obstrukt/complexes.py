@@ -112,6 +112,14 @@ class SimplicialComplex:
         return frozenset(faces)
 
     @cached_property
+    def minimal_non_faces(self) -> frozenset[int]:
+        """Minimal non-faces as masks: the minimal transversals of the
+        complements of the facets (Miller-Sturmfels, Combinatorial
+        Commutative Algebra, Thm 1.7); the void complex has ∅ alone."""
+        top = (1 << self.n) - 1
+        return minimal_transversals(top ^ f for f in self.facet_bits)
+
+    @cached_property
     def vertex_bits(self) -> int:
         mask = 0
         for m in self.facet_bits:
@@ -129,9 +137,7 @@ class SimplicialComplex:
         return frozenset(Codeword(m, self.n) for m in self.face_bits)
 
     def facet_index(self) -> tuple[Codeword, ...]:
-        return tuple(
-            sorted((Codeword(m, self.n) for m in self.facet_bits), key=lambda c: c.binary())
-        )
+        return tuple(sorted((Codeword(m, self.n) for m in self.facet_bits), key=Codeword.binary))
 
     def __contains__(self, face: Codeword) -> bool:
         return face.n == self.n and any(face.bits & ~f == 0 for f in self.facet_bits)
@@ -172,6 +178,11 @@ def code_complex(code: NeuralCode) -> SimplicialComplex:
     The empty code yields the void complex.
     """
     return SimplicialComplex.from_masks(code.masks(), code.n)
+
+
+def facets(code: NeuralCode) -> frozenset[Codeword]:
+    """Maximal codewords: the facets of the code's complex."""
+    return frozenset(Codeword(m, code.n) for m in code_complex(code).facet_bits)
 
 
 def _facets_over(K: SimplicialComplex, sigma: Codeword) -> tuple[int, list[int]]:
@@ -251,13 +262,11 @@ def facet_intersection(K: SimplicialComplex, sigma: Codeword) -> Codeword:
 def dual_complex(K: SimplicialComplex) -> SimplicialComplex:
     """Combinatorial Alexander dual: complements of non-faces.
 
-    Its facets are the complements of the minimal non-faces of K, which are
-    the minimal transversals of the complements of the facets of K.  The
-    dual of the full simplex is void and vice versa.
+    Its facets are the complements of the minimal non-faces of K.  The dual
+    of the full simplex is void and vice versa.
     """
     top = (1 << K.n) - 1
-    non_faces = minimal_transversals(top ^ f for f in K.facet_bits)
-    return SimplicialComplex(K.n, frozenset(top ^ m for m in non_faces))
+    return SimplicialComplex(K.n, frozenset(top ^ m for m in K.minimal_non_faces))
 
 
 def delete_vertex(K: SimplicialComplex, v: int) -> SimplicialComplex:

@@ -55,9 +55,7 @@ class MonomialIdeal:
         return not self.gen_bits
 
     def generators(self) -> tuple[Codeword, ...]:
-        return tuple(
-            sorted((Codeword(m, self.n) for m in self.gen_bits), key=lambda c: c.binary())
-        )
+        return tuple(sorted((Codeword(m, self.n) for m in self.gen_bits), key=Codeword.binary))
 
     def contains_monomial(self, support: Codeword) -> bool:
         """Monotone membership: x^σ lies in the ideal iff some generator divides it."""
@@ -83,15 +81,10 @@ class MonomialIdeal:
 
 
 def sr_ideal(K: SimplicialComplex) -> MonomialIdeal:
-    """Stanley-Reisner ideal: generated by the minimal non-faces of K.
-
-    These are the minimal transversals of the complements of the facets
-    (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.7).
-    """
+    """Stanley-Reisner ideal: generated by the minimal non-faces of K."""
     if K.is_void:
         raise VoidComplex("Stanley-Reisner ideal of the void complex")
-    top = (1 << K.n) - 1
-    return MonomialIdeal(K.n, minimal_transversals(top ^ f for f in K.facet_bits))
+    return MonomialIdeal(K.n, K.minimal_non_faces)
 
 
 def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:

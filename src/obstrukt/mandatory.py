@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .codes import Codeword, NeuralCode
+from .codes import Codeword, NeuralCode, binaries
 from .complexes import SimplicialComplex, code_complex, facet_intersection, link
 from .collapse import ContractibilityVerdict, Verdict, contractibility
 from .errors import VoidComplex
@@ -33,7 +33,7 @@ class MandatorySet:
     faces: frozenset[Codeword]
 
     def binaries(self) -> list[str]:
-        return sorted(c.binary() for c in self.faces)
+        return binaries(self.faces)
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,9 @@ class MandatoryPartition:
     def to_json_dict(self) -> dict:
         return {
             "field": self.field.value,
-            "cmin_in": sorted(c.binary() for c in self.certified_in),
-            "cmin_out": sorted(c.binary() for c in self.certified_out),
-            "cmin_unknown": sorted(c.binary() for c in self.unknown),
+            "cmin_in": binaries(self.certified_in),
+            "cmin_out": binaries(self.certified_out),
+            "cmin_unknown": binaries(self.unknown),
             "complex_verdict": self.ambient_verdict.status.value,
         }
 
@@ -120,7 +120,7 @@ class ObstructionCheck:
     def to_json_dict(self) -> dict:
         return {
             "passes": self.passes,
-            "missing": sorted(c.binary() for c in self.missing),
+            "missing": binaries(self.missing),
         }
 
 

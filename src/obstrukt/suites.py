@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .codes import NeuralCode
+from .codes import NeuralCode, binaries
 from .codemaps import (
     THEOREMS,
     Outcome,
@@ -94,9 +94,13 @@ def code_reports(
     """All requested theorem instances for one code, in ``THEOREMS`` order.
 
     ``gammas=None`` checks every permutation of 1..n, and ``delete=None``
-    projects away each neuron in turn (none when n = 1).
+    projects away each neuron in turn (none when n = 1).  ``source`` and
+    ``delete`` are checked whichever theorems are chosen.
     """
     n = code.n
+    for name, neuron in (("source", source), ("delete", delete)):
+        if neuron is not None and not 1 <= neuron <= n:
+            raise NeuronOutOfRange(f"--{name} {neuron} outside 1..{n}")
     if delete is None:
         deletes = range(1, n + 1) if n >= 2 else ()
     else:
@@ -215,7 +219,7 @@ def _keyed(
             gammas = tuple(tuple(rng.sample(range(1, n + 1), n)) for _ in range(gammas_per_code))
         facets = tuple(sorted(code_complex(code).facet_bits))
         key = (n, facets, fld, tuple(theorems), gammas)
-        yield sorted(w.binary() for w in code.words), key
+        yield binaries(code.words), key
 
 
 def run_exhaustive(

@@ -6,6 +6,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+import obstrukt.complexes
+import obstrukt.ideals
 from obstrukt import NotationForm, format_codeword
 from obstrukt.cli import main
 
@@ -185,7 +187,38 @@ class TestAnalysis:
         assert sorted(g for g in sr if len(g) == 2) == [[1, 3], [1, 64], [2, 3], [2, 64]]
 
 
+class TestBergePasses:
+    @pytest.mark.parametrize("command,passes", [("analyze", 1), ("dual", 2)])
+    def test_minimal_transversal_passes(self, capsys, monkeypatch, command, passes):
+        """analyze reads the minimal non-faces once; dual adds the Alexander
+        dual of the Stanley-Reisner ideal."""
+        original, calls = obstrukt.complexes.minimal_transversals, []
+
+        def counted(edges):
+            calls.append(command)
+            return original(edges)
+
+        for module in (obstrukt.complexes, obstrukt.ideals):
+            monkeypatch.setattr(module, "minimal_transversals", counted)
+        status, _, _ = run_cli(capsys, command, "--n", "4", "--code", "123,24,2")
+        assert status == 0 and len(calls) == passes
+
+
 class TestMap:
+    @pytest.mark.parametrize("op,extra,flags", [
+        ("add-on", ["--gamma", "2,1", "--delete", "7", "--target", "1", "--target-n", "5"],
+         ["--gamma", "--delete", "--target", "--target-n"]),
+        ("permute", ["--gamma", "2,1", "--source", "1"], ["--source"]),
+        ("duplicate", ["--gamma", "2,1"], ["--gamma"]),
+        ("project", ["--delete", "1", "--target-n", "2"], ["--target-n"]),
+        ("include", ["--target", "12", "--target-n", "2", "--delete", "1"], ["--delete"]),
+    ])
+    def test_rejects_flags_its_op_ignores(self, capsys, op, extra, flags):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "map", "--n", "2", "--code", "12", "--op", op, *extra)
+        assert time.perf_counter() - start < 1.0
+        assert status == 2 and out == "" and all(flag in err for flag in flags)
+
     def test_projection(self, capsys):
         status, out, _ = run_cli(
             capsys, "map", "--n", "4", "--code", "123,24,2", "--op", "project", "--delete", "4"
@@ -247,12 +280,33 @@ class TestVerify:
         (["--n", "3", "--samples", "-2"], ["--samples"]),
         (["--n", "3", "--samples", "2", "--code", "12"], ["--code"]),
         (["--exhaustive", "--n", "2", "--input", "codes.txt"], ["--input"]),
+        (["--exhaustive", "--n", "2", "--summary", "--seed", "5"], ["--seed"]),
+        (["--exhaustive", "--n", "2", "--summary", "--density", "7"], ["--density"]),
+        (["--n", "3", "--samples", "2", "--jobs", "-5"], ["--jobs"]),
+        (["--n", "3", "--samples", "2", "--jobs", "0"], ["--jobs"]),
     ])
     def test_suite_mode_rejects_what_it_would_ignore(self, capsys, argv, flags):
         start = time.perf_counter()
         status, out, err = run_cli(capsys, "verify", *argv)
         assert time.perf_counter() - start < 1.0
         assert status == 2 and out == "" and all(flag in err for flag in flags)
+
+    @pytest.mark.parametrize("flag,extra", [
+        ("--summary", []), ("--seed", ["5"]), ("--density", ["0.5"]), ("--jobs", ["2"]),
+        ("--source", ["9", "--theorem", "permutation"]),
+        ("--delete", ["9", "--theorem", "permutation"]),
+    ])
+    def test_single_code_rejects_what_it_would_ignore(self, capsys, flag, extra):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "verify", "--n", "3", "--code", "12", flag, *extra)
+        assert time.perf_counter() - start < 1.0
+        assert status == 2 and out == "" and flag in err
+
+    def test_suite_flags_left_out_take_the_suite_defaults(self, capsys):
+        argv = ["verify", "--n", "3", "--samples", "4"]
+        _, default, _ = run_cli(capsys, *argv)
+        _, explicit, _ = run_cli(capsys, *argv, "--seed", "0", "--density", "0.3", "--jobs", "1")
+        assert default == explicit
 
     def test_exhaustive_capped(self, capsys):
         status, _, err = run_cli(

@@ -19,6 +19,7 @@ from obstrukt import (
     apply_step,
     closed_star,
     code_complex,
+    enumerate_complexes,
     image_complex,
     link,
     map_code,
@@ -30,7 +31,7 @@ from obstrukt import (
     verify_permutation,
     verify_projection,
 )
-from obstrukt.codemaps import apply_step_mask, embed_mask, project_mask
+from obstrukt.codemaps import THEOREMS, apply_step_mask, embed_mask, project_mask
 from obstrukt.errors import NeuronOutOfRange, NotAPermutation, NotInDomain, WidthMismatch
 from obstrukt.suites import exhaustive_codes
 
@@ -74,6 +75,14 @@ class TestApply:
         cw = Codeword.from_neurons([2], 3)
         out = apply_step(Permute((2, 3, 1)), cw)
         assert out.binary() == "100"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_permute_bit_i_is_bit_gamma_i_for_all_of_s_n(self, n):
+        for gamma in itertools.permutations(range(1, n + 1)):
+            step = Permute(gamma)
+            for m in range(1 << n):
+                image = apply_step_mask(step, m, n)
+                assert all(image >> i & 1 == m >> (g - 1) & 1 for i, g in enumerate(gamma))
 
     def test_include_identity_and_domain_check(self):
         target = code(["1", "12"], 2)
@@ -140,7 +149,37 @@ class TestComplexExtension:
             assert faces == K2.face_bits
 
 
+def two_case_formula(step, sigma, lk1, lk2):
+    """A face holding the source keeps its link; any other's link maps across."""
+    if sigma.bits >> (step.source - 1) & 1:
+        return lk2 == lk1.widen(lk2.n)
+    return lk2 == image_complex(step, lk1)
+
+
 class TestLinkLemmas:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_duplicate_law_is_the_two_case_formula(self, n):
+        """The duplicate row's link law agrees with the two-case formula on
+        every (complex, source, face), on the matching link and on three
+        mismatched ones: the whole image complex, the widened link and the
+        image of the link."""
+        law = dict(THEOREMS["duplicate"].links)["link_two_case_formula"]
+        triples = 0
+        for K in enumerate_complexes(n):
+            for source in range(1, n + 1):
+                step = Duplicate(source)
+                K2 = image_complex(step, K)
+                for m in sorted(K.face_bits):
+                    sigma = Codeword(m, n)
+                    lk1 = link(K, sigma)
+                    lk2 = link(K2, apply_step(step, sigma))
+                    assert law(step, lk1, lk2, Field.GF2)
+                    for other in (lk2, K2, lk1.widen(n + 1), image_complex(step, lk1)):
+                        assert law(step, lk1, other, Field.GF2) == two_case_formula(
+                            step, sigma, lk1, other)
+                    triples += 1
+        assert triples == {1: 3, 2: 24, 3: 240, 4: 5376}[n]  # 5,643 in all
+
     def test_add_on_preserves_links_verbatim(self):
         for c in rand_codes(13, 25):
             K = code_complex(c)

@@ -173,6 +173,17 @@ def test_sr_ideal_dual_complex_and_alexander_dual(n):
 
 
 @pytest.mark.parametrize("n", NS)
+def test_minimal_non_faces_feed_the_ideal_and_the_dual(n):
+    top = (1 << n) - 1
+    for K in enumerate_complexes(n):
+        non_faces = ref_minimal_non_faces(K.face_bits, n)
+        assert K.minimal_non_faces == non_faces
+        assert dual_complex(K).facet_bits == {top ^ m for m in non_faces}
+        if not K.is_void:
+            assert sr_ideal(K).gen_bits == non_faces
+
+
+@pytest.mark.parametrize("n", NS)
 def test_image_complex(n):
     steps = list(steps_for(n))
     for K in enumerate_complexes(n):

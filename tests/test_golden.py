@@ -10,6 +10,9 @@ uncertified partition.
 The commands that are not suites (analyze, cmin, mh, homology, dual) each
 get one digest per field over the same inputs: seeded codes with n = 3 to 8
 at three densities, and the cone over RP^2, whose apex stays unknown over Q.
+The commands whose output does not depend on the field (random, map with
+each of its six ops, and link at the first word of each input) get one
+digest per output format instead.
 """
 
 import hashlib
@@ -80,3 +83,60 @@ def test_command_digest(command, field, capsys):
         assert main([command, "--field", field, "--n", str(n), "--code", text]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == COMMAND_GOLDEN[command, field]
+
+
+def _map_args(op: str, n: int, text: str) -> list[str]:
+    """Each op's flags on an input: a rotation, the last neuron, the code itself."""
+    extra = {
+        "permute": ["--gamma", ",".join(str(i % n + 1) for i in range(1, n + 1))],
+        "duplicate": [],
+        "project": ["--delete", str(n)],
+        "include": ["--target", text, "--target-n", str(n)],
+    }
+    return ["map", "--op", op, "--n", str(n), "--code", text, *extra.get(op, [])]
+
+
+FORMAT_RUNS = {
+    "random": [
+        ["random", "--n", str(n), "--seed", str(seed), "--density", str(density), "--count", "2"]
+        for n in range(3, 9)
+        for seed in (0, 7, 1234)
+        for density in (0.15, 0.3, 0.6)
+    ],
+    **{
+        f"map_{op}": [_map_args(op, n, text) for n, text in COMMAND_INPUTS]
+        for op in ("permute", "add-on", "add-off", "duplicate", "project", "include")
+    },
+    "link": [
+        ["link", "--n", str(n), "--code", text, "--sigma", text.split(",")[0]]
+        for n, text in COMMAND_INPUTS
+    ],
+}
+
+FORMAT_GOLDEN = {
+    ("link", "json"): "146b7839eb17abf204dfdfcd16a841b9b655d6e5a9909aa9a775d68be7363272",
+    ("link", "text"): "0831f6fd984ae91e2f3f26bb13809d444e63029dc49409f3af36845e9dfee680",
+    ("map_add-off", "json"): "59a2125f82973eb91d72ec46afe969969f0dc58c4dcf447ea424793c33d2a846",
+    ("map_add-off", "text"): "45e51c1ec899cc7ab181493486166d8f3d8d349aae3d90aa9b2aae7cd2add1b1",
+    ("map_add-on", "json"): "b0dad12a06a09f0f3b6095f70046af2271acf245358c2fba3d8e9898b4e99828",
+    ("map_add-on", "text"): "25c6a49d3916d1293d4dc92f19a861d20ab5462714d5b4e681fca3771bde6513",
+    ("map_duplicate", "json"): "d69f05f217885517bfccdf2ca8f17f6fda0edb9a57095daae0c157e14ea68416",
+    ("map_duplicate", "text"): "169a8436afbc537988db9f7b626c472fb4189cc6a177c96c9dc518826969b41c",
+    ("map_include", "json"): "7bb1114d66ed77626b5af3d1861f0d999ba3e435f139406a5f9fb0a0b39db840",
+    ("map_include", "text"): "3d5378e76f81c2a79ab25b1aa85b38cfce3411e2943b4e2b6be33512e6e2ce80",
+    ("map_permute", "json"): "d5df5cab493f59a21bd7df987f3017e20f8ee8638b1940fcef67d1280a5039d3",
+    ("map_permute", "text"): "13cadf3b7d416db9b9720f1a682d75224d1189983281f950e49e17027ba8f183",
+    ("map_project", "json"): "08626c0b74fc6e3ab46571d7aa59490a0b3fbe048c78bd6d920f22e971a6e2dd",
+    ("map_project", "text"): "85cd029694e9dc354af483891324e351494ca196799f04c19668d3d6baa5d132",
+    ("random", "json"): "34edc39df3206c53463a78d24ba5f3b9ef0044260659575ecb8e760ff24201d0",
+    ("random", "text"): "0a413c9f0201a35cc776b748db724a69f45772115e62b56d08d0ed76847040bf",
+}
+
+
+@pytest.mark.parametrize("runs,output", sorted(FORMAT_GOLDEN))
+def test_format_digest(runs, output, capsys, monkeypatch):
+    monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
+    for argv in FORMAT_RUNS[runs]:
+        assert main([*argv, "--output", output]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FORMAT_GOLDEN[runs, output]

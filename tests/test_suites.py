@@ -103,6 +103,12 @@ class TestRunner:
                                gammas=((2, 1, 3),), source=3, delete=2)
         assert [r.map_desc for r in reports] == ["permute(2,1,3)", "duplicate(3)", "project(2)"]
 
+    @pytest.mark.parametrize("name", ["source", "delete"])
+    def test_named_neurons_checked_whatever_the_theorems(self, name):
+        c = NeuralCode.from_masks(3, [0b011])
+        with pytest.raises(NeuronOutOfRange, match=f"--{name} 9"):
+            code_reports(c, theorems=("permutation",), **{name: 9})
+
     def test_sampled_deterministic_and_parallel_equal(self):
         serial_lines, parallel_lines = [], []
         serial = run_sampled(4, 12, seed=5, jobs=1, write=serial_lines.append)
