@@ -15,12 +15,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Union
 
 from .codes import MAX_NEURONS, Codeword, NeuralCode, binaries
 from .collapse import Verdict, core_homology
-from .complexes import SimplicialComplex, code_complex, link
+from . import complexes  # maximal_masks stays bound in complexes alone, as bench/test_bench.py expects
+from .complexes import SimplicialComplex, code_complex, facets_over
 from .errors import NeuronOutOfRange, NotInDomain, WidthMismatch
 from .homology import Field, reduced_homology  # noqa: F401  bound for bench/test_bench.py
 from .ideals import (MonomialIdeal, alexander_dual, invert_permutation, permutation_tuple,
@@ -118,62 +119,80 @@ def embed_mask(mask: int, position: int) -> int:
     return low | high
 
 
-def apply_step_mask(step: ElementaryMap, mask: int, n: int) -> int:
+@dataclass(frozen=True)
+class ResolvedStep:
+    """A step fixed to its incoming width n, with its action on masks
+    resolved once: a permutation inverts γ here, not once per mask."""
+
+    step: ElementaryMap
+    n: int
+    out_n: int
+    f: Callable[[int], int]
+
+    def image_facets(self, facets: Iterable[int]) -> frozenset[int]:
+        """Facets of the closure of the image of a complex with these facets.
+
+        Every elementary map is monotone on masks, so the images of the facets
+        generate the same closure as the images of all faces.  Every map but a
+        projection is an order embedding (m ⊆ m' exactly when f(m) ⊆ f(m')), so
+        there the facet images are already the facets of the image.
+        """
+        images = map(self.f, facets)
+        if isinstance(self.step, Project):
+            return complexes.maximal_masks(images)
+        return frozenset(images)
+
+
+def _identity(mask: int) -> int:
+    return mask
+
+
+def resolve_step(step: ElementaryMap, n: int) -> ResolvedStep:
+    """Validate a step against width n and resolve its mask function."""
+    out_n = validate_step(step, n)
     if isinstance(step, Permute):
         # position i of the image reads coordinate γ(i) of the argument
-        return permute_mask(mask, invert_permutation(step.gamma))
-    if isinstance(step, AddTrivialOn):
-        return mask | (1 << n)
-    if isinstance(step, AddTrivialOff):
-        return mask
-    if isinstance(step, Duplicate):
-        return mask | ((mask >> (step.source - 1) & 1) << n)
-    if isinstance(step, Project):
-        return project_mask(mask, step.delete)
-    if isinstance(step, Include):
-        return mask
-    raise TypeError(f"not an elementary map: {step!r}")
+        f = partial(permute_mask, gamma=invert_permutation(step.gamma))
+    elif isinstance(step, AddTrivialOn):
+        f = (1 << n).__or__
+    elif isinstance(step, Duplicate):
+        shift = step.source - 1
+
+        def f(mask: int) -> int:
+            return mask | ((mask >> shift & 1) << n)
+    elif isinstance(step, Project):
+        f = partial(project_mask, delete=step.delete)
+    else:  # AddTrivialOff and Include leave masks as they are
+        f = _identity
+    return ResolvedStep(step, n, out_n, f)
 
 
 def apply_step(step: ElementaryMap, cw: Codeword) -> Codeword:
-    out_n = validate_step(step, cw.n)
+    r = resolve_step(step, cw.n)
     if isinstance(step, Include) and cw not in step.target:
         raise NotInDomain(f"{cw!r} is not a word of the inclusion target")
-    return Codeword(apply_step_mask(step, cw.bits, cw.n), out_n)
+    return Codeword(r.f(cw.bits), r.out_n)
 
 
 def map_code(step: ElementaryMap, code: NeuralCode) -> NeuralCode:
-    out_n = validate_step(step, code.n)
+    r = resolve_step(step, code.n)
     if isinstance(step, Include):
         for w in code.words:
             if w not in step.target:
                 raise NotInDomain(f"{w!r} is not a word of the inclusion target")
-    return NeuralCode.from_masks(
-        out_n, (apply_step_mask(step, w.bits, code.n) for w in code.words)
-    )
+    return NeuralCode.from_masks(r.out_n, map(r.f, code.masks()))
 
 
 def map_faces(step: ElementaryMap, K: SimplicialComplex) -> frozenset[Codeword]:
     """Image of a complex's face set; not downward closed in general."""
-    out_n = validate_step(step, K.n)
-    return frozenset(
-        Codeword(apply_step_mask(step, m, K.n), out_n) for m in K.face_bits
-    )
+    r = resolve_step(step, K.n)
+    return frozenset(Codeword(m, r.out_n) for m in map(r.f, K.face_bits))
 
 
 def image_complex(step: ElementaryMap, K: SimplicialComplex) -> SimplicialComplex:
-    """Downward closure of the image face set.
-
-    Every elementary map is monotone on masks, so the images of the facets
-    generate the same closure as the images of all faces.  Every map but a
-    projection is an order embedding (m ⊆ m' exactly when f(m) ⊆ f(m')), so
-    there the facet images are already the facets of the image.
-    """
-    out_n = validate_step(step, K.n)
-    images = (apply_step_mask(step, m, K.n) for m in K.facet_bits)
-    if isinstance(step, Project):
-        return SimplicialComplex.from_masks(images, out_n)
-    return SimplicialComplex(out_n, frozenset(images))
+    """Downward closure of the image face set (see ``ResolvedStep.image_facets``)."""
+    r = resolve_step(step, K.n)
+    return SimplicialComplex(r.out_n, r.image_facets(K.facet_bits))
 
 
 @dataclass(frozen=True)
@@ -297,9 +316,10 @@ class Theorem:
 
     ``mh`` relates M_H(q(C)) to q(M_H(C)): "=", or "⊆" for the target inside
     the image, whose reverse containment is then reported as an observation.
-    ``links`` are laws on link(K, σ) and link(K2, σ') for every face pair
-    (listed face, σ, σ') that ``faces`` yields; a failing pair lists its
-    first entry.  ``classes`` pairs a check name with a partition class whose
+    ``links`` are laws on the facet masks of link(K, σ) and link(K2, σ') for
+    every face pair that ``faces`` yields: it returns the width of the listed
+    faces and (listed face, σ, σ') as masks; a failing pair lists its first
+    entry.  ``classes`` pairs a check name with a partition class whose
     image must equal the target's class; ``partial`` names the check that
     stands in when either partition has uncertified links (None compares the
     classes regardless).  ``shift`` replaces the class comparison for a map
@@ -316,29 +336,28 @@ class Theorem:
     ideals: tuple[tuple[str, Callable], ...] = ()
 
 
-def _image_faces(step: ElementaryMap, K: SimplicialComplex, K2: SimplicialComplex):
-    """Each face σ of K with its image q(σ)."""
-    for m in sorted(K.face_bits):
-        sigma = Codeword(m, K.n)
-        yield sigma, sigma, Codeword(apply_step_mask(step, m, K.n), K2.n)
+def _image_faces(r: ResolvedStep, K: SimplicialComplex, K2: SimplicialComplex):
+    """Each face σ of K, listed, with its image q(σ)."""
+    f = r.f
+    return r.n, ((m, m, f(m)) for m in K.face_bits)
 
 
-def _lifted_faces(step: Project, K: SimplicialComplex, K2: SimplicialComplex):
-    """Each face σ' of the projected complex with its zero-extension."""
-    for m2 in sorted(K2.face_bits):
-        sigma2 = Codeword(m2, K2.n)
-        yield sigma2, Codeword(embed_mask(m2, step.delete), K.n), sigma2
+def _lifted_faces(r: ResolvedStep, K: SimplicialComplex, K2: SimplicialComplex):
+    """Each face σ' of the projected complex, listed, with its zero-extension."""
+    delete = r.step.delete
+    return r.out_n, ((m2, embed_mask(m2, delete), m2) for m2 in K2.face_bits)
 
 
-def _same_homology(step, lk1, lk2, fld) -> bool:
-    return core_homology(lk1, fld) == core_homology(lk2, fld)
+def _same_homology(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fld) -> bool:
+    return (core_homology(SimplicialComplex(r.n, lk1), fld)
+            == core_homology(SimplicialComplex(r.out_n, lk2), fld))
 
 
-def _image_formula(step, lk1, lk2, fld) -> bool:
+def _image_formula(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fld) -> bool:
     """The link of an image face is the image of the link.  For a duplicate
     this is the two-case formula: a face holding the source has a link
     without it, whose image is that link widened."""
-    return image_complex(step, lk1) == lk2
+    return r.image_facets(lk1) == lk2
 
 
 def _shift_by_empty_word(q, K, K2, p1, p2) -> CheckResult:
@@ -403,14 +422,15 @@ def _verify(theorem: str, code: NeuralCode, step: ElementaryMap, fld: Field) -> 
     has no complex, so its report holds no checks.
     """
     spec = THEOREMS[theorem]
-    n, out_n = code.n, validate_step(step, code.n)
+    r = resolve_step(step, code.n)
     if not code.words:
         return VerificationReport(theorem, code, step.describe(), fld, (), (("empty_code", True),))
     K = code_complex(code)
     K2 = image_complex(step, K)
+    f, out_n = r.f, r.out_n
 
     def q(words: Iterable[Codeword]) -> frozenset[Codeword]:
-        return frozenset(Codeword(apply_step_mask(step, w.bits, n), out_n) for w in words)
+        return frozenset(Codeword(f(w.bits), out_n) for w in words)
 
     p1, p2 = mandatory_partition(K, fld), mandatory_partition(K2, fld)
     q_mh1, mh2 = q(p1.mandatory.faces), p2.mandatory.faces
@@ -422,12 +442,15 @@ def _verify(theorem: str, code: NeuralCode, step: ElementaryMap, fld: Field) -> 
         observations = (("mh_reverse_containment_holds", q_mh1 <= mh2),)
 
     if spec.links:
+        over1, over2 = facets_over(K), facets_over(K2)
+        width, pairs = spec.faces(r, K, K2)
         failures: list[list[Codeword]] = [[] for _ in spec.links]
-        for shown, sigma, sigma2 in spec.faces(step, K, K2):
-            lk1, lk2 = link(K, sigma), link(K2, sigma2)
+        for shown, s1, s2 in pairs:
+            lk1 = frozenset(F & ~s1 for F in over1[s1])
+            lk2 = frozenset(F & ~s2 for F in over2[s2])
             for (_, law), failed in zip(spec.links, failures):
-                if not law(step, lk1, lk2, fld):
-                    failed.append(shown)
+                if not law(r, lk1, lk2, fld):
+                    failed.append(Codeword(shown, width))
         for (name, _), failed in zip(spec.links, failures):
             note = "faces listed on the left violate the relation" if failed else ""
             checks.append(_check(name, "∀", failed, holds=not failed, note=note))

@@ -96,20 +96,50 @@ def dominated_vertices(K: SimplicialComplex) -> list[DominationWitness]:
     return out
 
 
+def _lowest_domination(facets: list[int]) -> tuple[int, int] | None:
+    """The lowest dominated vertex and its lowest dominator as bits, or None:
+    the first pair ``dominated_vertices`` lists, from one meet per vertex."""
+    vbits = 0
+    for f in facets:
+        vbits |= f
+    rest = vbits
+    while rest:
+        bit = rest & -rest
+        meet = vbits
+        for f in facets:
+            if f & bit:
+                meet &= f
+        meet &= ~bit
+        if meet:
+            return bit, meet & -meet
+        rest ^= bit
+    return None
+
+
+def _delete_bit(facets: list[int], bit: int) -> list[int]:
+    """Facets of the complex with vertex ``bit`` deleted.  Facets without it
+    stay maximal; each F ∖ v is maximal unless a facet without v contains it
+    (it cannot lie in another G ∖ v, since F ⊆ G would follow)."""
+    without = [f for f in facets if not f & bit]
+    return without + [g for g in (f ^ bit for f in facets if f & bit)
+                      if all(g & ~k for k in without)]
+
+
 def strong_collapse_core(K: SimplicialComplex) -> CollapseSequence:
-    """Deterministically delete the lowest dominated vertex until none remains."""
+    """Deterministically delete the lowest dominated vertex until none remains.
+
+    The deletions run on facet masks; only the core is built as a complex.
+    """
     if K.is_void:
         raise VoidComplex("strong collapse of the void complex")
-    current = K
+    facets = list(K.facet_bits)
     steps: list[DominationWitness] = []
-    while True:
-        witnesses = dominated_vertices(current)
-        if not witnesses:
-            break
-        step = witnesses[0]
-        steps.append(step)
-        current = delete_vertex(current, step.dominated)
-    return CollapseSequence(K, tuple(steps), current)
+    while (pair := _lowest_domination(facets)) is not None:
+        bit, dominator = pair
+        steps.append(DominationWitness(bit.bit_length(), dominator.bit_length()))
+        facets = _delete_bit(facets, bit)
+    core = SimplicialComplex(K.n, frozenset(facets)) if steps else K
+    return CollapseSequence(K, tuple(steps), core)
 
 
 def core_homology(K: SimplicialComplex, field: Field = Field.GF2) -> HomologyProfile:

@@ -206,6 +206,19 @@ def link(K: SimplicialComplex, sigma: Codeword) -> SimplicialComplex:
     return SimplicialComplex(K.n, frozenset(f & ~s for f in over))
 
 
+def facets_over(K: SimplicialComplex) -> dict[int, list[int]]:
+    """Each face of K, as a mask, with the facets containing it.
+
+    The link of a face s has the facets F & ~s for F in ``facets_over(K)[s]``,
+    so one index serves the links of every face.
+    """
+    over: dict[int, list[int]] = {}
+    for f in K.facet_bits:
+        for s in iter_submasks(f):
+            over.setdefault(s, []).append(f)
+    return over
+
+
 def restriction(K: SimplicialComplex, gamma: Iterable[Codeword]) -> SimplicialComplex:
     """K restricted to the sets of gamma: faces contained in some member."""
     gmasks = []

@@ -5,9 +5,11 @@ over the chosen field.  The certified partition routes every face by the
 contractibility verdict of its link; the empty face is mandatory by
 definition regardless of its link.  A cone shortcut is applied first: when
 the intersection of facets containing σ exceeds σ, the link is a cone and
-therefore contractible.  Next, a link with nonzero reduced Euler
-characteristic (computed for all faces at once) has nonzero homology over
-every field; only the links of characteristic 0 are built, and
+therefore contractible.  These intersections come from one pass over the
+submasks of each facet, which meets each face once per facet containing
+it.  Next, a link with nonzero
+reduced Euler characteristic (computed for all faces at once) has nonzero
+homology over every field; only the links of characteristic 0 are built, and
 ``collapse.contractibility`` decides them (strong collapse to a point, or
 nonzero homology of the strong-collapse core).  The duplicate theorem's link
 check reads ``collapse.core_homology``, which ranks the same narrowed core
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .codes import Codeword, NeuralCode, binaries
-from .complexes import SimplicialComplex, code_complex, facet_intersection, link
+from .complexes import SimplicialComplex, code_complex, iter_submasks, link
 from .collapse import ContractibilityVerdict, Verdict, contractibility
 from .errors import VoidComplex
 from .homology import Field, link_euler_characteristics
@@ -90,13 +92,17 @@ def mandatory_partition(K: SimplicialComplex, field: Field = Field.GF2) -> Manda
         raise VoidComplex("mandatory partition of the void complex")
     ambient = contractibility(K, field)
     chi = link_euler_characteristics(K)
+    meet: dict[int, int] = {}  # face mask -> intersection of the facets over it
+    for f in K.facet_bits:
+        for m in iter_submasks(f):
+            meet[m] = meet.get(m, f) & f
     cin, cout, unknown = [], [], []
-    for m in sorted(K.face_bits):
+    for m in sorted(meet):
         sigma = Codeword(m, K.n)
         if m == 0:
             cin.append(sigma)  # ∅ is mandatory by definition
             continue
-        if facet_intersection(K, sigma).bits != m:
+        if meet[m] != m:
             cout.append(sigma)
             continue
         status = (Verdict.NON_CONTRACTIBLE if chi[m]

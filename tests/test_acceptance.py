@@ -43,7 +43,7 @@ from obstrukt import (
     sr_ideal,
     strong_collapse_core,
 )
-from obstrukt.codemaps import AddTrivialOn, Duplicate, Permute, Project, apply_step_mask
+from obstrukt.codemaps import AddTrivialOn, Duplicate, Permute, Project, resolve_step
 from obstrukt.errors import DegenerateDualWarning
 from obstrukt.ideals import invert_permutation
 from obstrukt.suites import exhaustive_codes
@@ -75,7 +75,8 @@ def test_criterion_1_paper_example_mandatory_sets():
     clause_mh2 = mh2.binaries() == ["111"]
 
     def projected(faces):
-        return frozenset(Codeword(apply_step_mask(Project(4), f.bits, 4), 3) for f in faces)
+        f = resolve_step(Project(4), 4).f
+        return frozenset(Codeword(f(face.bits), 3) for face in faces)
 
     q_mh = projected(mh.faces)
     clause_forward = mh2.faces <= q_mh

@@ -24,14 +24,16 @@ from obstrukt import (
     link,
     map_code,
     map_faces,
+    mandatory_partition,
     mandatory_set,
+    random_code,
     verify_add_trivial_off,
     verify_add_trivial_on,
     verify_duplicate,
     verify_permutation,
     verify_projection,
 )
-from obstrukt.codemaps import THEOREMS, apply_step_mask, embed_mask, project_mask
+from obstrukt.codemaps import THEOREMS, embed_mask, project_mask, resolve_step
 from obstrukt.errors import NeuronOutOfRange, NotAPermutation, NotInDomain, WidthMismatch
 from obstrukt.suites import exhaustive_codes
 
@@ -79,9 +81,9 @@ class TestApply:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_permute_bit_i_is_bit_gamma_i_for_all_of_s_n(self, n):
         for gamma in itertools.permutations(range(1, n + 1)):
-            step = Permute(gamma)
+            f = resolve_step(Permute(gamma), n).f
             for m in range(1 << n):
-                image = apply_step_mask(step, m, n)
+                image = f(m)
                 assert all(image >> i & 1 == m >> (g - 1) & 1 for i, g in enumerate(gamma))
 
     def test_include_identity_and_domain_check(self):
@@ -149,6 +151,14 @@ class TestComplexExtension:
             assert faces == K2.face_bits
 
 
+def ref_closure(masks):
+    """Downward closure of a mask collection, by brute force."""
+    out = set()
+    for m in masks:
+        out.update(x for x in range(m + 1) if x & ~m == 0)
+    return out
+
+
 def two_case_formula(step, sigma, lk1, lk2):
     """A face holding the source keeps its link; any other's link maps across."""
     if sigma.bits >> (step.source - 1) & 1:
@@ -168,17 +178,49 @@ class TestLinkLemmas:
         for K in enumerate_complexes(n):
             for source in range(1, n + 1):
                 step = Duplicate(source)
+                r = resolve_step(step, n)
                 K2 = image_complex(step, K)
                 for m in sorted(K.face_bits):
                     sigma = Codeword(m, n)
                     lk1 = link(K, sigma)
                     lk2 = link(K2, apply_step(step, sigma))
-                    assert law(step, lk1, lk2, Field.GF2)
+                    assert law(r, lk1.facet_bits, lk2.facet_bits, Field.GF2)
                     for other in (lk2, K2, lk1.widen(n + 1), image_complex(step, lk1)):
-                        assert law(step, lk1, other, Field.GF2) == two_case_formula(
-                            step, sigma, lk1, other)
+                        assert law(r, lk1.facet_bits, other.facet_bits, Field.GF2) == (
+                            two_case_formula(step, sigma, lk1, other))
                     triples += 1
         assert triples == {1: 3, 2: 24, 3: 240, 4: 5376}[n]  # 5,643 in all
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_projection_law_is_the_closed_image_of_the_link(self, n):
+        """The projection row's link law agrees with the closure of the
+        projected link's face set on every (complex, delete, face of the
+        image), on the matching link and on the whole image complex.  Without
+        its maximal_masks pass the law fails on a matching link."""
+        law = dict(THEOREMS["projection"].links)["link_image_formula"]
+
+        def unreduced(r, lk1, lk2, fld):
+            return frozenset(map(r.f, lk1)) == lk2
+
+        triples = unreduced_failures = 0
+        for K in enumerate_complexes(n):
+            for delete in range(1, n + 1):
+                step = Project(delete)
+                r = resolve_step(step, n)
+                K2 = image_complex(step, K)
+                for m2 in sorted(K2.face_bits):
+                    lk1 = link(K, Codeword(embed_mask(m2, delete), n))
+                    lk2 = link(K2, Codeword(m2, n - 1))
+                    closed = ref_closure(project_mask(x, delete) for x in lk1.face_bits)
+                    assert law(r, lk1.facet_bits, lk2.facet_bits, Field.GF2)
+                    for other in (lk2, K2):
+                        assert law(r, lk1.facet_bits, other.facet_bits, Field.GF2) == (
+                            closed == other.face_bits)
+                    unreduced_failures += not unreduced(r, lk1.facet_bits, lk2.facet_bits,
+                                                        Field.GF2)
+                    triples += 1
+        assert triples == {2: 16, 3: 159, 4: 3532}[n]  # 3,707 in all
+        assert unreduced_failures > 0
 
     def test_add_on_preserves_links_verbatim(self):
         for c in rand_codes(13, 25):
@@ -226,6 +268,29 @@ class TestLinkLemmas:
                 lhs = {project_mask(x, n) for x in starred.face_bits}
                 rhs = {project_mask(x, n) for x in link(K, Codeword(high, n)).face_bits}
                 assert lhs == rhs
+
+    def test_projection_builds_no_complex_per_face(self, monkeypatch):
+        """With both partitions warm, one projection check on an n = 8 code
+        constructs the code's complex and its image and nothing per face: the
+        link laws read every face's link from the facets-over index."""
+        c = random_code(8, 4)
+        K = code_complex(c)
+        images = [image_complex(Project(delete), K) for delete in range(1, 9)]
+        for warm in [K] + images:
+            mandatory_partition(warm, Field.GF2)
+        built = []
+        original = SimplicialComplex.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(SimplicialComplex, "__post_init__", counting)
+        report = verify_projection(c, 5)
+        assert built == [K, images[4]]
+        laws = [ch for ch in report.checks if ch.name == "link_image_formula"]
+        assert [ch.outcome for ch in laws] == [Outcome.HOLDS]
+        assert len(K.facet_bits) == 11 and len(images[4].face_bits) > 100
 
     def test_duplicate_appended_vertex_dominated(self):
         from obstrukt import dominated_vertices

@@ -32,7 +32,7 @@ from obstrukt import (
     sr_ideal,
     star,
 )
-from obstrukt.codemaps import apply_step_mask, validate_step
+from obstrukt.codemaps import resolve_step, validate_step
 from obstrukt.errors import FaceNotInComplex
 
 NS = [1, 2, 3, 4]
@@ -191,4 +191,4 @@ def test_image_complex(n):
         for step in steps:
             out = image_complex(step, K)
             assert out.n == validate_step(step, n)
-            assert out.face_bits == ref_closure(apply_step_mask(step, m, n) for m in faces)
+            assert out.face_bits == ref_closure(map(resolve_step(step, n).f, faces))
