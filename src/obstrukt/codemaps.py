@@ -415,17 +415,40 @@ THEOREMS: dict[str, Theorem] = {
 }
 
 
-def _verify(theorem: str, code: NeuralCode, step: ElementaryMap, fld: Field) -> VerificationReport:
+class Domain:
+    """A map's domain code with its complex and the complex's facets-over
+    index, each built on first use, so that every instance checked on one
+    ``Domain`` shares them.  The ``verify_*`` functions take a ``Domain`` or
+    a bare code."""
+
+    def __init__(self, code: NeuralCode) -> None:
+        self.code = code
+        self.n = code.n
+
+    @cached_property
+    def K(self) -> SimplicialComplex:
+        return code_complex(self.code)
+
+    @cached_property
+    def over(self) -> dict[int, list[int]]:
+        return facets_over(self.K)
+
+
+def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
+            fld: Field) -> VerificationReport:
     """Check one row of ``THEOREMS`` on a code and a map.
 
     Checks come in the order M_H, links, partition, ideals.  An empty code
     has no complex, so its report holds no checks.
     """
+    if not isinstance(dom, Domain):
+        dom = Domain(dom)
+    code = dom.code
     spec = THEOREMS[theorem]
     r = resolve_step(step, code.n)
     if not code.words:
         return VerificationReport(theorem, code, step.describe(), fld, (), (("empty_code", True),))
-    K = code_complex(code)
+    K = dom.K
     K2 = image_complex(step, K)
     f, out_n = r.f, r.out_n
 
@@ -442,7 +465,7 @@ def _verify(theorem: str, code: NeuralCode, step: ElementaryMap, fld: Field) -> 
         observations = (("mh_reverse_containment_holds", q_mh1 <= mh2),)
 
     if spec.links:
-        over1, over2 = facets_over(K), facets_over(K2)
+        over1, over2 = dom.over, facets_over(K2)
         width, pairs = spec.faces(r, K, K2)
         failures: list[list[Codeword]] = [[] for _ in spec.links]
         for shown, s1, s2 in pairs:
@@ -474,27 +497,27 @@ def _verify(theorem: str, code: NeuralCode, step: ElementaryMap, fld: Field) -> 
 
 
 def verify_permutation(
-    code: NeuralCode, gamma: Iterable[int], fld: Field = Field.GF2
+    code: NeuralCode | Domain, gamma: Iterable[int], fld: Field = Field.GF2
 ) -> VerificationReport:
     """Permutation preserves the mandatory set and the certified partition."""
     return _verify("permutation", code, Permute(permutation_tuple(gamma, code.n)), fld)
 
 
-def verify_add_trivial_on(code: NeuralCode, fld: Field = Field.GF2) -> VerificationReport:
+def verify_add_trivial_on(code: NeuralCode | Domain, fld: Field = Field.GF2) -> VerificationReport:
     """Appending an always-on neuron preserves the mandatory set; the
     certified partition shifts by the empty word according to whether the
     starting complex is contractible."""
     return _verify("add_trivial_on", code, AddTrivialOn(), fld)
 
 
-def verify_add_trivial_off(code: NeuralCode, fld: Field = Field.GF2) -> VerificationReport:
+def verify_add_trivial_off(code: NeuralCode | Domain, fld: Field = Field.GF2) -> VerificationReport:
     """Appending an always-off neuron changes nothing: mandatory data map
     across verbatim and the Stanley-Reisner data gain exactly one variable."""
     return _verify("add_trivial_off", code, AddTrivialOff(), fld)
 
 
 def verify_duplicate(
-    code: NeuralCode, source: int = 1, fld: Field = Field.GF2
+    code: NeuralCode | Domain, source: int = 1, fld: Field = Field.GF2
 ) -> VerificationReport:
     """Duplicating a neuron preserves the mandatory set; links of image faces
     are homotopic to the original links, which the engine checks at the level
@@ -504,7 +527,7 @@ def verify_duplicate(
 
 
 def verify_projection(
-    code: NeuralCode, delete: int, fld: Field = Field.GF2
+    code: NeuralCode | Domain, delete: int, fld: Field = Field.GF2
 ) -> VerificationReport:
     """Deleting a neuron can only shrink the mandatory set through the image:
     the target mandatory set is contained in the image of the source one, and

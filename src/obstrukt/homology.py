@@ -177,7 +177,7 @@ def _boundary_rank(grades: list[list[int]], k: int, field: Field, room: int) -> 
 
 
 @lru_cache(maxsize=65536)
-def reduced_homology(K: SimplicialComplex, field: Field = Field.GF2) -> HomologyProfile:
+def reduced_homology(K: SimplicialComplex, field: Field) -> HomologyProfile:
     """Dimensions of reduced homology in every degree from -1 up to dim K."""
     if K.is_void:
         raise VoidComplex("homology of the void complex")

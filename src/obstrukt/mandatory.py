@@ -86,7 +86,7 @@ def mandatory_set(K: SimplicialComplex, field: Field = Field.GF2) -> MandatorySe
 
 
 @lru_cache(maxsize=65536)
-def mandatory_partition(K: SimplicialComplex, field: Field = Field.GF2) -> MandatoryPartition:
+def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartition:
     """Certified three-way split of all faces by link contractibility."""
     if K.is_void:
         raise VoidComplex("mandatory partition of the void complex")

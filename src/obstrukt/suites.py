@@ -4,11 +4,13 @@ Exhaustive mode enumerates every code on n neurons (each set of nonempty
 codewords, with and without the empty word); sampled mode draws seeded random
 codes.  Every check depends on a code only through its complex (or on the
 code being empty), so a suite verifies each distinct complex once and counts
-its verdicts once, weighted by the codes that share it.  A code gets a copy
-of a report, with its own ``code`` field, only to write its line or to record
-a violation.  Codes are read in windows (one code serially, 64 per worker
-with a pool); a window's new complexes are verified, then its lines stream
-out in instance order.  Output is deterministic for fixed inputs.
+its verdicts once, weighted by the codes that share it.  Each complex's
+reports are JSON-encoded once, cut around their ``code`` value, and a code's
+lines are spliced from those halves and its own encoded words; a code gets
+a copy of a report dict only to record a violation.  Codes are read in
+windows (one code serially, 64 per worker with a pool); a window's new
+complexes are verified, then its lines stream out in instance order.
+Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -27,6 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .codes import NeuralCode, binaries
 from .codemaps import (
     THEOREMS,
+    Domain,
     Outcome,
     VerificationReport,
     verify_add_trivial_off,
@@ -95,7 +99,8 @@ def code_reports(
 
     ``gammas=None`` checks every permutation of 1..n, and ``delete=None``
     projects away each neuron in turn (none when n = 1).  ``source`` and
-    ``delete`` are checked whichever theorems are chosen.
+    ``delete`` are checked whichever theorems are chosen.  Every instance
+    reads the code's complex and facets-over index from one ``Domain``.
     """
     n = code.n
     for name, neuron in (("source", source), ("delete", delete)):
@@ -105,13 +110,14 @@ def code_reports(
         deletes = range(1, n + 1) if n >= 2 else ()
     else:
         deletes = (delete,)
+    dom = Domain(code)
     instances = {
-        "permutation": lambda: [verify_permutation(code, g, fld) for g in
+        "permutation": lambda: [verify_permutation(dom, g, fld) for g in
                                 (symmetric_group(n) if gammas is None else gammas)],
-        "add_trivial_on": lambda: [verify_add_trivial_on(code, fld)],
-        "add_trivial_off": lambda: [verify_add_trivial_off(code, fld)],
-        "duplicate": lambda: [verify_duplicate(code, source, fld)],
-        "projection": lambda: [verify_projection(code, d, fld) for d in deletes],
+        "add_trivial_on": lambda: [verify_add_trivial_on(dom, fld)],
+        "add_trivial_off": lambda: [verify_add_trivial_off(dom, fld)],
+        "duplicate": lambda: [verify_duplicate(dom, source, fld)],
+        "projection": lambda: [verify_projection(dom, d, fld) for d in deletes],
     }
     return [r for theorem in THEOREMS if theorem in theorems for r in instances[theorem]()]
 
@@ -145,8 +151,16 @@ def _run_one(key: tuple) -> list[dict]:
     return [r.to_json_dict() for r in reports]
 
 
-def _with_violated(reports: list[dict]) -> tuple[list[dict], list[dict]]:
-    return reports, [d for d in reports if d["verdict"] == _VIOLATED]
+def _split(d: dict) -> tuple[str, str]:
+    """The JSON line of ``d`` cut around its ``code`` value, so that
+    ``head + json.dumps(c) + tail == json.dumps(dict(d, code=c))``.
+
+    ``"code"`` keeps its place in ``d``, or comes last when ``d`` has none.
+    NaN marks the cut: reports hold no floats, and inside a JSON string the
+    quotes of ``"code": NaN`` would be escaped.
+    """
+    head, _, tail = json.dumps(dict(d, code=math.nan)).partition('"code": NaN')
+    return head + '"code": ', tail
 
 
 def run_suite(
@@ -165,13 +179,18 @@ def run_suite(
     that share a task key (their complex and the maps to check) are verified
     once, on the code made of the complex's facets, and verdicts are counted
     once per key, weighted by its codes.  ``write`` receives each instance's
-    JSON line in instance order.  Codes are read in windows, one at a time
-    serially and ``_WINDOW * jobs`` with a pool: the window's unseen keys are
-    verified, then its lines are written, so nothing is kept per code.
-    ``jobs`` is capped at the CPU count; output does not depend on it.
+    JSON line in instance order.  A key's reports are encoded once, as the
+    halves of each line around its ``code`` value; a code's line is the
+    halves with the code's binaries, encoded once per code, spliced in.
+    With ``write=None`` nothing is encoded.  Codes are read in windows, one
+    at a time serially and ``_WINDOW * jobs`` with a pool: the window's
+    unseen keys are verified, then its lines are written, so nothing is kept
+    per code.  ``jobs`` is capped at the CPU count; output does not depend
+    on it.
     """
     jobs = min(jobs, os.cpu_count() or 1)
-    verified: dict[tuple, tuple[list[dict], list[dict]]] = {}  # key -> (reports, violated)
+    # key -> (each report's line halves, [] when nothing is written; verdicts; violated reports)
+    verified: dict[tuple, tuple[list[tuple[str, str]], list[str], list[dict]]] = {}
     weights: collections.Counter[tuple] = collections.Counter()
     keyed = _keyed(codes, fld, theorems, gammas_per_code, gamma_seed)
     result = SuiteResult()
@@ -181,19 +200,23 @@ def run_suite(
         while window := list(itertools.islice(keyed, size)):
             fresh = {key: None for _, key in window if key not in verified}
             if fresh:
-                verified.update(zip(fresh, map(_with_violated, mapper(_run_one, fresh))))
+                for key, reports in zip(fresh, mapper(_run_one, fresh)):
+                    verified[key] = ([_split(d) for d in reports] if write is not None else [],
+                                     [d["verdict"] for d in reports],
+                                     [d for d in reports if d["verdict"] == _VIOLATED])
             for binaries, key in window:
-                reports, violated = verified[key]
+                halves, _, violated = verified[key]
                 weights[key] += 1
                 if violated:
                     result.violations.extend(dict(d, code=binaries) for d in violated)
                 if write is not None:
-                    for d in reports:
-                        write(json.dumps(dict(d, code=binaries)))
+                    code = json.dumps(binaries)
+                    for head, tail in halves:
+                        write(head + code + tail)
     tally: collections.Counter[str] = collections.Counter()
     for key, weight in weights.items():
-        for d in verified[key][0]:
-            tally[d["verdict"]] += weight
+        for verdict in verified[key][1]:
+            tally[verdict] += weight
     result.instances = sum(tally.values())
     result.holds, result.partial, result.violated = tally[_HOLDS], tally[_PARTIAL], tally[_VIOLATED]
     return result

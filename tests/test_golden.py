@@ -2,7 +2,8 @@
 
 Four verify runs cover the exhaustive n = 3 suite over both fields and two
 seeded sampled suites, so any change to a verdict, a check, an observation or
-the order of the JSON lines changes a digest.  The n = 6 run is there for its
+the order of the JSON lines changes a digest.  The exhaustive runs are
+repeated with ``--jobs 2`` against the same digests.  The n = 6 run is there for its
 partial instances (two permutation, one add-trivial-on, one duplicate),
 which pin the names and notes of the checks that stand in for an
 uncertified partition.
@@ -42,6 +43,12 @@ GOLDEN = {
         "0ba5ae52b24a88a52c4f5c538179315ae7379a7813c223b6bdf71ccc12e59be8",
     ),
 }
+# Output does not depend on --jobs: the pooled exhaustive runs print the serial bytes.
+GOLDEN.update({
+    f"{name}_jobs2": ([*argv, "--jobs", "2"], digest)
+    for name, (argv, digest) in list(GOLDEN.items())
+    if name.startswith("exhaustive_n3")
+})
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

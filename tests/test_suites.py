@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 
@@ -6,13 +7,17 @@ import pytest
 from obstrukt import (
     Field,
     NeuralCode,
+    codemaps,
     exhaustive_codes,
     random_code,
     run_exhaustive,
     run_sampled,
     run_suite,
     suites,
+    verify_duplicate,
+    verify_projection,
 )
+from obstrukt.cli import main
 from obstrukt.errors import BadDensity, NeuronOutOfRange
 from obstrukt.randgen import random_complex
 from obstrukt.suites import code_reports, sampled_codes, symmetric_group
@@ -108,6 +113,19 @@ class TestRunner:
         c = NeuralCode.from_masks(3, [0b011])
         with pytest.raises(NeuronOutOfRange, match=f"--{name} 9"):
             code_reports(c, theorems=("permutation",), **{name: 9})
+
+    def test_domain_complex_and_index_built_once_per_code(self, monkeypatch):
+        built = collections.Counter()
+        for name in ("code_complex", "facets_over"):
+            real = getattr(codemaps, name)
+            monkeypatch.setattr(codemaps, name,
+                                lambda K, _real=real, _name=name: built.update([_name]) or _real(K))
+        c = NeuralCode.from_masks(4, [0b0111, 0b1100, 0b1001])
+        reports = code_reports(c, theorems=("duplicate", "projection"))
+        # one index for the domain's complex, one per image complex
+        assert built == {"code_complex": 1, "facets_over": 1 + len(reports)} and len(reports) == 5
+        monkeypatch.undo()
+        assert reports == [verify_duplicate(c), *(verify_projection(c, d) for d in range(1, 5))]
 
     def test_sampled_deterministic_and_parallel_equal(self):
         serial_lines, parallel_lines = [], []
@@ -282,3 +300,48 @@ class TestGrouping:
             assert d["observations"] == {"empty_code": True} and d["checks"] == []
         for d in empty_word:
             assert "empty_code" not in d["observations"] and d["checks"]
+
+
+class TestSplice:
+    """A code's line is spliced from its key's encoded halves and its words."""
+
+    REPORT = {"theorem": "projection", "n": 3, "code": ["001"], "verdict": "holds",
+              "checks": [{"name": "mh_containment", "relation": "⊆", "lhs": [], "rhs": []},
+                         {"name": "cmin_image_strictly_below", "relation": "⊊"},
+                         {"name": "link_image_formula", "relation": "∀"}],
+              "observations": {"mh_reverse_containment_holds": True}}
+
+    @pytest.mark.parametrize("keys", [
+        ["code", "theorem", "checks"],      # first
+        ["theorem", "code", "checks"],      # middle
+        ["theorem", "checks", "code"],      # last
+        ["theorem", "checks", "verdict"],   # absent: appended last
+        [],                                 # nothing but the appended code
+        list(REPORT),
+    ])
+    @pytest.mark.parametrize("code", [[], ["000"], ["100", "011", "111"]])
+    def test_splice_gives_the_bytes_of_a_fresh_encoding(self, keys, code):
+        d = {k: self.REPORT[k] for k in keys}
+        head, tail = suites._split(d)
+        assert head + json.dumps(code) + tail == json.dumps(dict(d, code=code))
+
+    def test_relations_stay_escaped(self):
+        head, tail = suites._split(self.REPORT)
+        assert (head + tail).isascii()
+        assert "\\u2286" in head + tail and "\\u228a" in head + tail
+
+    @pytest.mark.parametrize("summary,calls", [(False, 20 * 12 + 256 + 1), (True, 1)])
+    def test_json_encoding_calls(self, monkeypatch, capsys, summary, calls):
+        # 20 complexes of 12 instances each over 256 codes, plus the summary line
+        real, count = json.dumps, []
+
+        def counting(*args, **kwargs):
+            count.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
+        monkeypatch.setattr(json, "dumps", counting)
+        argv = ["verify", "--theorem", "all", "--exhaustive", "--n", "3"]
+        assert main(argv + ["--summary"] * summary) == 0
+        capsys.readouterr()
+        assert 0 < len(count) <= calls
