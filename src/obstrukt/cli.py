@@ -4,16 +4,18 @@ Input codes come inline (``--code "123,24,2"``) or from a file whose first
 line is ``n=<int>`` followed by one codeword per line (``-`` reads stdin).
 JSON output is the machine interface and is byte-stable for fixed inputs and
 seeds; text output is for people.  Exit status: 0 success, 1 a verification
-suite found a theorem violation, 2 bad input.
+suite found a theorem violation, 2 bad input, 141 (128 + SIGPIPE) when the
+reader of stdout has closed it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
-from typing import Iterator, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .collapse import core_homology
 from .codes import NeuralCode, NotationForm, binaries, code_to_json, parse_codeword
@@ -40,6 +42,11 @@ _CODE_FLAGS = ("code", "input", "gamma", "source", "delete")
 # the flags each map op takes; no other op accepts them
 _MAP_FLAGS = {"permute": ("gamma",), "duplicate": ("source",), "project": ("delete",),
               "include": ("target", "target_n")}
+_SIGPIPE_STATUS = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+
+
+class _UsageError(Exception):
+    """A command line that no command takes; its message follows ``error:``."""
 
 
 def _default_field() -> str:
@@ -50,7 +57,7 @@ def _parse_field(name: str) -> Field:
     try:
         return Field(name)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"unknown field {name!r}; use GF2 or Q") from None
+        raise _UsageError(f"unknown field {name!r}; use GF2 or Q") from None
 
 
 def _parse_gamma(text: str) -> tuple[int, ...]:
@@ -114,7 +121,7 @@ def _code_from_file(path: str, form: NotationForm) -> NeuralCode:
     return NeuralCode(n, frozenset(words))
 
 
-def _load_code(args: argparse.Namespace) -> NeuralCode:
+def _load_code(args: SimpleNamespace) -> NeuralCode:
     form = NotationForm(args.form)
     if args.input is not None:
         return _code_from_file(args.input, form)
@@ -125,7 +132,7 @@ def _load_code(args: argparse.Namespace) -> NeuralCode:
     return _code_from_inline(args.code, form, args.n)
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def _emit(args: SimpleNamespace, payload: dict, text_lines: list[str]) -> None:
     if args.output == "json":
         print(json.dumps(payload))
     else:
@@ -133,7 +140,7 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
             print(line)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: SimpleNamespace) -> int:
     code = _load_code(args)
     K = code_complex(code)
     payload: dict = {
@@ -162,7 +169,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_mh(args: argparse.Namespace) -> int:
+def _cmd_mh(args: SimpleNamespace) -> int:
     code = _load_code(args)
     K = code_complex(code)
     mh = mandatory_set(K, args.field)
@@ -170,7 +177,7 @@ def _cmd_mh(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cmin(args: argparse.Namespace) -> int:
+def _cmd_cmin(args: SimpleNamespace) -> int:
     code = _load_code(args)
     payload = analysis_json_dict(code_complex(code), args.field)
     lines = [
@@ -183,7 +190,7 @@ def _cmd_cmin(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_homology(args: argparse.Namespace) -> int:
+def _cmd_homology(args: SimpleNamespace) -> int:
     code = _load_code(args)
     profile = core_homology(code_complex(code), args.field)
     payload = profile.to_json_dict()
@@ -191,7 +198,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_link(args: argparse.Namespace) -> int:
+def _cmd_link(args: SimpleNamespace) -> int:
     code = _load_code(args)
     form = NotationForm(args.form)
     K = code_complex(code)
@@ -203,7 +210,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dual(args: argparse.Namespace) -> int:
+def _cmd_dual(args: SimpleNamespace) -> int:
     code = _load_code(args)
     K = code_complex(code)
     dual = dual_complex(K)
@@ -225,13 +232,13 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stray(args: argparse.Namespace, names) -> str:
+def _stray(args: SimpleNamespace, names) -> str:
     """Those of the named flags that were given, spelled as on the command line."""
     return ", ".join(f"--{name.replace('_', '-')}" for name in names
                      if getattr(args, name) not in (None, False))
 
 
-def _cmd_map(args: argparse.Namespace) -> int:
+def _cmd_map(args: SimpleNamespace) -> int:
     stray = _stray(args, (name for op, names in _MAP_FLAGS.items() if op != args.op
                           for name in names))
     if stray:
@@ -263,7 +270,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_random(args: argparse.Namespace) -> int:
+def _cmd_random(args: SimpleNamespace) -> int:
     if args.n is None:
         raise MalformedText("random needs --n")
     if args.count < 0:
@@ -274,7 +281,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     chosen = _THEOREM_FLAGS[args.theorem]
     theorems = ALL_THEOREMS if chosen == "all" else (chosen,)
 
@@ -292,6 +299,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         mode, unused = "single-code mode", ("summary", "seed", "density", "jobs")
     if stray := _stray(args, unused):
         raise MalformedText(f"{mode} does not take {stray}")
+    if (args.exhaustive or args.samples) and args.output == "text":
+        raise MalformedText(f"{mode} prints JSON lines; it does not take --output text")
     if args.exhaustive or args.samples:
         if args.n is None:
             raise MalformedText("suite mode needs --n")
@@ -325,85 +334,278 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if violated else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="obstrukt",
-        description="Convexity obstructions for neural codes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---- the command line ------------------------------------------------------
+#
+# One table names every command and its long options.  `parse_args` reads a
+# command line against it as argparse would read the same options:
+# `--opt value` or `--opt=value`, a unique prefix of a flag, negative
+# numbers and a lone `-` as values, the last of a repeated flag wins, and
+# anything else exits 2 with a usage line.
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default=_default_field(), type=_parse_field,
-                        metavar="{GF2,Q}",
-                        help="coefficient field (env OBSTRUKT_FIELD overrides the default)")
-    common.add_argument("--output", default="json", choices=["json", "text"])
 
-    code_in = argparse.ArgumentParser(add_help=False)
-    code_in.add_argument("--n", type=int, help="neuron count for inline codes")
-    code_in.add_argument("--code", help="inline code: comma-separated codewords")
-    code_in.add_argument("--input", help="code file (first line n=<int>); '-' is stdin")
-    code_in.add_argument("--form", default="word", choices=["set", "word", "binary"])
+class _Opt(NamedTuple):
+    """One long option: its flag, how its value is read, and its default.
 
-    sub.add_parser("analyze", parents=[common, code_in],
-                   help="facets, homology, mandatory sets, ideals").set_defaults(fn=_cmd_analyze)
-    sub.add_parser("mh", parents=[common, code_in],
-                   help="homologically mandatory faces").set_defaults(fn=_cmd_mh)
-    sub.add_parser("cmin", parents=[common, code_in],
-                   help="certified mandatory partition").set_defaults(fn=_cmd_cmin)
-    sub.add_parser("homology", parents=[common, code_in],
-                   help="reduced homology of the code's complex").set_defaults(fn=_cmd_homology)
+    ``convert`` is a function of the text, a tuple of the accepted choices,
+    or None for a switch, which takes no value and is True when given.  A
+    string default goes through ``convert`` only when the flag is absent; a
+    callable default is called for it first.
+    """
 
-    p_link = sub.add_parser("link", parents=[common, code_in], help="link of a face")
-    p_link.add_argument("--sigma", required=True, help="face, written in --form")
-    p_link.set_defaults(fn=_cmd_link)
+    flag: str
+    convert: Callable[[str], object] | tuple[str, ...] | None = str
+    default: object = None
+    required: bool = False
+    help: str = ""
 
-    sub.add_parser("dual", parents=[common, code_in],
-                   help="Alexander-dual complex and ideals").set_defaults(fn=_cmd_dual)
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
-    p_map = sub.add_parser("map", parents=[common, code_in], help="apply an elementary code map")
-    p_map.add_argument("--op", required=True,
-                       choices=["permute", "add-on", "add-off", "duplicate", "project", "include"])
-    p_map.add_argument("--gamma", help="permutation as comma-separated images, e.g. 2,1,3")
-    p_map.add_argument("--source", type=int, help="neuron to duplicate (default 1)")
-    p_map.add_argument("--delete", type=int, help="neuron to project away")
-    p_map.add_argument("--target", help="inclusion target code (inline)")
-    p_map.add_argument("--target-n", type=int, help="inclusion target neuron count")
-    p_map.set_defaults(fn=_cmd_map)
+    @property
+    def metavar(self) -> str:
+        if isinstance(self.convert, tuple):
+            return "{" + ",".join(self.convert) + "}"
+        return self.dest.upper()
 
-    p_verify = sub.add_parser("verify", parents=[common, code_in],
-                              help="check the preservation theorems")
-    p_verify.add_argument("--theorem", default="all", choices=sorted(_THEOREM_FLAGS))
-    p_verify.add_argument("--gamma", help="specific permutation to check")
-    p_verify.add_argument("--source", type=int, help="neuron to duplicate (default 1)")
-    p_verify.add_argument("--delete", type=int)
-    p_verify.add_argument("--exhaustive", action="store_true",
-                          help="all codes on --n neurons (n <= 4); each distinct complex "
-                               "is verified once")
-    p_verify.add_argument("--samples", type=int, default=0, help="number of random codes")
-    p_verify.add_argument("--seed", type=int, help="sampled suites only (default 0)")
-    p_verify.add_argument("--density", type=float, help="sampled suites only (default 0.3)")
-    p_verify.add_argument("--jobs", type=int,
-                          help="worker processes for suites, capped at the CPU count (default 1)")
-    p_verify.add_argument("--summary", action="store_true",
-                          help="print only the aggregate result")
-    p_verify.set_defaults(fn=_cmd_verify)
 
-    p_random = sub.add_parser("random", parents=[common],
-                              help="generate reproducible random codes")
-    p_random.add_argument("--n", type=int, required=True)
-    p_random.add_argument("--seed", type=int, default=0)
-    p_random.add_argument("--count", type=int, default=1)
-    p_random.add_argument("--density", type=float, default=0.3)
-    p_random.set_defaults(fn=_cmd_random)
+class _Command(NamedTuple):
+    run: Callable[[SimpleNamespace], int]
+    help: str
+    options: dict[str, _Opt]  # by flag
 
-    return parser
+
+def _command(run: Callable[[SimpleNamespace], int], help: str, *options: _Opt) -> _Command:
+    return _Command(run, help, {opt.flag: opt for opt in options})
+
+
+_COMMON = (
+    _Opt("--field", _parse_field, _default_field,
+         help="coefficient field, GF2 or Q (env OBSTRUKT_FIELD overrides the default GF2)"),
+    _Opt("--output", ("json", "text"), "json", help="output format (default json)"),
+)
+_CODE_IN = (
+    _Opt("--n", int, help="neuron count for inline codes"),
+    _Opt("--code", help="inline code: comma-separated codewords"),
+    _Opt("--input", help="code file (first line n=<int>); '-' is stdin"),
+    _Opt("--form", ("set", "word", "binary"), "word", help="codeword notation (default word)"),
+)
+_COMMANDS = {
+    "analyze": _command(_cmd_analyze, "facets, homology, mandatory sets, ideals",
+                        *_COMMON, *_CODE_IN),
+    "mh": _command(_cmd_mh, "homologically mandatory faces", *_COMMON, *_CODE_IN),
+    "cmin": _command(_cmd_cmin, "certified mandatory partition", *_COMMON, *_CODE_IN),
+    "homology": _command(_cmd_homology, "reduced homology of the code's complex",
+                         *_COMMON, *_CODE_IN),
+    "link": _command(_cmd_link, "link of a face", *_COMMON, *_CODE_IN,
+                     _Opt("--sigma", required=True, help="face, written in --form")),
+    "dual": _command(_cmd_dual, "Alexander-dual complex and ideals", *_COMMON, *_CODE_IN),
+    "map": _command(
+        _cmd_map, "apply an elementary code map", *_COMMON, *_CODE_IN,
+        _Opt("--op", ("permute", "add-on", "add-off", "duplicate", "project", "include"),
+             required=True, help="the map to apply"),
+        _Opt("--gamma", help="permutation as comma-separated images, e.g. 2,1,3"),
+        _Opt("--source", int, help="neuron to duplicate (default 1)"),
+        _Opt("--delete", int, help="neuron to project away"),
+        _Opt("--target", help="inclusion target code (inline)"),
+        _Opt("--target-n", int, help="inclusion target neuron count"),
+    ),
+    "verify": _command(
+        _cmd_verify, "check the preservation theorems", *_COMMON, *_CODE_IN,
+        _Opt("--theorem", tuple(sorted(_THEOREM_FLAGS)), "all",
+             help="theorem to check (default all)"),
+        _Opt("--gamma", help="specific permutation to check"),
+        _Opt("--source", int, help="neuron to duplicate (default 1)"),
+        _Opt("--delete", int, help="neuron to project away (default each in turn)"),
+        _Opt("--exhaustive", None, False,
+             help="all codes on --n neurons (n <= 4); each distinct complex is verified once"),
+        _Opt("--samples", int, 0, help="number of random codes"),
+        _Opt("--seed", int, help="sampled suites only (default 0)"),
+        _Opt("--density", float, help="sampled suites only (default 0.3)"),
+        _Opt("--jobs", int,
+             help="worker processes for suites, capped at the CPU count (default 1)"),
+        _Opt("--summary", None, False, help="print only the aggregate result"),
+    ),
+    "random": _command(
+        _cmd_random, "generate reproducible random codes", *_COMMON,
+        _Opt("--n", int, required=True, help="neuron count"),
+        _Opt("--seed", int, 0, help="random seed (default 0)"),
+        _Opt("--count", int, 1, help="number of codes (default 1)"),
+        _Opt("--density", float, 0.3, help="chance that a neuron fires in a word (default 0.3)"),
+    ),
+}
+_HELP = ("-h", "--help")  # every command takes these; -h is the one short flag
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _option(arg: str, flags: Sequence[str]) -> tuple[str | None, str | None] | None:
+    """How ``arg`` reads against ``flags``: None for a value, else the flag and
+    the text after ``=`` (or after ``-h``), with flag None for an unknown option.
+
+    A flag matches exactly or by a unique prefix; a prefix of two flags is an
+    error.  Negative numbers, a lone ``-`` and text with a space are values.
+    """
+    if not arg.startswith("-"):
+        return None
+    if arg in flags:
+        return arg, None
+    if len(arg) == 1:
+        return None
+    head, eq, text = arg.partition("=")
+    if eq and head in flags:
+        return head, text
+    if arg[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(head)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], text if eq else None
+    elif arg[:2] in flags:
+        return arg[:2], arg[2:]
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _convert(opt: _Opt, text: str) -> object:
+    if isinstance(opt.convert, tuple):
+        if text not in opt.convert:
+            choices = ", ".join(map(repr, opt.convert))
+            raise _UsageError(f"argument {opt.flag}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        return opt.convert(text)
+    except _UsageError as exc:
+        raise _UsageError(f"argument {opt.flag}: {exc}") from None
+    except (TypeError, ValueError):
+        raise _UsageError(f"argument {opt.flag}: invalid {opt.convert.__name__} "
+                          f"value: {text!r}") from None
+
+
+def _check_help(flag: str, text: str | None) -> None:
+    """Reject text after a help flag, except more h's after ``-h``."""
+    if text is not None and (flag == "--help" or not text or text.strip("h")):
+        raise _UsageError(f"argument -h/--help: ignored explicit argument {text!r}")
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return "usage: obstrukt [-h] {" + ",".join(_COMMANDS) + "} ..."
+    required = " ".join(f"{opt.flag} {opt.metavar}"
+                        for opt in _COMMANDS[name].options.values() if opt.required)
+    return " ".join(filter(None, (f"usage: obstrukt {name} [-h]", required, "[options]")))
+
+
+def _help(name: str | None) -> str:
+    if name is None:
+        rows = [(cmd, spec.help) for cmd, spec in _COMMANDS.items()]
+        intro, heading = "Convexity obstructions for neural codes.", "commands:"
+        outro = "\n\nRun 'obstrukt COMMAND --help' for the options of a command."
+    else:
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(opt.flag if opt.convert is None else f"{opt.flag} {opt.metavar}", opt.help)
+                 for opt in _COMMANDS[name].options.values()]
+        intro, heading, outro = _COMMANDS[name].help, "options:", ""
+    width = min(max(len(left) for left, _ in rows), 22)  # a wider flag sits on its own line
+    body = "\n".join(f"  {left:<{width}}  {right}".rstrip() if len(left) <= width
+                     else f"  {left}\n  {'':<{width}}  {right}" for left, right in rows)
+    return f"{_usage(name)}\n\n{intro}\n\n{heading}\n{body}{outro}"
+
+
+def _parse_command(name: str, argv: list[str], extras: list[str]) -> SimpleNamespace:
+    options = _COMMANDS[name].options
+    flags = _HELP + tuple(options)
+    # a "--" and all after it are left over: no option takes them
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(arg, flags) for arg in argv[:end]]
+    values: dict[str, object] = {}
+    i = 0
+    while i < end:
+        kind = kinds[i]
+        i += 1
+        if kind is None or kind[0] is None:
+            extras.append(argv[i - 1])
+            continue
+        flag, text = kind
+        if flag in _HELP:
+            _check_help(flag, text)
+            print(_help(name))
+            raise SystemExit(0)
+        opt = options[flag]
+        if opt.convert is None:
+            if text is not None:
+                raise _UsageError(f"argument {flag}: ignored explicit argument {text!r}")
+            values[opt.dest] = True
+            continue
+        if text is None:
+            if i == end or kinds[i] is not None:
+                raise _UsageError(f"argument {flag}: expected one argument")
+            text = argv[i]
+            i += 1
+        values[opt.dest] = _convert(opt, text)
+    missing = []
+    for opt in options.values():
+        if opt.dest in values:
+            continue
+        if opt.required:
+            missing.append(opt.flag)
+        else:
+            default = opt.default() if callable(opt.default) else opt.default
+            values[opt.dest] = _convert(opt, default) if isinstance(default, str) else default
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    extras += argv[end:]
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=name, **values)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read a command line into its command's values, with ``command`` naming it.
+
+    Help goes to stdout and exits 0; a command line that no command takes
+    prints a usage line and the error to stderr and exits 2.
+    """
+    argv = list(argv)
+    name = None  # once known, usage and errors name the command
+    try:
+        extras: list[str] = []  # unknown options before the command
+        for i, arg in enumerate(argv):
+            kind = None if arg == "--" else _option(arg, _HELP)
+            if kind is None:
+                break
+            if kind[0] is None:
+                extras.append(arg)
+                continue
+            _check_help(*kind)
+            print(_help(None))
+            raise SystemExit(0)
+        else:
+            raise _UsageError("the following arguments are required: command")
+        if arg not in _COMMANDS:
+            choices = ", ".join(map(repr, _COMMANDS))
+            raise _UsageError(f"argument command: invalid choice: {arg!r} (choose from {choices})")
+        name = arg
+        return _parse_command(name, argv[i + 1:], extras)
+    except _UsageError as exc:
+        prog = "obstrukt" if name is None else f"obstrukt {name}"
+        print(f"{_usage(name)}\n{prog}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        status = _COMMANDS[args.command].run(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at /dev/null, so that flushing
+        # it at exit reports nothing, and exit as SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _SIGPIPE_STATUS
     except MalformedText as exc:
         where = ""
         if exc.line is not None:

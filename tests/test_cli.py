@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -252,6 +256,46 @@ class TestRandom:
         assert status == 2 and out == "" and "--count" in err
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run with status 141
+    (128 + SIGPIPE) and no message."""
+
+    def test_write_raising_broken_pipe(self, tmp_path, capsys, monkeypatch):
+        with open(tmp_path / "out", "w") as target:
+            class ClosedPipe:
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def flush(self):
+                    pass
+
+                def fileno(self):
+                    return target.fileno()
+
+            monkeypatch.setattr("sys.stdout", ClosedPipe())
+            status = main(["random", "--n", "3", "--count", "5"])
+            # stdout now writes to /dev/null, so flushing it at exit cannot fail
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+        assert status == 141 and capsys.readouterr().err == ""
+
+    def test_reader_closes_the_pipe(self):
+        script = "import sys\nfrom obstrukt.cli import main\nsys.exit(main())\n"
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "random", "--n", "10", "--count", "200"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            assert json.loads(proc.stdout.readline())["n"] == 10
+            proc.stdout.close()  # about 800 kB are still to come
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141 and err == b""
+        finally:
+            proc.kill()
+            proc.wait()
+
+
 class TestVerify:
     def test_projection_instance(self, capsys):
         status, out, _ = run_cli(
@@ -284,6 +328,8 @@ class TestVerify:
         (["--exhaustive", "--n", "2", "--summary", "--density", "7"], ["--density"]),
         (["--n", "3", "--samples", "2", "--jobs", "-5"], ["--jobs"]),
         (["--n", "3", "--samples", "2", "--jobs", "0"], ["--jobs"]),
+        (["--n", "3", "--samples", "1", "--output", "text"], ["--output"]),
+        (["--exhaustive", "--n", "2", "--output", "text"], ["--output"]),
     ])
     def test_suite_mode_rejects_what_it_would_ignore(self, capsys, argv, flags):
         start = time.perf_counter()
