@@ -145,8 +145,8 @@ def _cmd_analyze(args: SimpleNamespace) -> int:
     K = code_complex(code)
     payload: dict = {
         "n": code.n,
-        "code": binaries(code.words),
-        "facets": binaries(K.facet_index()),
+        "code": binaries(code.masks(), code.n),
+        "facets": binaries(K.facet_bits, K.n),
     }
     if K.is_void:
         payload["void"] = True
@@ -155,7 +155,7 @@ def _cmd_analyze(args: SimpleNamespace) -> int:
     payload["homology"] = core_homology(K, args.field).to_json_dict()
     payload.update(analysis_json_dict(K, args.field))
     payload["sr_ideal"] = sr_ideal(K).to_lists()
-    payload["dual_complex_facets"] = binaries(dual_complex(K).facet_index())
+    payload["dual_complex_facets"] = binaries(dual_complex(K).facet_bits, K.n)
     lines = [
         f"code on {code.n} neurons with {len(code.words)} words",
         "facets: " + " ".join(payload["facets"]),
@@ -205,7 +205,7 @@ def _cmd_link(args: SimpleNamespace) -> int:
     sigma = parse_codeword(args.sigma, form, code.n)
     L = link(K, sigma)
     payload = json.loads(complex_to_json(L))
-    payload["faces"] = binaries(L.faces())
+    payload["faces"] = binaries(L.face_bits, L.n)
     _emit(args, payload, ["link facets: " + " ".join(payload["facets"])])
     return 0
 
@@ -265,7 +265,7 @@ def _cmd_map(args: SimpleNamespace) -> int:
         target = _code_from_inline(args.target, form, args.target_n)
         step = Include(target)
     image = map_code(step, code)
-    payload = {"n": image.n, "words": binaries(image.words)}
+    payload = {"n": image.n, "words": binaries(image.masks(), image.n)}
     _emit(args, payload, ["image: " + " ".join(payload["words"])])
     return 0
 
@@ -276,7 +276,7 @@ def _cmd_random(args: SimpleNamespace) -> int:
     if args.count < 0:
         raise MalformedText(f"--count must be at least 0, got {args.count}")
     for c in sampled_codes(args.n, args.count, args.seed, args.density):
-        text = " ".join(binaries(c.words)) or "(empty)"
+        text = " ".join(binaries(c.masks(), c.n)) or "(empty)"
         print(code_to_json(c) if args.output == "json" else text)
     return 0
 

@@ -7,7 +7,7 @@ and its image: the relation on the mandatory set, and laws on links, on the
 certified partition and on the Stanley-Reisner ideals.  One interpreter
 recomputes both sides with the engine and reports holds / violated /
 partial, where partial means a certificate was unavailable (contractibility
-is undecidable in general).
+is undecidable in general).  Faces are mapped and compared as masks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Union
 
 from .codes import MAX_NEURONS, Codeword, NeuralCode, binaries
-from .collapse import Verdict, core_homology
+from .collapse import Verdict, _facet_homology
 from . import complexes  # maximal_masks stays bound in complexes alone, as bench/test_bench.py expects
 from .complexes import SimplicialComplex, code_complex, facets_over
 from .errors import NeuronOutOfRange, NotInDomain, WidthMismatch
@@ -129,16 +129,17 @@ class ResolvedStep:
     out_n: int
     f: Callable[[int], int]
 
-    def image_facets(self, facets: Iterable[int]) -> frozenset[int]:
+    def image_facets(self, facets: frozenset[int]) -> frozenset[int]:
         """Facets of the closure of the image of a complex with these facets.
 
         Every elementary map is monotone on masks, so the images of the facets
         generate the same closure as the images of all faces.  Every map but a
         projection is an order embedding (m ⊆ m' exactly when f(m) ⊆ f(m')), so
-        there the facet images are already the facets of the image.
+        there the facet images are already the facets of the image, and so is
+        the image of a single facet.
         """
         images = map(self.f, facets)
-        if isinstance(self.step, Project):
+        if isinstance(self.step, Project) and len(facets) > 1:
             return complexes.maximal_masks(images)
         return frozenset(images)
 
@@ -282,7 +283,7 @@ class VerificationReport:
         return {
             "theorem": self.theorem,
             "n": self.code.n,
-            "code": binaries(self.code.words),
+            "code": binaries(self.code.masks(), self.code.n),
             "map": self.map_desc,
             "field": self.field.value,
             "verdict": self.verdict.value,
@@ -294,14 +295,14 @@ class VerificationReport:
         return json.dumps(self.to_json_dict())
 
 
-def _check(name: str, relation: str, lhs, rhs=frozenset(), holds: bool | None = None,
+def _check(name: str, relation: str, n: int, lhs, rhs=frozenset(), holds: bool | None = None,
            note: str = "") -> CheckResult:
-    """One relation instance; unless ``holds`` is given, ``relation`` (= or
-    ⊆) is evaluated on the two sets."""
+    """One relation instance on two sets of width-n masks; unless ``holds``
+    is given, ``relation`` (= or ⊆) is evaluated on the two sets."""
     if holds is None:
         holds = lhs == rhs if relation == "=" else lhs <= rhs
     outcome = Outcome.HOLDS if holds else Outcome.VIOLATED
-    return CheckResult(name, relation, tuple(binaries(lhs)), tuple(binaries(rhs)), outcome, note)
+    return CheckResult(name, relation, tuple(binaries(lhs, n)), tuple(binaries(rhs, n)), outcome, note)
 
 
 def _partial(name: str, note: str) -> CheckResult:
@@ -349,8 +350,7 @@ def _lifted_faces(r: ResolvedStep, K: SimplicialComplex, K2: SimplicialComplex):
 
 
 def _same_homology(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fld) -> bool:
-    return (core_homology(SimplicialComplex(r.n, lk1), fld)
-            == core_homology(SimplicialComplex(r.out_n, lk2), fld))
+    return _facet_homology(lk1, fld) == _facet_homology(lk2, fld)
 
 
 def _image_formula(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fld) -> bool:
@@ -360,20 +360,19 @@ def _image_formula(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fl
     return r.image_facets(lk1) == lk2
 
 
-def _shift_by_empty_word(q, K, K2, p1, p2) -> CheckResult:
+def _shift_by_empty_word(q, p1, p2) -> CheckResult:
     """∅ is certified on both sides by definition, and its image, the new
     vertex, has link K: so the image of the certified set is the target's
     minus ∅ when K is non-contractible, and their nonempty parts agree when
     K is contractible."""
-    empty1, empty2 = Codeword.empty(K.n), Codeword.empty(K2.n)
     ambient = p1.ambient_verdict.status
     if ambient is Verdict.CONTRACTIBLE:
-        return _check("cmin_nonempty_image_equal", "=",
-                      q(p1.certified_in - {empty1}), p2.certified_in - {empty2})
+        return _check("cmin_nonempty_image_equal", "=", p2.n,
+                      q(p1.in_masks - {0}), p2.in_masks - {0})
     if ambient is Verdict.NON_CONTRACTIBLE:
-        lhs = q(p1.certified_in)
-        return _check("cmin_image_strictly_below", "⊊", lhs, p2.certified_in,
-                      holds=lhs == p2.certified_in - {empty2} and empty2 in p2.certified_in,
+        lhs = q(p1.in_masks)
+        return _check("cmin_image_strictly_below", "⊊", p2.n, lhs, p2.in_masks,
+                      holds=lhs == p2.in_masks - {0} and 0 in p2.in_masks,
                       note="image must equal the target minus the empty word")
     return _partial("cmin_branch", "contractibility of the complex is unknown")
 
@@ -391,14 +390,14 @@ def _dual_gains_new_variable_factor(sr1: MonomialIdeal, sr2: MonomialIdeal):
     return alexander_dual(sr2).gen_bits, expected
 
 
-_IN = ("cmin_in_image_equal", "certified_in")
-_OUT = ("cmin_out_image_equal", "certified_out")
+_IN = ("cmin_in_image_equal", "in_masks")
+_OUT = ("cmin_out_image_equal", "out_masks")
 
 THEOREMS: dict[str, Theorem] = {
     "permutation": Theorem(classes=(_IN, _OUT), partial="cmin_image_equal"),
     "add_trivial_on": Theorem(shift=_shift_by_empty_word, partial="cmin_branch"),
     "add_trivial_off": Theorem(
-        classes=(_IN, _OUT, ("cmin_unknown_image_equal", "unknown")),
+        classes=(_IN, _OUT, ("cmin_unknown_image_equal", "unknown_masks")),
         ideals=(("sr_ideal_gains_one_variable", _sr_gains_one_variable),
                 ("dual_ideal_gens_gain_new_variable_factor", _dual_gains_new_variable_factor)),
     ),
@@ -452,47 +451,46 @@ def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
     K2 = image_complex(step, K)
     f, out_n = r.f, r.out_n
 
-    def q(words: Iterable[Codeword]) -> frozenset[Codeword]:
-        return frozenset(Codeword(f(w.bits), out_n) for w in words)
+    def q(masks: Iterable[int]) -> frozenset[int]:
+        return frozenset(map(f, masks))
 
     p1, p2 = mandatory_partition(K, fld), mandatory_partition(K2, fld)
-    q_mh1, mh2 = q(p1.mandatory.faces), p2.mandatory.faces
+    q_mh1, mh2 = q(p1.mandatory.masks), p2.mandatory.masks
     observations: tuple[tuple[str, bool], ...] = ()
     if spec.mh == "=":
-        checks = [_check("mh_image_equal", "=", q_mh1, mh2)]
+        checks = [_check("mh_image_equal", "=", out_n, q_mh1, mh2)]
     else:
-        checks = [_check("mh_containment", "⊆", mh2, q_mh1)]
+        checks = [_check("mh_containment", "⊆", out_n, mh2, q_mh1)]
         observations = (("mh_reverse_containment_holds", q_mh1 <= mh2),)
 
     if spec.links:
         over1, over2 = dom.over, facets_over(K2)
         width, pairs = spec.faces(r, K, K2)
-        failures: list[list[Codeword]] = [[] for _ in spec.links]
+        failures: list[list[int]] = [[] for _ in spec.links]
         for shown, s1, s2 in pairs:
             lk1 = frozenset(F & ~s1 for F in over1[s1])
             lk2 = frozenset(F & ~s2 for F in over2[s2])
             for (_, law), failed in zip(spec.links, failures):
                 if not law(r, lk1, lk2, fld):
-                    failed.append(Codeword(shown, width))
+                    failed.append(shown)
         for (name, _), failed in zip(spec.links, failures):
             note = "faces listed on the left violate the relation" if failed else ""
-            checks.append(_check(name, "∀", failed, holds=not failed, note=note))
+            checks.append(_check(name, "∀", width, failed, holds=not failed, note=note))
 
     if spec.classes or spec.shift:
         if spec.partial and not (p1.fully_certified and p2.fully_certified):
             checks.append(_partial(spec.partial, "uncertified links present"))
         elif spec.shift:
-            checks.append(spec.shift(q, K, K2, p1, p2))
+            checks.append(spec.shift(q, p1, p2))
         else:
-            checks.extend(_check(name, "=", q(getattr(p1, cls)), getattr(p2, cls))
+            checks.extend(_check(name, "=", out_n, q(getattr(p1, cls)), getattr(p2, cls))
                           for name, cls in spec.classes)
 
     if spec.ideals:
         sr1, sr2 = sr_ideal(K), sr_ideal(K2)
         for name, law in spec.ideals:
             lhs, rhs = law(sr1, sr2)
-            checks.append(_check(name, "=", frozenset(Codeword(m, out_n) for m in lhs),
-                                 frozenset(Codeword(m, out_n) for m in rhs)))
+            checks.append(_check(name, "=", out_n, lhs, rhs))
     return VerificationReport(theorem, code, step.describe(), fld, tuple(checks), observations)
 
 

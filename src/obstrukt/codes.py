@@ -227,11 +227,13 @@ def format_codeword(cw: Codeword, form: NotationForm) -> str:
     return "".join(str(i) for i in cw.neurons())
 
 
-def binaries(words: Iterable[Codeword]) -> list[str]:
-    """The face-list output format: binary strings in sorted order."""
-    return sorted(w.binary() for w in words)
+def binaries(masks: Iterable[int], n: int) -> list[str]:
+    """The face-list output format: masks of width n as binary strings
+    (``Codeword.binary``), in sorted order."""
+    fmt = f"0{n}b"
+    return sorted(format(m, fmt)[::-1] for m in masks)
 
 
 def code_to_json(code: NeuralCode) -> str:
     """Render a code as ``{"n": int, "words": [...]}`` in the face-list format."""
-    return json.dumps({"n": code.n, "words": binaries(code.words)})
+    return json.dumps({"n": code.n, "words": binaries(code.masks(), code.n)})

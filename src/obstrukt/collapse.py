@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .codes import Codeword, binaries
 from .complexes import SimplicialComplex, delete_vertex
@@ -46,7 +47,7 @@ class CollapseSequence:
     def to_json_dict(self) -> dict:
         return {
             "steps": [[w.dominated, w.dominator] for w in self.steps],
-            "core_facets": binaries(self.core.facet_index()),
+            "core_facets": binaries(self.core.facet_bits, self.core.n),
         }
 
 
@@ -125,6 +126,16 @@ def _delete_bit(facets: list[int], bit: int) -> list[int]:
                       if all(g & ~k for k in without)]
 
 
+def _collapse_masks(facets: list[int], steps: list[DominationWitness]) -> list[int]:
+    """Delete the lowest dominated vertex until none remains, recording each
+    deletion in ``steps``; the result is the core's facets."""
+    while (pair := _lowest_domination(facets)) is not None:
+        bit, dominator = pair
+        steps.append(DominationWitness(bit.bit_length(), dominator.bit_length()))
+        facets = _delete_bit(facets, bit)
+    return facets
+
+
 def strong_collapse_core(K: SimplicialComplex) -> CollapseSequence:
     """Deterministically delete the lowest dominated vertex until none remains.
 
@@ -132,38 +143,51 @@ def strong_collapse_core(K: SimplicialComplex) -> CollapseSequence:
     """
     if K.is_void:
         raise VoidComplex("strong collapse of the void complex")
-    facets = list(K.facet_bits)
     steps: list[DominationWitness] = []
-    while (pair := _lowest_domination(facets)) is not None:
-        bit, dominator = pair
-        steps.append(DominationWitness(bit.bit_length(), dominator.bit_length()))
-        facets = _delete_bit(facets, bit)
+    facets = _collapse_masks(list(K.facet_bits), steps)
     core = SimplicialComplex(K.n, frozenset(facets)) if steps else K
     return CollapseSequence(K, tuple(steps), core)
 
 
-def core_homology(K: SimplicialComplex, field: Field = Field.GF2) -> HomologyProfile:
-    """``reduced_homology(K, field)``, read from a complex certified to have
-    K's homotopy type: a cone (facets sharing a vertex) is acyclic, and any
-    other complex is ranked on its strong-collapse core, narrowed to its
-    highest vertex so that copies of K on wider vertex sets share one memo
-    entry."""
-    if K.is_void:
-        raise VoidComplex("homology of the void complex")
+def _core_facets(facets: Iterable[int]) -> frozenset[int] | None:
+    """Facets of the strong-collapse core of the complex with these nonvoid
+    facets, or None when it is certified contractible: a cone (its facets
+    share a vertex) or a complex that collapses to a point."""
+    facets = list(facets)
     meet = -1
-    for f in K.facet_bits:
+    for f in facets:
         meet &= f
     if meet:
-        return HomologyProfile(field, ())
-    return _narrowed_homology(strong_collapse_core(K).core, field)
+        return None
+    core = _collapse_masks(facets, [])
+    return None if len(core) == 1 and core[0].bit_count() == 1 else frozenset(core)
 
 
-def _narrowed_homology(core: SimplicialComplex, field: Field) -> HomologyProfile:
-    """Homology of a complex ranked on its copy narrowed to its highest vertex,
-    so that copies on wider vertex sets share one memo entry.  A complex that
-    is already narrow is ranked as it is, keeping the face set it cached."""
-    n = max(1, core.vertex_bits.bit_length())
-    return reduced_homology(core if n == core.n else SimplicialComplex(n, core.facet_bits), field)
+def _ranked(core: frozenset[int], field: Field) -> HomologyProfile:
+    """Homology of the complex with these facets, ranked on its copy narrowed
+    to its highest vertex, so that copies on wider vertex sets share one
+    ``reduced_homology`` memo entry."""
+    top = 0
+    for f in core:
+        top |= f
+    return reduced_homology(SimplicialComplex(max(1, top.bit_length()), core), field)
+
+
+def _facet_homology(facets: Iterable[int], field: Field) -> HomologyProfile:
+    """``core_homology`` of the complex with these nonvoid facets; a complex
+    is built only for a core that must be ranked."""
+    core = _core_facets(facets)
+    return HomologyProfile(field, ()) if core is None else _ranked(core, field)
+
+
+def core_homology(K: SimplicialComplex, field: Field = Field.GF2) -> HomologyProfile:
+    """``reduced_homology(K, field)``, read from a complex certified to have
+    K's homotopy type: a contractible complex (a cone, or one that collapses
+    to a point) is acyclic, and any other complex is ranked on its
+    strong-collapse core, narrowed to its highest vertex."""
+    if K.is_void:
+        raise VoidComplex("homology of the void complex")
+    return _facet_homology(K.facet_bits, field)
 
 
 def is_single_point(K: SimplicialComplex) -> bool:
@@ -214,7 +238,7 @@ def contractibility(K: SimplicialComplex, field: Field = Field.GF2) -> Contracti
     seq = strong_collapse_core(K)
     if is_single_point(seq.core):
         return ContractibilityVerdict(Verdict.CONTRACTIBLE, field, collapse=seq)
-    profile = _narrowed_homology(seq.core, field)
+    profile = _ranked(seq.core.facet_bits, field)
     if not profile.is_trivial:
         return ContractibilityVerdict(
             Verdict.NON_CONTRACTIBLE, field, nonzero_degree=profile.nonzero_degrees()[0]

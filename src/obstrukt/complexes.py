@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .codes import MAX_NEURONS, Codeword, NeuralCode
+from .codes import MAX_NEURONS, Codeword, NeuralCode, binaries
 from .errors import (
     FaceNotInComplex,
     NeuronOutOfRange,
@@ -292,7 +292,7 @@ def delete_vertex(K: SimplicialComplex, v: int) -> SimplicialComplex:
 
 def complex_to_json(K: SimplicialComplex) -> str:
     """Render as ``{"n": int, "facets": [...]}`` with sorted binary strings."""
-    return json.dumps({"n": K.n, "facets": [c.binary() for c in K.facet_index()]})
+    return json.dumps({"n": K.n, "facets": binaries(K.facet_bits, K.n)})
 
 
 def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:

@@ -5,9 +5,10 @@ complex {∅} has one dimension of homology in degree -1.  Ranks are computed
 exactly, over GF(2) with bit-set Gaussian elimination and over the rationals
 with fraction-free sparse integer elimination.  ``reduced_homology`` always
 ranks the complex it is given; callers that need only the homotopy type
-(``analyze``, the duplicate theorem's link check) go through
-``collapse.core_homology``, which answers cones without ranks and ranks any
-other complex on its strong-collapse core.
+(``analyze``, the mandatory partition's links, the duplicate theorem's link
+check) go through collapse: ``core_homology`` for a complex, or its route on
+facet masks for a link, which answer a cone or a complex that collapses to a
+point without ranks and rank any other complex on its strong-collapse core.
 """
 
 from __future__ import annotations

@@ -7,72 +7,93 @@ definition regardless of its link.  A cone shortcut is applied first: when
 the intersection of facets containing σ exceeds σ, the link is a cone and
 therefore contractible.  These intersections come from one pass over the
 submasks of each facet, which meets each face once per facet containing
-it.  Next, a link with nonzero
-reduced Euler characteristic (computed for all faces at once) has nonzero
-homology over every field; only the links of characteristic 0 are built, and
-``collapse.contractibility`` decides them (strong collapse to a point, or
-nonzero homology of the strong-collapse core).  The duplicate theorem's link
-check reads ``collapse.core_homology``, which ranks the same narrowed core
-and so shares its memo entries.
+it.  Next, a link with nonzero reduced Euler characteristic (computed for
+all faces at once) has nonzero homology over every field; the links of
+characteristic 0 are decided on their facet masks (strong collapse to a
+point, or nonzero homology of the core, the only complex built), as the
+duplicate theorem's link check does.  Faces stay masks; the Codeword sets
+are views built when read.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .codes import Codeword, NeuralCode, binaries
-from .complexes import SimplicialComplex, code_complex, iter_submasks, link
-from .collapse import ContractibilityVerdict, Verdict, contractibility
+from .complexes import SimplicialComplex, code_complex, iter_submasks
+from .collapse import ContractibilityVerdict, Verdict, _core_facets, _ranked, contractibility
 from .errors import VoidComplex
 from .homology import Field, link_euler_characteristics
 from .homology import reduced_homology  # noqa: F401  bound for bench/test_bench.py
 
 
+def _words(masks: frozenset[int], n: int) -> frozenset[Codeword]:
+    return frozenset(Codeword(m, n) for m in masks)
+
+
 @dataclass(frozen=True)
 class MandatorySet:
     field: Field
-    faces: frozenset[Codeword]
+    n: int
+    masks: frozenset[int]
+
+    @cached_property
+    def faces(self) -> frozenset[Codeword]:
+        return _words(self.masks, self.n)
 
     def binaries(self) -> list[str]:
-        return binaries(self.faces)
+        return binaries(self.masks, self.n)
 
 
 @dataclass(frozen=True)
 class MandatoryPartition:
-    """Faces split by link-contractibility certificate.
+    """Faces split by link-contractibility certificate, as masks of width n;
+    ``certified_in``, ``certified_out`` and ``unknown`` are their Codeword
+    views.
 
-    ``certified_in`` always holds the empty face; ``ambient_verdict`` carries
+    ``in_masks`` always holds the empty face; ``ambient_verdict`` carries
     the contractibility verdict for the whole complex (the link of ∅) so both
     readings of ∅-membership stay checkable: ``mandatory`` is the homological
     one.
     """
 
     field: Field
-    certified_in: frozenset[Codeword]
-    certified_out: frozenset[Codeword]
-    unknown: frozenset[Codeword]
+    n: int
+    in_masks: frozenset[int]
+    out_masks: frozenset[int]
+    unknown_masks: frozenset[int]
     ambient_verdict: ContractibilityVerdict
 
     @property
+    def certified_in(self) -> frozenset[Codeword]:
+        return _words(self.in_masks, self.n)
+
+    @property
+    def certified_out(self) -> frozenset[Codeword]:
+        return _words(self.out_masks, self.n)
+
+    @property
+    def unknown(self) -> frozenset[Codeword]:
+        return _words(self.unknown_masks, self.n)
+
+    @property
     def fully_certified(self) -> bool:
-        return not self.unknown
+        return not self.unknown_masks
 
     @cached_property
     def mandatory(self) -> MandatorySet:
         """M_H: a link has nonzero homology exactly when it is certified
-        non-contractible, so these are the nonempty faces of ``certified_in``,
+        non-contractible, so these are the nonempty faces of ``in_masks``,
         plus ∅ (whose link is the complex) when the complex is."""
         keep_empty = self.ambient_verdict.status is Verdict.NON_CONTRACTIBLE
-        faces = frozenset(c for c in self.certified_in if c.bits or keep_empty)
-        return MandatorySet(self.field, faces)
+        return MandatorySet(self.field, self.n, self.in_masks if keep_empty else self.in_masks - {0})
 
     def to_json_dict(self) -> dict:
         return {
             "field": self.field.value,
-            "cmin_in": binaries(self.certified_in),
-            "cmin_out": binaries(self.certified_out),
-            "cmin_unknown": binaries(self.unknown),
+            "cmin_in": binaries(self.in_masks, self.n),
+            "cmin_out": binaries(self.out_masks, self.n),
+            "cmin_unknown": binaries(self.unknown_masks, self.n),
             "complex_verdict": self.ambient_verdict.status.value,
         }
 
@@ -96,25 +117,22 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
     for f in K.facet_bits:
         for m in iter_submasks(f):
             meet[m] = meet.get(m, f) & f
-    cin, cout, unknown = [], [], []
-    for m in sorted(meet):
-        sigma = Codeword(m, K.n)
-        if m == 0:
-            cin.append(sigma)  # ∅ is mandatory by definition
+    cin, cout, unknown = {0}, set(), set()  # ∅ is mandatory by definition
+    for m, top in meet.items():
+        if not m:
             continue
-        if meet[m] != m:
-            cout.append(sigma)
-            continue
-        status = (Verdict.NON_CONTRACTIBLE if chi[m]
-                  else contractibility(link(K, sigma), field).status)
-        if status is Verdict.NON_CONTRACTIBLE:
-            cin.append(sigma)
-        elif status is Verdict.CONTRACTIBLE:
-            cout.append(sigma)
+        if top != m:  # the link is a cone
+            cout.add(m)
+        elif chi[m]:
+            cin.add(m)
+        elif (core := _core_facets(f & ~m for f in K.facet_bits if not m & ~f)) is None:
+            cout.add(m)
+        elif _ranked(core, field).is_trivial:
+            unknown.add(m)
         else:
-            unknown.append(sigma)
+            cin.add(m)
     return MandatoryPartition(
-        field, frozenset(cin), frozenset(cout), frozenset(unknown), ambient
+        field, K.n, frozenset(cin), frozenset(cout), frozenset(unknown), ambient
     )
 
 
@@ -122,11 +140,12 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
 class ObstructionCheck:
     passes: bool
     missing: frozenset[Codeword]
+    n: int
 
     def to_json_dict(self) -> dict:
         return {
             "passes": self.passes,
-            "missing": binaries(self.missing),
+            "missing": binaries((c.bits for c in self.missing), self.n),
         }
 
 
@@ -134,8 +153,8 @@ def check_no_local_obstruction(code: NeuralCode, field: Field = Field.GF2) -> Ob
     """Necessary condition for open convexity: the code must contain every
     homologically mandatory face of its complex."""
     K = code_complex(code)
-    missing = mandatory_set(K, field).faces - code.words
-    return ObstructionCheck(not missing, missing)
+    missing = mandatory_set(K, field).masks - code.masks()
+    return ObstructionCheck(not missing, _words(missing, code.n), code.n)
 
 
 def analysis_json_dict(K: SimplicialComplex, field: Field) -> dict:

@@ -82,9 +82,10 @@ def exhaustive_codes(n: int) -> Iterator[NeuralCode]:
     )
 
 
-def sampled_codes(n: int, count: int, seed: int, density: float = 0.3) -> list[NeuralCode]:
-    """``count`` reproducible codes; code i uses child seed ``seed + i``."""
-    return [random_code(n, seed + i, density) for i in range(count)]
+def sampled_codes(n: int, count: int, seed: int, density: float = 0.3) -> Iterator[NeuralCode]:
+    """``count`` reproducible codes, each drawn when it is read; code i uses
+    child seed ``seed + i``."""
+    return (random_code(n, seed + i, density) for i in range(count))
 
 
 def code_reports(
@@ -242,7 +243,7 @@ def _keyed(
             gammas = tuple(tuple(rng.sample(range(1, n + 1), n)) for _ in range(gammas_per_code))
         facets = tuple(sorted(code_complex(code).facet_bits))
         key = (n, facets, fld, tuple(theorems), gammas)
-        yield binaries(code.words), key
+        yield binaries(code.masks(), n), key
 
 
 def run_exhaustive(

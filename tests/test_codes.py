@@ -20,6 +20,7 @@ from obstrukt.errors import (
     UnrepresentableForm,
     WidthMismatch,
 )
+from obstrukt.codes import binaries
 
 from conftest import code, neural_codes, w
 
@@ -107,6 +108,12 @@ class TestFormat:
         cw = Codeword(bits, n)
         for form in (SET, BINARY):
             assert parse_codeword(format_codeword(cw, form), form, n) == cw
+
+    @given(st.integers(1, 64), st.data())
+    def test_face_list_formatter_matches_codeword_binary(self, n, data):
+        top = (1 << n) - 1
+        masks = data.draw(st.frozensets(st.integers(0, top), max_size=12)) | {0, top}
+        assert binaries(masks, n) == sorted(Codeword(m, n).binary() for m in masks)
 
 
 class TestWordOps:

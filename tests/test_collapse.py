@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from obstrukt import (
     code_complex,
     cone,
     contractibility,
+    core_homology,
     delete_vertex,
     dominated_vertices,
     elementary_collapse,
@@ -24,7 +27,7 @@ from obstrukt import (
     strong_collapse_core,
 )
 from obstrukt.codemaps import Duplicate
-from obstrukt.collapse import is_single_point
+from obstrukt.collapse import _core_facets, _facet_homology, is_single_point
 from obstrukt.errors import NotAFreeFacePair, VoidComplex
 
 from conftest import code, complexes, cx, seeded_complexes, w
@@ -118,6 +121,31 @@ class TestStrongCollapse:
         for K in seeded_complexes(60, seed=17, max_n=6):
             seq = strong_collapse_core(K)
             assert reduced_homology(K, field) == reduced_homology(seq.core, field)
+
+
+@pytest.mark.parametrize("field", BOTH)
+def test_mask_link_route_matches_the_complex_route(field):
+    """The facet-mask route (cone test, mask collapse, narrowed rank) gives
+    the homology of ranking the whole complex, and its contractible answers
+    are exactly the complexes ``contractibility`` collapses to a point: on
+    every nonvoid complex with n <= 4 and on links of faces of seeded codes
+    up to n = 9."""
+    cases = [(K.n, K.facet_bits) for n in range(1, 5)
+             for K in enumerate_complexes(n) if not K.is_void]
+    rng = random.Random(19)
+    for seed in range(60):
+        n = rng.randint(5, 9)
+        K = code_complex(random_code(n, seed, rng.choice((0.2, 0.4))))
+        for s in rng.sample(sorted(K.face_bits), 3):
+            cases.append((n, frozenset(f & ~s for f in K.facet_bits if not s & ~f)))
+    contractible = 0
+    for n, facets in cases:
+        K = SimplicialComplex(n, facets)
+        assert _facet_homology(facets, field) == core_homology(K, field) == reduced_homology(K, field)
+        status = contractibility(K, field).status
+        assert (_core_facets(facets) is None) == (status is Verdict.CONTRACTIBLE), K
+        contractible += status is Verdict.CONTRACTIBLE
+    assert len(cases) == 373 and 0 < contractible < len(cases)
 
 
 class TestFreeFaces:

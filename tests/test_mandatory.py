@@ -220,6 +220,12 @@ def test_mandatory_sets_match_their_definitions(field):
         assert fast.certified_in == part[Verdict.NON_CONTRACTIBLE]
         assert fast.certified_out == part[Verdict.CONTRACTIBLE]
         assert fast.unknown == part[Verdict.UNKNOWN]
+        # the mask classes are what the Codeword views are read from
+        for masks, status in ((fast.in_masks, Verdict.NON_CONTRACTIBLE),
+                              (fast.out_masks, Verdict.CONTRACTIBLE),
+                              (fast.unknown_masks, Verdict.UNKNOWN)):
+            assert masks == {c.bits for c in part[status]}
+        assert fast.mandatory.masks == {c.bits for c in mh}
 
 
 def test_mandatory_set_is_read_once_from_its_partition():

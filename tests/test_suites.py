@@ -78,9 +78,22 @@ class TestEnumeration:
             symmetric_group(9)
 
     def test_sampled_codes_reproducible(self):
-        a = sampled_codes(4, 5, seed=9)
-        b = sampled_codes(4, 5, seed=9)
-        assert a == b
+        a = list(sampled_codes(4, 5, seed=9))
+        b = list(sampled_codes(4, 5, seed=9))
+        assert a == b and len(a) == 5
+
+    def test_sampled_codes_are_drawn_as_read(self, monkeypatch):
+        drawn = []
+
+        def counting(*args):
+            drawn.append(args)
+            return random_code(*args)
+
+        monkeypatch.setattr(suites, "random_code", counting)
+        codes = iter(sampled_codes(8, 1000, 5))
+        assert drawn == []
+        assert next(codes) == random_code(8, 5)
+        assert drawn == [(8, 5, 0.3)]
 
 
 class TestRunner:
@@ -345,3 +358,29 @@ class TestSplice:
         assert main(argv + ["--summary"] * summary) == 0
         capsys.readouterr()
         assert 0 < len(count) <= calls
+
+
+class TestMaskRepresentation:
+    def test_sampled_verify_builds_few_codewords_and_complexes(self, monkeypatch, capsys):
+        # Between the partition and the JSON line every face stays an int
+        # mask: three n = 8 sampled ops with cold memos build about 260
+        # Codewords and 600 complexes in all.  Holding faces as Codewords and
+        # ranking links as complexes built 12,622 and 2,450.
+        from obstrukt import Codeword, SimplicialComplex, mandatory_partition, reduced_homology
+
+        built = collections.Counter()
+        for cls in (Codeword, SimplicialComplex):
+            def counting(self, _real=cls.__post_init__, _name=cls.__name__):
+                built[_name] += 1
+                _real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
+        mandatory_partition.cache_clear()
+        reduced_homology.cache_clear()
+        for seed in (11, 12, 13):
+            argv = ["verify", "--n", "8", "--samples", "1", "--seed", str(seed), "--field", "GF2"]
+            assert main(argv) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 14
+        assert built["Codeword"] <= 1_000
+        assert built["SimplicialComplex"] <= 1_200
