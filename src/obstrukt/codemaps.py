@@ -356,8 +356,12 @@ def _same_homology(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fl
 def _image_formula(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fld) -> bool:
     """The link of an image face is the image of the link.  For a duplicate
     this is the two-case formula: a face holding the source has a link
-    without it, whose image is that link widened."""
-    return r.image_facets(lk1) == lk2
+    without it, whose image is that link widened.  The target's facets are
+    an antichain, so images equal to them are their own maximal masks;
+    only a projection's differing images need ``maximal_masks``."""
+    images = frozenset(map(r.f, lk1))
+    return images == lk2 or (isinstance(r.step, Project) and len(images) > 1
+                             and complexes.maximal_masks(images) == lk2)
 
 
 def _shift_by_empty_word(q, p1, p2) -> CheckResult:

@@ -5,12 +5,16 @@ fixed vertex; deleting dominated vertices preserves homotopy type.  The
 contractibility verdict is three-valued on purpose: deciding contractibility
 in general is undecidable, so the only honest answers are certificates
 (a collapse to a point, or a nonzero homology degree) and Unknown.
+
+Every link the package decides goes through ``link_profile``, which decides
+each link once per copy relabelled onto vertices 1..k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable
 
 from .codes import Codeword, binaries
@@ -163,28 +167,57 @@ def _core_facets(facets: Iterable[int]) -> frozenset[int] | None:
     return None if len(core) == 1 and core[0].bit_count() == 1 else frozenset(core)
 
 
+def _packed(facets: Iterable[int]) -> frozenset[int]:
+    """These facets relabelled onto vertices 1..k in their order; neither
+    strong collapse nor homology sees the labels."""
+    facets = list(facets)
+    used = 0
+    for f in facets:
+        used |= f
+    gaps = ~used & ((1 << used.bit_length()) - 1)
+    while gaps:  # close the highest gap first, so the lower ones stay put
+        low = (1 << gaps.bit_length() - 1) - 1
+        facets = [f & low | f >> 1 & ~low for f in facets]
+        gaps &= low
+    return frozenset(facets)
+
+
 def _ranked(core: frozenset[int], field: Field) -> HomologyProfile:
-    """Homology of the complex with these facets, ranked on its copy narrowed
-    to its highest vertex, so that copies on wider vertex sets share one
+    """Homology of the complex with these facets, ranked on its relabelled
+    copy, so that copies on other vertex labels share one
     ``reduced_homology`` memo entry."""
-    top = 0
-    for f in core:
-        top |= f
-    return reduced_homology(SimplicialComplex(max(1, top.bit_length()), core), field)
+    core = _packed(core)
+    return reduced_homology(SimplicialComplex(max(1, max(core).bit_length()), core), field)
+
+
+@lru_cache(maxsize=4096)
+def _packed_profile(facets: frozenset[int], field: Field) -> HomologyProfile | None:
+    core = _core_facets(facets)
+    return None if core is None else _ranked(core, field)
+
+
+def link_profile(facets: Iterable[int], field: Field) -> HomologyProfile | None:
+    """Homology of the complex with these nonvoid facets (a link), or None
+    when it is certified contractible.  A cone is answered from its facets'
+    meet; any other complex is decided once per relabelled copy."""
+    facets = list(facets)
+    meet = -1
+    for f in facets:
+        meet &= f
+    return None if meet else _packed_profile(_packed(facets), field)
 
 
 def _facet_homology(facets: Iterable[int], field: Field) -> HomologyProfile:
-    """``core_homology`` of the complex with these nonvoid facets; a complex
-    is built only for a core that must be ranked."""
-    core = _core_facets(facets)
-    return HomologyProfile(field, ()) if core is None else _ranked(core, field)
+    """``core_homology`` of the complex with these nonvoid facets."""
+    profile = link_profile(facets, field)
+    return HomologyProfile(field, ()) if profile is None else profile
 
 
 def core_homology(K: SimplicialComplex, field: Field = Field.GF2) -> HomologyProfile:
     """``reduced_homology(K, field)``, read from a complex certified to have
-    K's homotopy type: a contractible complex (a cone, or one that collapses
-    to a point) is acyclic, and any other complex is ranked on its
-    strong-collapse core, narrowed to its highest vertex."""
+    K's homotopy type by ``link_profile``: a contractible complex (a cone, or
+    one that collapses to a point) is acyclic, and any other complex is
+    ranked on the strong-collapse core of its relabelled copy."""
     if K.is_void:
         raise VoidComplex("homology of the void complex")
     return _facet_homology(K.facet_bits, field)

@@ -5,10 +5,10 @@ complex {∅} has one dimension of homology in degree -1.  Ranks are computed
 exactly, over GF(2) with bit-set Gaussian elimination and over the rationals
 with fraction-free sparse integer elimination.  ``reduced_homology`` always
 ranks the complex it is given; callers that need only the homotopy type
-(``analyze``, the mandatory partition's links, the duplicate theorem's link
-check) go through collapse: ``core_homology`` for a complex, or its route on
-facet masks for a link, which answer a cone or a complex that collapses to a
-point without ranks and rank any other complex on its strong-collapse core.
+(``analyze``, the mandatory partition, the duplicate theorem's link check)
+go through ``collapse.link_profile``, which answers a cone or a complex that
+collapses to a point without ranks and ranks any other complex on its
+strong-collapse core, once per relabelled copy.
 """
 
 from __future__ import annotations
@@ -206,16 +206,14 @@ def euler_characteristic(K: SimplicialComplex) -> int:
 def link_euler_characteristics(K: SimplicialComplex) -> dict[int, int]:
     """Reduced Euler characteristic of the link of every face, by face mask:
     χ̃(lk σ) = -(-1)^|σ| Σ (-1)^|τ| over the faces τ ⊇ σ.  The superset sums
-    are taken one vertex at a time; every set between a face and its subset
-    is a face, so none is missed."""
+    are taken one vertex at a time: each face holding the vertex adds its
+    sum to the face without it, which is a face too."""
     sums = {m: -1 if m.bit_count() % 2 else 1 for m in K.face_bits}
     rest = K.vertex_bits
     while rest:
         bit = rest & -rest
         for m in sums:
-            if not m & bit:
-                up = sums.get(m | bit)
-                if up is not None:
-                    sums[m] += up
+            if m & bit:
+                sums[m ^ bit] += sums[m]
         rest ^= bit
     return {m: -s if m.bit_count() % 2 == 0 else s for m, s in sums.items()}

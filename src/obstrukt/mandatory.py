@@ -8,11 +8,11 @@ the intersection of facets containing σ exceeds σ, the link is a cone and
 therefore contractible.  These intersections come from one pass over the
 submasks of each facet, which meets each face once per facet containing
 it.  Next, a link with nonzero reduced Euler characteristic (computed for
-all faces at once) has nonzero homology over every field; the links of
-characteristic 0 are decided on their facet masks (strong collapse to a
-point, or nonzero homology of the core, the only complex built), as the
-duplicate theorem's link check does.  Faces stay masks; the Codeword sets
-are views built when read.
+all faces at once) has nonzero homology over every field.  The links of
+characteristic 0 and the complex itself (the link of ∅, for
+``ambient_verdict``) are decided on facet masks by ``collapse.link_profile``,
+as the duplicate theorem's link check is.  Faces stay masks; the Codeword
+sets are views built when read.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ from functools import cached_property, lru_cache
 
 from .codes import Codeword, NeuralCode, binaries
 from .complexes import SimplicialComplex, code_complex, iter_submasks
-from .collapse import ContractibilityVerdict, Verdict, _core_facets, _ranked, contractibility
+from .collapse import ContractibilityVerdict, Verdict, link_profile
 from .errors import VoidComplex
-from .homology import Field, link_euler_characteristics
+from .homology import Field, HomologyProfile, link_euler_characteristics
 from .homology import reduced_homology  # noqa: F401  bound for bench/test_bench.py
 
 
@@ -52,9 +52,9 @@ class MandatoryPartition:
     views.
 
     ``in_masks`` always holds the empty face; ``ambient_verdict`` carries
-    the contractibility verdict for the whole complex (the link of ∅) so both
-    readings of ∅-membership stay checkable: ``mandatory`` is the homological
-    one.
+    the contractibility status for the whole complex (the link of ∅), without
+    its certificate, so both readings of ∅-membership stay checkable:
+    ``mandatory`` is the homological one.
     """
 
     field: Field
@@ -111,13 +111,14 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
     """Certified three-way split of all faces by link contractibility."""
     if K.is_void:
         raise VoidComplex("mandatory partition of the void complex")
-    ambient = contractibility(K, field)
+    ambient = ContractibilityVerdict(_status(link_profile(K.facet_bits, field)), field)
     chi = link_euler_characteristics(K)
     meet: dict[int, int] = {}  # face mask -> intersection of the facets over it
     for f in K.facet_bits:
         for m in iter_submasks(f):
             meet[m] = meet.get(m, f) & f
     cin, cout, unknown = {0}, set(), set()  # ∅ is mandatory by definition
+    classes = {Verdict.NON_CONTRACTIBLE: cin, Verdict.CONTRACTIBLE: cout, Verdict.UNKNOWN: unknown}
     for m, top in meet.items():
         if not m:
             continue
@@ -125,15 +126,19 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
             cout.add(m)
         elif chi[m]:
             cin.add(m)
-        elif (core := _core_facets(f & ~m for f in K.facet_bits if not m & ~f)) is None:
-            cout.add(m)
-        elif _ranked(core, field).is_trivial:
-            unknown.add(m)
         else:
-            cin.add(m)
+            lk = [f & ~m for f in K.facet_bits if not m & ~f]
+            classes[_status(link_profile(lk, field))].add(m)
     return MandatoryPartition(
         field, K.n, frozenset(cin), frozenset(cout), frozenset(unknown), ambient
     )
+
+
+def _status(profile: HomologyProfile | None) -> Verdict:
+    """The verdict that a ``link_profile`` answer certifies."""
+    if profile is None:
+        return Verdict.CONTRACTIBLE
+    return Verdict.UNKNOWN if profile.is_trivial else Verdict.NON_CONTRACTIBLE
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Differential tests for the certified fast paths on the link-check route.
 
-``core_homology`` must agree with plain boundary ranks, ``maximal_masks`` and
+``core_homology`` and ``link_profile`` must agree with plain boundary ranks,
+the partition's ambient verdict with ``contractibility``, ``maximal_masks`` and
 ``Codeword.binary`` with their earlier definitions, and ``--summary`` counts
 with the per-code tallies.
 """
@@ -22,11 +23,14 @@ from obstrukt import (
     exhaustive_codes,
     link,
     reduced_homology,
+    contractibility,
+    mandatory_partition,
     run_exhaustive,
     suites,
 )
-from obstrukt import homology
+from obstrukt import collapse, homology
 from obstrukt.codemaps import Project, image_complex
+from obstrukt.collapse import _core_facets, link_profile
 from obstrukt.complexes import cone, enumerate_complexes, maximal_masks
 from obstrukt.errors import VoidComplex
 from obstrukt.homology import HomologyProfile, rank_fraction_free
@@ -78,6 +82,7 @@ class TestCoreHomology:
             raise AssertionError(f"ranked a cone: {K!r}")
 
         reduced_homology.cache_clear()
+        collapse._packed_profile.cache_clear()
         monkeypatch.setattr(homology, "_grades", refuse)
         cones = [cx(["12", "23"], 3), cx(["1234"], 4), *rp2_family()[1:]]
         cones += [K.widen(64) for K in cones]
@@ -94,11 +99,70 @@ class TestCoreHomology:
             ranked.append(K)
             return reduced_homology(K, fld)
 
+        collapse._packed_profile.cache_clear()
         monkeypatch.setattr("obstrukt.collapse.reduced_homology", recording)
         K = cx(["12", "13", "23", "34"], 4)  # the pendant edge collapses away
         for width in (4, 5, 9, 64):
             core_homology(K.widen(width))
         assert len(set(ranked)) == 1 and ranked[0].n == 3
+
+
+def every_link(K):
+    for m in K.face_bits:
+        yield link(K, Codeword(m, K.n))
+
+
+def unpacked_profile(lk, fld):
+    """The link route without relabelling or memo: the cone test and strong
+    collapse on the link as given, then plain ranks of the link itself."""
+    return None if _core_facets(lk.facet_bits) is None else reduced_homology(lk, fld)
+
+
+class TestLinkRoute:
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_every_link_up_to_n4(self, fld):
+        for n in range(1, 5):
+            for K in enumerate_complexes(n):
+                if not K.is_void:
+                    for lk in every_link(K):
+                        assert link_profile(lk.facet_bits, fld) == unpacked_profile(lk, fld), (K, lk)
+
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_seeded_links_n5_to_n9(self, fld):
+        wide = [K for K in seeded_complexes(100, seed=909, max_n=9) if K.n >= 5]
+        assert len(wide) >= 40
+        for K in wide:
+            for lk in every_link(K):
+                assert link_profile(lk.facet_bits, fld) == unpacked_profile(lk, fld), (K, lk)
+
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_projective_plane_and_its_cones(self, fld):
+        for K in rp2_family():
+            for lk in every_link(K):  # the link of ∅ is K itself
+                assert link_profile(lk.facet_bits, fld) == unpacked_profile(lk, fld), (K, lk)
+
+    def test_cone_apex_over_projective_plane_stays_unknown_over_q(self):
+        K, apex = rp2_family()[1], 1 << 6
+        rp2 = link(K, Codeword(apex, K.n)).facet_bits
+        assert link_profile(rp2, Field.RATIONAL) == HomologyProfile(Field.RATIONAL, ())
+        assert link_profile(rp2, Field.GF2).betti == (0, 0, 1, 1)
+        assert apex in mandatory_partition(K, Field.RATIONAL).unknown_masks
+        assert apex in mandatory_partition(K, Field.GF2).in_masks
+
+    def test_relabelled_copies_share_one_memo_entry(self):
+        collapse._packed_profile.cache_clear()
+        for a, b, c in [(0, 1, 2), (1, 4, 6), (3, 5, 63)]:
+            A, B, C = 1 << a, 1 << b, 1 << c
+            assert link_profile([A | B, A | C, B | C], Field.GF2).betti == (0, 0, 1)
+        assert collapse._packed_profile.cache_info().misses == 1
+
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_ambient_verdict_matches_contractibility_up_to_n4(self, fld):
+        for n in range(1, 5):
+            for K in enumerate_complexes(n):
+                if not K.is_void:
+                    status = mandatory_partition(K, fld).ambient_verdict.status
+                    assert status is contractibility(K, fld).status, K
 
 
 class TestRationalEliminationOnCones:

@@ -384,3 +384,29 @@ class TestMaskRepresentation:
             assert len(capsys.readouterr().out.splitlines()) == 14
         assert built["Codeword"] <= 1_000
         assert built["SimplicialComplex"] <= 1_200
+
+    def test_sampled_verify_decides_each_link_once(self, monkeypatch, capsys):
+        # Three n = 8 sampled ops with cold memos run 211 strong collapses,
+        # rank 93 cores and call maximal_masks 1,659 times.  Deciding every
+        # link on its own vertex labels, once per call, took 685 collapses
+        # and 218 ranks; taking the maximal masks of every multi-facet
+        # projected link took 2,613 calls.
+        from obstrukt import collapse, complexes, mandatory_partition, reduced_homology
+
+        calls = collections.Counter()
+        for module, name in ((collapse, "_collapse_masks"), (complexes, "maximal_masks")):
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
+        for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
+            memo.cache_clear()
+        for seed in (11, 12, 13):
+            argv = ["verify", "--n", "8", "--samples", "1", "--seed", str(seed), "--field", "GF2"]
+            assert main(argv) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 14
+        assert calls["_collapse_masks"] <= 300
+        assert reduced_homology.cache_info().misses <= 140
+        assert calls["maximal_masks"] <= 2_000
