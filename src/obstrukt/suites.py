@@ -4,12 +4,15 @@ Exhaustive mode enumerates every code on n neurons (each set of nonempty
 codewords, with and without the empty word); sampled mode draws seeded random
 codes.  Every check depends on a code only through its complex (or on the
 code being empty), so a suite verifies each distinct complex once and counts
-its verdicts once, weighted by the codes that share it.  Each complex's
-reports are JSON-encoded once, cut around their ``code`` value, and a code's
-lines are spliced from those halves and its own encoded words; a code gets
-a copy of a report dict only to record a violation.  Codes are read in
-windows (one code serially, 64 per worker with a pool); a window's new
-complexes are verified, then its lines stream out in instance order.
+its verdicts once, weighted by the codes that share it.  An exhaustive code
+is read as a bitset over the nonempty words: its facets are the words of the
+bitset with no strict superset in it, and its words are read off a per-width
+table in printed order, only when a line or a violation needs them.  Each
+complex's reports are JSON-encoded once, cut around their ``code`` value,
+and a code's lines are spliced from those halves and its own encoded words;
+a code gets a copy of a report dict only to record a violation.  Codes are
+read in windows (one code serially, 64 per worker with a pool); a window's
+new complexes are verified, then its lines stream out in instance order.
 Output is deterministic for fixed inputs.
 """
 
@@ -67,13 +70,17 @@ def symmetric_group(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(range(1, n + 1)))
 
 
-def exhaustive_codes(n: int) -> Iterator[NeuralCode]:
-    """Every code on n neurons: all sets of nonempty words, ∅ toggled both ways."""
+def _check_exhaustive_width(n: int) -> None:
     if not 1 <= n <= MAX_EXHAUSTIVE_N:
         raise NeuronOutOfRange(
             f"exhaustive codes enumerate 2^(2^n) codes; need 1 <= n <= {MAX_EXHAUSTIVE_N}, "
             f"got {n}; use --samples for larger n"
         )
+
+
+def exhaustive_codes(n: int) -> Iterator[NeuralCode]:
+    """Every code on n neurons: all sets of nonempty words, ∅ toggled both ways."""
+    _check_exhaustive_width(n)
     top = (1 << n) - 1
     return (
         NeuralCode.from_masks(n, [m for m in range(1, top + 1) if bits >> (m - 1) & 1] + empty)
@@ -180,20 +187,34 @@ def run_suite(
     that share a task key (their complex and the maps to check) are verified
     once, on the code made of the complex's facets, and verdicts are counted
     once per key, weighted by its codes.  ``write`` receives each instance's
-    JSON line in instance order.  A key's reports are encoded once, as the
-    halves of each line around its ``code`` value; a code's line is the
-    halves with the code's binaries, encoded once per code, spliced in.
-    With ``write=None`` nothing is encoded.  Codes are read in windows, one
-    at a time serially and ``_WINDOW * jobs`` with a pool: the window's
-    unseen keys are verified, then its lines are written, so nothing is kept
-    per code.  ``jobs`` is capped at the CPU count; output does not depend
-    on it.
+    JSON line in instance order; with ``write=None`` nothing is encoded.
+    Codes are keyed by ``_keyed`` and run by ``_run``, which
+    ``run_exhaustive`` shares.  ``jobs`` is capped at the CPU count; output
+    does not depend on it.
+    """
+    return _run(_keyed(codes, fld, theorems, gammas_per_code, gamma_seed), jobs, write)
+
+
+def _run(
+    keyed: Iterator[tuple[Callable[[], list[str]], tuple]],
+    jobs: int,
+    write: Callable[[str], None] | None,
+) -> SuiteResult:
+    """The suite over (words, key) pairs in instance order, where ``words()``
+    gives a code's sorted binaries and is called only for a written line or
+    a violation.
+
+    A key's reports are encoded once, as the halves of each line around its
+    ``code`` value; a code's line is the halves with the code's binaries,
+    encoded once per code, spliced in.  Codes are read in windows, one at a
+    time serially and ``_WINDOW * jobs`` with a pool: the window's unseen
+    keys are verified, then its lines are written, so nothing is kept per
+    code.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     # key -> (each report's line halves, [] when nothing is written; verdicts; violated reports)
     verified: dict[tuple, tuple[list[tuple[str, str]], list[str], list[dict]]] = {}
     weights: collections.Counter[tuple] = collections.Counter()
-    keyed = _keyed(codes, fld, theorems, gammas_per_code, gamma_seed)
     result = SuiteResult()
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         mapper = map if pool is None else functools.partial(pool.imap, chunksize=1)
@@ -205,12 +226,15 @@ def run_suite(
                     verified[key] = ([_split(d) for d in reports] if write is not None else [],
                                      [d["verdict"] for d in reports],
                                      [d for d in reports if d["verdict"] == _VIOLATED])
-            for binaries, key in window:
+            for words, key in window:
                 halves, _, violated = verified[key]
                 weights[key] += 1
+                if not (violated or halves):
+                    continue
+                binaries = words()
                 if violated:
                     result.violations.extend(dict(d, code=binaries) for d in violated)
-                if write is not None:
+                if halves:
                     code = json.dumps(binaries)
                     for head, tail in halves:
                         write(head + code + tail)
@@ -229,8 +253,9 @@ def _keyed(
     theorems: Sequence[str],
     gammas_per_code: int | None,
     gamma_seed: int,
-) -> Iterator[tuple[list[str], tuple]]:
-    """Each code's sorted binaries and task key, in instance order.
+) -> Iterator[tuple[Callable[[], list[str]], tuple]]:
+    """Each code's sorted binaries (as a call that makes them) and task key,
+    in instance order.
 
     The key leaves out what ``code_reports`` derives from n: the projection
     deletes and, when ``gammas`` is None, the whole symmetric group.
@@ -243,7 +268,48 @@ def _keyed(
             gammas = tuple(tuple(rng.sample(range(1, n + 1), n)) for _ in range(gammas_per_code))
         facets = tuple(sorted(code_complex(code).facet_bits))
         key = (n, facets, fld, tuple(theorems), gammas)
-        yield binaries(code.masks(), n), key
+        yield functools.partial(binaries, code.masks(), n), key
+
+
+@functools.cache
+def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, str], ...]]:
+    """The tables that read an exhaustive code on n neurons off its bitset,
+    in which nonempty word w is bit w - 1.
+
+    ``above[w]`` is the bitset of w's strict supersets; ``printed`` holds
+    each word's bit and binary string, in printed (sorted binary) order.
+    """
+    top = (1 << n) - 1
+    above = [0] * (top + 1)
+    for w in range(1, top + 1):
+        for v in range(w + 1, top + 1):
+            if v & w == w:
+                above[w] |= 1 << (v - 1)
+    printed = sorted((format(w, f"0{n}b")[::-1], w - 1) for w in range(1, top + 1))
+    return tuple(above), tuple((bit, text) for text, bit in printed)
+
+
+def _words(n: int, bits: int, empty: bool) -> list[str]:
+    """The sorted binaries of the exhaustive code ``bits``, with ∅ when
+    ``empty``; ∅'s all-zero string sorts first."""
+    words = [text for bit, text in _word_tables(n)[1] if bits >> bit & 1]
+    return ["0" * n, *words] if empty else words
+
+
+def _exhaustive_keyed(
+    n: int, fld: Field, theorems: Sequence[str]
+) -> Iterator[tuple[Callable[[], list[str]], tuple]]:
+    """``_keyed(exhaustive_codes(n), fld, theorems, None, 0)``, read from
+    each code's bitset: its facets are the words with no strict superset in
+    the code, which the twin with ∅ shares.  Alone, ∅ is the one facet of
+    the code {∅}; the empty code has none."""
+    above, _ = _word_tables(n)
+    theorems = tuple(theorems)
+    nonempty = range(1, 1 << n)
+    for bits in range(1 << len(nonempty)):
+        facets = tuple(w for w in nonempty if bits >> (w - 1) & 1 and not bits & above[w])
+        yield functools.partial(_words, n, bits, False), (n, facets, fld, theorems, None)
+        yield functools.partial(_words, n, bits, True), (n, facets or (0,), fld, theorems, None)
 
 
 def run_exhaustive(
@@ -253,7 +319,9 @@ def run_exhaustive(
     jobs: int = 1,
     write: Callable[[str], None] | None = None,
 ) -> SuiteResult:
-    return run_suite(exhaustive_codes(n), fld, theorems=theorems, jobs=jobs, write=write)
+    """Every code on n neurons (``exhaustive_codes``), keyed from bitsets."""
+    _check_exhaustive_width(n)
+    return _run(_exhaustive_keyed(n, fld, theorems), jobs, write)
 
 
 def run_sampled(

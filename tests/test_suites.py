@@ -66,10 +66,11 @@ class TestEnumeration:
         assert len(with_empty) == len(without) == 8
 
     def test_width_guard(self):
-        with pytest.raises(NeuronOutOfRange):
-            exhaustive_codes(5)
-        with pytest.raises(NeuronOutOfRange):
-            exhaustive_codes(0)
+        for enumerate_ in (exhaustive_codes, run_exhaustive):
+            with pytest.raises(NeuronOutOfRange):
+                enumerate_(5)
+            with pytest.raises(NeuronOutOfRange):
+                enumerate_(0)
 
     def test_symmetric_group_shared_and_capped(self):
         assert symmetric_group(3) is symmetric_group(3)
@@ -94,6 +95,56 @@ class TestEnumeration:
         assert drawn == []
         assert next(codes) == random_code(8, 5)
         assert drawn == [(8, 5, 0.3)]
+
+
+class TestBitsetKeys:
+    """An exhaustive suite keys each code from its bitset over the nonempty
+    words, as ``_keyed`` keys the codes of ``exhaustive_codes``."""
+
+    @pytest.mark.parametrize("n,theorems", [
+        *((n, suites.ALL_THEOREMS) for n in (1, 2, 3, 4)),
+        *((n, ("add_trivial_off", "projection")) for n in (1, 2, 3)),
+    ])
+    def test_stream_matches_keyed_codes(self, n, theorems):
+        expected = suites._keyed(exhaustive_codes(n), Field.GF2, theorems, None, 0)
+        streamed = suites._exhaustive_keyed(n, Field.GF2, theorems)
+        assert [(words(), key) for words, key in streamed] == \
+            [(words(), key) for words, key in expected]
+
+    def test_empty_code_and_the_code_of_the_empty_word(self):
+        pairs = [(words(), key[1]) for words, key in suites._exhaustive_keyed(2, Field.GF2, ())]
+        assert pairs[:4] == [([], ()), (["00"], (0,)), (["10"], (1,)), (["00", "10"], (1,))]
+        assert pairs[-1] == (["00", "01", "10", "11"], (3,))
+
+    def test_no_complex_built_per_code(self, monkeypatch, capsys):
+        # 20 complexes with cold memos take 85 maximal_masks calls; keying
+        # each of the 256 codes through its own complex took 341
+        from obstrukt import collapse, complexes, mandatory_partition, reduced_homology
+
+        calls = []
+        real = complexes.maximal_masks
+        monkeypatch.setattr(complexes, "maximal_masks", lambda masks: calls.append(1) or real(masks))
+        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
+        for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
+            memo.cache_clear()
+        assert main(["verify", "--theorem", "all", "--exhaustive", "--n", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3072 + 1
+        assert 0 < len(calls) <= 100
+
+    @pytest.mark.parametrize("summary,lists", [(False, 256), (True, 0)])
+    def test_word_lists_only_for_written_codes(self, monkeypatch, capsys, summary, lists):
+        built = []
+        for name in ("_words", "binaries"):
+            def counting(*args, _real=getattr(suites, name)):
+                built.append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(suites, name, counting)
+        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
+        argv = ["verify", "--theorem", "all", "--exhaustive", "--n", "3"]
+        assert main(argv + ["--summary"] * summary) == 0
+        capsys.readouterr()
+        assert len(built) == lists
 
 
 class TestRunner:
