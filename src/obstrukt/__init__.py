@@ -7,89 +7,44 @@ and Alexander-dual ideals, and mechanically verifies how all of these behave
 under the elementary code maps.
 """
 
-from .codes import (
-    Codeword,
-    NeuralCode,
-    NotationForm,
-    WordOps,
-    code_to_json,
-    format_codeword,
-    parse_codeword,
-    word_ops,
-)
-from .complexes import (
-    SimplicialComplex,
-    closed_star,
-    closure_of,
-    code_complex,
-    complex_to_json,
-    cone,
-    delete_vertex,
-    dual_complex,
-    enumerate_complexes,
-    facet_intersection,
-    facets,
-    full_simplex,
-    link,
-    restriction,
-    star,
-)
-from .homology import (
-    Field,
-    HomologyProfile,
-    boundary_matrix,
-    euler_characteristic,
-    reduced_homology,
-)
-from .collapse import (
-    CollapseSequence,
-    ContractibilityVerdict,
-    DominationWitness,
-    Verdict,
-    contractibility,
-    core_homology,
-    dominated_vertices,
-    elementary_collapse,
-    free_face_pairs,
-    strong_collapse_core,
-)
-from .mandatory import (
-    MandatoryPartition,
-    MandatorySet,
-    ObstructionCheck,
-    check_no_local_obstruction,
-    mandatory_partition,
-    mandatory_set,
-)
-from .ideals import (
-    MonomialIdeal,
-    alexander_dual,
-    ideal_contains,
-    permute_ideal,
-    sr_ideal,
-)
+# CLI path: what the commands read, compute and print, all reached from cli.main.
+from .codes import Codeword, NeuralCode, NotationForm, code_to_json, parse_codeword
+from .complexes import SimplicialComplex, code_complex, complex_to_json, dual_complex, link
+from .homology import Field, HomologyProfile, reduced_homology
+from .collapse import ContractibilityVerdict, Verdict, contractibility, core_homology
+from .mandatory import MandatoryPartition, MandatorySet, mandatory_partition, mandatory_set
+from .ideals import MonomialIdeal, alexander_dual, sr_ideal
 from .codemaps import (
     AddTrivialOff,
     AddTrivialOn,
     CheckResult,
-    CodeMap,
     Duplicate,
     Include,
     Outcome,
     Permute,
     Project,
     VerificationReport,
-    apply_step,
     image_complex,
     map_code,
-    map_faces,
     verify_add_trivial_off,
     verify_add_trivial_on,
     verify_duplicate,
     verify_permutation,
     verify_projection,
 )
-from .randgen import random_code, random_complex
+from .randgen import random_code
+
+# Notation: format_codeword writes each form that parse_codeword reads on the CLI path.
+from .codes import format_codeword
+
+# Paper objects: facets, those acceptance criteria 2, 6, 7 and 9 name, and the obstruction test.
+from .complexes import facet_intersection, facets, restriction
+from .homology import boundary_matrix, euler_characteristic
+from .collapse import strong_collapse_core
+from .mandatory import ObstructionCheck, check_no_local_obstruction
+from .ideals import ideal_contains, permute_ideal
+
+# Suite API: the suites behind verify, and exhaustive_codes, the codes run_exhaustive covers.
 from .suites import SuiteResult, exhaustive_codes, run_exhaustive, run_sampled, run_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

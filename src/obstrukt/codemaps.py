@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cached_property, partial
 from typing import Callable, Iterable, Union
 
-from .codes import MAX_NEURONS, Codeword, NeuralCode, binaries
+from .codes import MAX_NEURONS, NeuralCode, binaries
 from .collapse import Verdict, _facet_homology
 from . import complexes  # maximal_masks stays bound in complexes alone, as bench/test_bench.py expects
 from .complexes import SimplicialComplex, code_complex, facets_over
@@ -168,13 +168,6 @@ def resolve_step(step: ElementaryMap, n: int) -> ResolvedStep:
     return ResolvedStep(step, n, out_n, f)
 
 
-def apply_step(step: ElementaryMap, cw: Codeword) -> Codeword:
-    r = resolve_step(step, cw.n)
-    if isinstance(step, Include) and cw not in step.target:
-        raise NotInDomain(f"{cw!r} is not a word of the inclusion target")
-    return Codeword(r.f(cw.bits), r.out_n)
-
-
 def map_code(step: ElementaryMap, code: NeuralCode) -> NeuralCode:
     r = resolve_step(step, code.n)
     if isinstance(step, Include):
@@ -184,48 +177,10 @@ def map_code(step: ElementaryMap, code: NeuralCode) -> NeuralCode:
     return NeuralCode.from_masks(r.out_n, map(r.f, code.masks()))
 
 
-def map_faces(step: ElementaryMap, K: SimplicialComplex) -> frozenset[Codeword]:
-    """Image of a complex's face set; not downward closed in general."""
-    r = resolve_step(step, K.n)
-    return frozenset(Codeword(m, r.out_n) for m in map(r.f, K.face_bits))
-
-
 def image_complex(step: ElementaryMap, K: SimplicialComplex) -> SimplicialComplex:
     """Downward closure of the image face set (see ``ResolvedStep.image_facets``)."""
     r = resolve_step(step, K.n)
     return SimplicialComplex(r.out_n, r.image_facets(K.facet_bits))
-
-
-@dataclass(frozen=True)
-class CodeMap:
-    """A composition of elementary maps anchored at a domain code."""
-
-    domain: NeuralCode
-    steps: tuple[ElementaryMap, ...]
-
-    def __post_init__(self) -> None:
-        self.image  # maps the domain once, validating every step
-
-    @property
-    def codomain_width(self) -> int:
-        return self.image.n
-
-    def apply(self, cw: Codeword) -> Codeword:
-        if cw.n != self.domain.n:
-            raise WidthMismatch(f"codeword width {cw.n} differs from domain {self.domain.n}")
-        for step in self.steps:
-            cw = apply_step(step, cw)
-        return cw
-
-    @cached_property
-    def image(self) -> NeuralCode:
-        code = self.domain
-        for step in self.steps:
-            code = map_code(step, code)
-        return code
-
-    def describe(self) -> str:
-        return " ; ".join(step.describe() for step in self.steps) or "identity"
 
 
 class Outcome(Enum):

@@ -129,19 +129,6 @@ class NeuralCode:
         return f"NeuralCode(n={self.n}, {{{inner}}})"
 
 
-@dataclass(frozen=True)
-class WordOps:
-    """Containment plus bitwise intersection/union of two codewords."""
-
-    subset: bool
-    meet: Codeword
-    join: Codeword
-
-
-def word_ops(a: Codeword, b: Codeword) -> WordOps:
-    return WordOps(subset=a.issubset(b), meet=a & b, join=a | b)
-
-
 def _parse_set_form(text: str, n: int) -> Codeword:
     if text == "{}":
         return Codeword.empty(n)

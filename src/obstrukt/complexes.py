@@ -15,13 +15,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .codes import MAX_NEURONS, Codeword, NeuralCode, binaries
-from .errors import (
-    FaceNotInComplex,
-    NeuronOutOfRange,
-    VertexAlreadyPresent,
-    VoidComplex,
-    WidthMismatch,
-)
+from .errors import FaceNotInComplex, NeuronOutOfRange, VoidComplex, WidthMismatch
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -158,20 +152,6 @@ class SimplicialComplex:
         return f"SimplicialComplex(n={self.n}, facets={{{inner}}})"
 
 
-def closure_of(faces: Iterable[Codeword], n: int) -> SimplicialComplex:
-    """Downward closure of an arbitrary face collection."""
-    masks = []
-    for f in faces:
-        if f.n != n:
-            raise WidthMismatch(f"face width {f.n} differs from n = {n}")
-        masks.append(f.bits)
-    return SimplicialComplex.from_masks(masks, n)
-
-
-def full_simplex(n: int) -> SimplicialComplex:
-    return SimplicialComplex(n, frozenset({(1 << n) - 1}))
-
-
 def code_complex(code: NeuralCode) -> SimplicialComplex:
     """Smallest simplicial complex containing every codeword of the code.
 
@@ -229,36 +209,6 @@ def restriction(K: SimplicialComplex, gamma: Iterable[Codeword]) -> SimplicialCo
     return SimplicialComplex.from_masks((f & g for f in K.facet_bits for g in gmasks), K.n)
 
 
-def star(K: SimplicialComplex, sigma: Codeword) -> frozenset[Codeword]:
-    """Faces of K containing sigma.  Not downward closed in general."""
-    s, over = _facets_over(K, sigma)
-    return frozenset(Codeword(s | m, K.n) for f in over for m in iter_submasks(f & ~s))
-
-
-def closed_star(K: SimplicialComplex, sigma: Codeword) -> SimplicialComplex:
-    """Downward closure of the star of sigma: the facets containing sigma."""
-    _, over = _facets_over(K, sigma)
-    return SimplicialComplex(K.n, frozenset(over))
-
-
-def cone(K: SimplicialComplex, apex: int) -> SimplicialComplex:
-    """Cone over a new vertex: every face gains a copy joined with the apex.
-
-    ``apex`` may be n+1, in which case the complex is widened by one vertex.
-    """
-    n = K.n
-    if apex == n + 1:
-        if n + 1 > MAX_NEURONS:
-            raise NeuronOutOfRange(f"widening past {MAX_NEURONS} vertices")
-        n += 1
-    elif not 1 <= apex <= n:
-        raise NeuronOutOfRange(f"cone apex {apex} outside 1..{n + 1}")
-    bit = 1 << (apex - 1)
-    if K.vertex_bits & bit:
-        raise VertexAlreadyPresent(f"vertex {apex} already belongs to the complex")
-    return SimplicialComplex(n, frozenset(f | bit for f in K.facet_bits))
-
-
 def facet_intersection(K: SimplicialComplex, sigma: Codeword) -> Codeword:
     """Intersection of all facets containing sigma (contains sigma itself).
 
@@ -282,32 +232,6 @@ def dual_complex(K: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(K.n, frozenset(top ^ m for m in K.minimal_non_faces))
 
 
-def delete_vertex(K: SimplicialComplex, v: int) -> SimplicialComplex:
-    """Induced subcomplex on all vertices except v."""
-    if not 1 <= v <= K.n:
-        raise NeuronOutOfRange(f"vertex {v} outside 1..{K.n}")
-    bit = 1 << (v - 1)
-    return SimplicialComplex.from_masks((f & ~bit for f in K.facet_bits), K.n)
-
-
 def complex_to_json(K: SimplicialComplex) -> str:
     """Render as ``{"n": int, "facets": [...]}`` with sorted binary strings."""
     return json.dumps({"n": K.n, "facets": binaries(K.facet_bits, K.n)})
-
-
-def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:
-    """All simplicial complexes on n labelled vertices, void included.
-
-    Yields one complex per antichain of subsets of {1, ..., n}, building each
-    antichain in increasing mask order.  Their number is the Dedekind number
-    of n, so this is only practical for n <= 4.
-    """
-
-    def extend(chosen: list[int], start: int) -> Iterator[SimplicialComplex]:
-        yield SimplicialComplex(n, frozenset(chosen))
-        for m in range(start, 1 << n):
-            # m exceeds every chosen mask, so only f ⊆ m can break the antichain
-            if all(f & ~m for f in chosen):
-                yield from extend(chosen + [m], m + 1)
-
-    return extend([], 0)

@@ -35,20 +35,12 @@ class FaceNotInComplex(ObstruktError):
     """The given face is not a member of the complex."""
 
 
-class VertexAlreadyPresent(ObstruktError):
-    """Cone apex is already a vertex of the complex."""
-
-
 class VoidComplex(ObstruktError):
     """Operation is undefined on the void complex (the one with no faces at all)."""
 
 
 class DegreeOutOfRange(ObstruktError):
     """Chain degree outside -1..dim(K)."""
-
-
-class NotAFreeFacePair(ObstruktError):
-    """The given (face, coface) pair is not a free face pair."""
 
 
 class NotAPermutation(ObstruktError):

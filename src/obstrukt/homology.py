@@ -5,10 +5,11 @@ complex {∅} has one dimension of homology in degree -1.  Ranks are computed
 exactly, over GF(2) with bit-set Gaussian elimination and over the rationals
 with fraction-free sparse integer elimination.  ``reduced_homology`` always
 ranks the complex it is given; callers that need only the homotopy type
-(``analyze``, the mandatory partition, the duplicate theorem's link check)
-go through ``collapse.link_profile``, which answers a cone or a complex that
-collapses to a point without ranks and ranks any other complex on its
-strong-collapse core, once per relabelled copy.
+(``collapse.core_homology`` and ``collapse.contractibility``, the mandatory
+partition, the duplicate theorem's link check) go through
+``collapse.link_profile``, which answers a cone or a complex that collapses
+to a point without ranks and ranks any other complex on its strong-collapse
+core, once per relabelled copy.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ therefore contractible.  These intersections come from one pass over the
 submasks of each facet, which meets each face once per facet containing
 it.  Next, a link with nonzero reduced Euler characteristic (computed for
 all faces at once) has nonzero homology over every field.  The links of
-characteristic 0 and the complex itself (the link of ∅, for
-``ambient_verdict``) are decided on facet masks by ``collapse.link_profile``,
-as the duplicate theorem's link check is.  Faces stay masks; the Codeword
-sets are views built when read.
+characteristic 0 are decided on facet masks by ``collapse.link_profile``, as
+the duplicate theorem's link check is, and the complex itself (the link of
+∅, for ``ambient_verdict``) by ``collapse.contractibility``, which reads the
+same route.  Faces stay masks; the Codeword sets are views built when read.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ from functools import cached_property, lru_cache
 
 from .codes import Codeword, NeuralCode, binaries
 from .complexes import SimplicialComplex, code_complex, iter_submasks
-from .collapse import ContractibilityVerdict, Verdict, link_profile
+from .collapse import ContractibilityVerdict, Verdict, _status, contractibility, link_profile
 from .errors import VoidComplex
-from .homology import Field, HomologyProfile, link_euler_characteristics
+from .homology import Field, link_euler_characteristics
 from .homology import reduced_homology  # noqa: F401  bound for bench/test_bench.py
 
 
@@ -52,9 +52,9 @@ class MandatoryPartition:
     views.
 
     ``in_masks`` always holds the empty face; ``ambient_verdict`` carries
-    the contractibility status for the whole complex (the link of ∅), without
-    its certificate, so both readings of ∅-membership stay checkable:
-    ``mandatory`` is the homological one.
+    the contractibility status for the whole complex (the link of ∅), so
+    both readings of ∅-membership stay checkable: ``mandatory`` is the
+    homological one.
     """
 
     field: Field
@@ -111,7 +111,7 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
     """Certified three-way split of all faces by link contractibility."""
     if K.is_void:
         raise VoidComplex("mandatory partition of the void complex")
-    ambient = ContractibilityVerdict(_status(link_profile(K.facet_bits, field)), field)
+    ambient = contractibility(K, field)
     chi = link_euler_characteristics(K)
     meet: dict[int, int] = {}  # face mask -> intersection of the facets over it
     for f in K.facet_bits:
@@ -132,13 +132,6 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
     return MandatoryPartition(
         field, K.n, frozenset(cin), frozenset(cout), frozenset(unknown), ambient
     )
-
-
-def _status(profile: HomologyProfile | None) -> Verdict:
-    """The verdict that a ``link_profile`` answer certifies."""
-    if profile is None:
-        return Verdict.CONTRACTIBLE
-    return Verdict.UNKNOWN if profile.is_trivial else Verdict.NON_CONTRACTIBLE
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 
 from .codes import NeuralCode
-from .complexes import SimplicialComplex
 from .errors import BadDensity, NeuronOutOfRange
 
 
@@ -27,9 +26,3 @@ def random_code(n: int, seed: int, density: float = 0.3) -> NeuralCode:
     rng = random.Random(seed)
     masks = [m for m in range(1, 1 << n) if rng.random() < density]
     return NeuralCode.from_masks(n, masks)
-
-
-def random_complex(n: int, seed: int, density: float = 0.3) -> SimplicialComplex:
-    """Downward closure of a random code; may be void when nothing is drawn."""
-    code = random_code(n, seed, density)
-    return SimplicialComplex.from_masks(code.masks(), n)

@@ -1,19 +1,25 @@
-"""Shared helpers and hypothesis strategies."""
+"""Shared helpers, complex builders, a reference oracle and hypothesis strategies."""
 
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from hypothesis import strategies as st
 
 from obstrukt import (
     Codeword,
+    Field,
     NeuralCode,
     NotationForm,
     SimplicialComplex,
+    Verdict,
     code_complex,
     parse_codeword,
+    reduced_homology,
 )
+from obstrukt.codes import MAX_NEURONS
+from obstrukt.errors import NeuronOutOfRange
 
 
 def w(text: str, n: int) -> Codeword:
@@ -35,6 +41,73 @@ def face_words(K: SimplicialComplex) -> set[str]:
     for c in K.faces():
         out.add("".join(str(i) for i in c.neurons()) or "e")
     return out
+
+
+def full_simplex(n: int) -> SimplicialComplex:
+    return SimplicialComplex(n, frozenset({(1 << n) - 1}))
+
+
+def cone(K: SimplicialComplex, apex: int) -> SimplicialComplex:
+    """Cone over a new vertex: every face gains a copy joined with the apex.
+
+    ``apex`` may be n+1, in which case the complex is widened by one vertex.
+    """
+    n = K.n
+    if apex == n + 1:
+        if n + 1 > MAX_NEURONS:
+            raise NeuronOutOfRange(f"widening past {MAX_NEURONS} vertices")
+        n += 1
+    elif not 1 <= apex <= n:
+        raise NeuronOutOfRange(f"cone apex {apex} outside 1..{n + 1}")
+    bit = 1 << (apex - 1)
+    if K.vertex_bits & bit:
+        raise ValueError(f"vertex {apex} already belongs to the complex")
+    return SimplicialComplex(n, frozenset(f | bit for f in K.facet_bits))
+
+
+def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:
+    """All simplicial complexes on n labelled vertices, void included.
+
+    Yields one complex per antichain of subsets of {1, ..., n}, building each
+    antichain in increasing mask order.  Their number is the Dedekind number
+    of n, so this is only practical for n <= 4.
+    """
+
+    def extend(chosen: list[int], start: int) -> Iterator[SimplicialComplex]:
+        yield SimplicialComplex(n, frozenset(chosen))
+        for m in range(start, 1 << n):
+            # m exceeds every chosen mask, so only f ⊆ m can break the antichain
+            if all(f & ~m for f in chosen):
+                yield from extend(chosen + [m], m + 1)
+
+    return extend([], 0)
+
+
+def ref_dominated(faces: frozenset[int], n: int) -> set[tuple[int, int]]:
+    """Pairs (v, u) of vertices where v is dominated by u, read from the face
+    set: every face holding v stays a face when u is added, which is the same
+    as every facet holding v holding u."""
+    vertices = [i for i in range(1, n + 1) if 1 << (i - 1) in faces]
+    return {(v, u) for v in vertices for u in vertices if u != v
+            and all(s | 1 << (u - 1) in faces for s in faces if s >> (v - 1) & 1)}
+
+
+def ref_contractibility(K: SimplicialComplex, field: Field) -> Verdict:
+    """Contractibility by strong collapse on the face set, sharing no code
+    with the engine's collapse: delete the highest dominated vertex until
+    none is left, answer contractible for a single point, and otherwise read
+    the reduced homology of the core.  The core is unique up to isomorphism,
+    so the deletion order does not matter (Barmak-Minian, Strong homotopy
+    types, nerves and collapses, DCG 2012)."""
+    faces = K.face_bits
+    while pairs := ref_dominated(faces, K.n):
+        bit = 1 << (max(pairs)[0] - 1)
+        faces = frozenset(s for s in faces if not s & bit)
+    if len(faces) == 2:  # ∅ and one vertex
+        return Verdict.CONTRACTIBLE
+    if reduced_homology(SimplicialComplex.from_masks(faces, K.n), field).is_trivial:
+        return Verdict.UNKNOWN
+    return Verdict.NON_CONTRACTIBLE
 
 
 # The unique closed surface with Euler characteristic 1 on six vertices;

@@ -27,7 +27,6 @@ from obstrukt import (
     boundary_matrix,
     code_complex,
     dual_complex,
-    enumerate_complexes,
     euler_characteristic,
     facet_intersection,
     ideal_contains,
@@ -48,7 +47,7 @@ from obstrukt.errors import DegenerateDualWarning
 from obstrukt.ideals import invert_permutation
 from obstrukt.suites import exhaustive_codes
 
-from conftest import RP2_FACETS, code, cx, seeded_complexes, w
+from conftest import RP2_FACETS, code, cx, enumerate_complexes, seeded_complexes, w
 
 BOTH = (Field.GF2, Field.RATIONAL)
 PUBLISHED = ["0101", "1110"]  # M_H of {123, 24, 2} as published: {24, 123}
@@ -236,7 +235,7 @@ def test_criterion_7_collapse_homology_coherence():
     core_ok = True
     cone_ok = True
     for K in pool:
-        core = strong_collapse_core(K).core
+        core = strong_collapse_core(K)
         for field in BOTH:
             core_ok = core_ok and reduced_homology(K, field) == reduced_homology(core, field)
         for m in K.face_bits:

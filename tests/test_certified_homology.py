@@ -1,9 +1,10 @@
 """Differential tests for the certified fast paths on the link-check route.
 
 ``core_homology`` and ``link_profile`` must agree with plain boundary ranks,
-the partition's ambient verdict with ``contractibility``, ``maximal_masks`` and
-``Codeword.binary`` with their earlier definitions, and ``--summary`` counts
-with the per-code tallies.
+``contractibility`` and the partition's ambient verdict with the face-set
+reference collapse in ``conftest``, ``maximal_masks`` and ``Codeword.binary``
+with their earlier definitions, and ``--summary`` counts with the per-code
+tallies.
 """
 
 import collections
@@ -31,11 +32,12 @@ from obstrukt import (
 from obstrukt import collapse, homology
 from obstrukt.codemaps import Project, image_complex
 from obstrukt.collapse import _core_facets, link_profile
-from obstrukt.complexes import cone, enumerate_complexes, maximal_masks
+from obstrukt.complexes import maximal_masks
 from obstrukt.errors import VoidComplex
 from obstrukt.homology import HomologyProfile, rank_fraction_free
 
-from conftest import RP2_FACETS, cx, seeded_complexes
+from conftest import (RP2_FACETS, cone, cx, enumerate_complexes, ref_contractibility,
+                      seeded_complexes)
 from test_homology import rank_by_fractions
 
 BOTH = (Field.GF2, Field.RATIONAL)
@@ -161,8 +163,9 @@ class TestLinkRoute:
         for n in range(1, 5):
             for K in enumerate_complexes(n):
                 if not K.is_void:
-                    status = mandatory_partition(K, fld).ambient_verdict.status
-                    assert status is contractibility(K, fld).status, K
+                    status = ref_contractibility(K, fld)
+                    assert mandatory_partition(K, fld).ambient_verdict.status is status, K
+                    assert contractibility(K, fld).status is status, K
 
 
 class TestRationalEliminationOnCones:

@@ -12,7 +12,6 @@ from obstrukt import (
     facets,
     format_codeword,
     parse_codeword,
-    word_ops,
 )
 from obstrukt.errors import (
     MalformedText,
@@ -120,22 +119,22 @@ class TestWordOps:
     def test_subset(self):
         a = parse_codeword("1010", BINARY, 4)
         b = parse_codeword("1110", BINARY, 4)
-        assert word_ops(a, b).subset is True
-        assert word_ops(b, a).subset is False
+        assert a.issubset(b) is True
+        assert b.issubset(a) is False
 
     def test_meet(self):
         a = Codeword.from_neurons([2, 4], 4)
         b = Codeword.from_neurons([1, 2, 3], 4)
-        assert word_ops(a, b).meet == Codeword.from_neurons([2], 4)
+        assert a & b == Codeword.from_neurons([2], 4)
 
     def test_join(self):
         a = Codeword.from_neurons([2, 4], 5)
         b = Codeword.from_neurons([3, 5], 5)
-        assert word_ops(a, b).join == Codeword.from_neurons([2, 3, 4, 5], 5)
+        assert a | b == Codeword.from_neurons([2, 3, 4, 5], 5)
 
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatch):
-            word_ops(Codeword.empty(3), Codeword.empty(4))
+            Codeword.empty(3) & Codeword.empty(4)
 
 
 class TestFacets:

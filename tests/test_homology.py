@@ -12,15 +12,14 @@ from obstrukt import (
     boundary_matrix,
     code_complex,
     euler_characteristic,
-    full_simplex,
     link,
     reduced_homology,
 )
-from obstrukt.complexes import cone, enumerate_complexes
 from obstrukt.homology import link_euler_characteristics, rank_fraction_free
 from obstrukt.errors import DegreeOutOfRange, VoidComplex
 
-from conftest import RP2_FACETS, code, complexes, cx, seeded_complexes, w
+from conftest import (RP2_FACETS, code, complexes, cone, cx, enumerate_complexes, full_simplex,
+                      seeded_complexes, w)
 
 BOTH = (Field.GF2, Field.RATIONAL)
 

@@ -13,8 +13,6 @@ from obstrukt import (
     alexander_dual,
     code_complex,
     dual_complex,
-    enumerate_complexes,
-    full_simplex,
     ideal_contains,
     map_code,
     permute_ideal,
@@ -24,7 +22,7 @@ from obstrukt.codemaps import AddTrivialOff, AddTrivialOn, Duplicate, Permute, P
 from obstrukt.errors import DegenerateDualWarning, NotAPermutation, VoidComplex
 from obstrukt.ideals import invert_permutation, minimal_masks, permute_mask
 
-from conftest import code, cx, neural_codes, w
+from conftest import code, cx, enumerate_complexes, full_simplex, neural_codes, w
 
 
 def ideal(n, *gens):

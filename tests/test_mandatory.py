@@ -8,9 +8,7 @@ from obstrukt import (
     Verdict,
     check_no_local_obstruction,
     code_complex,
-    contractibility,
     facet_intersection,
-    full_simplex,
     link,
     mandatory_partition,
     mandatory_set,
@@ -18,9 +16,8 @@ from obstrukt import (
 )
 from obstrukt.errors import VoidComplex
 
-from obstrukt.complexes import cone, enumerate_complexes
-
-from conftest import RP2_FACETS, code, cx, seeded_complexes, w
+from conftest import (RP2_FACETS, code, cone, cx, enumerate_complexes, full_simplex,
+                      ref_contractibility, seeded_complexes, w)
 
 BOTH = (Field.GF2, Field.RATIONAL)
 
@@ -126,27 +123,24 @@ class TestMandatoryPartition:
                 assert frozenset(K.facet_index()) <= part.certified_in
 
     def test_certified_out_is_witnessed(self):
-        from obstrukt import contractibility
-        from obstrukt.collapse import is_single_point, strong_collapse_core
-
         for K in seeded_complexes(30, seed=47, max_n=5):
             part = mandatory_partition(K, Field.GF2)
             for sigma in part.certified_out:
                 if facet_intersection(K, sigma) != sigma:
                     continue
-                core = strong_collapse_core(link(K, sigma)).core
-                assert is_single_point(core)
+                lk = link(K, sigma)
+                assert ref_contractibility(lk, Field.GF2) is Verdict.CONTRACTIBLE
 
     def test_shortcut_equivalence(self):
         # without the cone shortcut every nonempty face is routed by the
-        # contractibility verdict of its link
+        # face-set reference verdict of its link
         for K in seeded_complexes(40, seed=53, max_n=5):
             fast = mandatory_partition(K, Field.GF2)
             slow = {status: set() for status in Verdict}
             slow[Verdict.NON_CONTRACTIBLE].add(Codeword.empty(K.n))
             for m in K.face_bits - {0}:
                 sigma = Codeword(m, K.n)
-                slow[contractibility(link(K, sigma), Field.GF2).status].add(sigma)
+                slow[ref_contractibility(link(K, sigma), Field.GF2)].add(sigma)
             assert fast.certified_in == slow[Verdict.NON_CONTRACTIBLE]
             assert fast.certified_out == slow[Verdict.CONTRACTIBLE]
             assert fast.unknown == slow[Verdict.UNKNOWN]
@@ -196,14 +190,15 @@ class TestObstructionCheck:
 
 
 def _by_definition(K, field):
-    """M_H and the partition computed from every link directly."""
+    """M_H and the partition computed from every link directly, the
+    partition by the face-set reference collapse."""
     mh, part = set(), {status: set() for status in Verdict}
     for m in K.face_bits:
         sigma = Codeword(m, K.n)
         lk = link(K, sigma)
         if not reduced_homology(lk, field).is_trivial:
             mh.add(sigma)
-        status = Verdict.NON_CONTRACTIBLE if m == 0 else contractibility(lk, field).status
+        status = Verdict.NON_CONTRACTIBLE if m == 0 else ref_contractibility(lk, field)
         part[status].add(sigma)
     return mh, part
 

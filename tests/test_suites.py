@@ -7,6 +7,7 @@ import pytest
 from obstrukt import (
     Field,
     NeuralCode,
+    code_complex,
     codemaps,
     exhaustive_codes,
     random_code,
@@ -19,7 +20,6 @@ from obstrukt import (
 )
 from obstrukt.cli import main
 from obstrukt.errors import BadDensity, NeuronOutOfRange
-from obstrukt.randgen import random_complex
 from obstrukt.suites import code_reports, sampled_codes, symmetric_group
 
 
@@ -49,7 +49,7 @@ class TestRandomCodes:
 
     def test_random_complex_is_closed(self):
         for seed in range(20):
-            K = random_complex(4, seed, 0.3)
+            K = code_complex(random_code(4, seed, 0.3))
             if not K.is_void:
                 assert 0 in K.face_bits
 
