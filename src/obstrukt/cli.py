@@ -124,6 +124,8 @@ def _code_from_file(path: str, form: NotationForm) -> NeuralCode:
 def _load_code(args: SimpleNamespace) -> NeuralCode:
     form = NotationForm(args.form)
     if args.input is not None:
+        if stray := _stray(args, ("code", "n")):
+            raise MalformedText(f"--input reads n from the file; it does not take {stray}")
         return _code_from_file(args.input, form)
     if args.code is None:
         raise MalformedText("provide --code or --input")

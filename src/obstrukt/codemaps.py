@@ -273,12 +273,12 @@ class Theorem:
     ``mh`` relates M_H(q(C)) to q(M_H(C)): "=", or "⊆" for the target inside
     the image, whose reverse containment is then reported as an observation.
     ``links`` are laws on the facet masks of link(K, σ) and link(K2, σ') for
-    every face pair that ``faces`` yields: it returns the width of the listed
-    faces and (listed face, σ, σ') as masks; a failing pair lists its first
-    entry.  ``classes`` pairs a check name with a partition class whose
-    image must equal the target's class; ``partial`` names the check that
-    stands in when either partition has uncertified links (None compares the
-    classes regardless).  ``shift`` replaces the class comparison for a map
+    every face pair that ``faces`` reads off the facets-over indexes of K and
+    K2: it returns the width of the listed faces and (listed face, σ, σ') as
+    masks; a failing pair lists its first entry.  ``classes`` pairs a check
+    name with a partition class whose image must equal the target's class;
+    ``partial`` names the check that stands in when either partition has
+    uncertified links (None compares the classes regardless).  ``shift`` replaces the class comparison for a map
     that moves the partition.  ``ideals`` are laws on the Stanley-Reisner
     ideals of K and K2, each giving the observed and the expected generators.
     """
@@ -292,16 +292,16 @@ class Theorem:
     ideals: tuple[tuple[str, Callable], ...] = ()
 
 
-def _image_faces(r: ResolvedStep, K: SimplicialComplex, K2: SimplicialComplex):
+def _image_faces(r: ResolvedStep, over1: dict[int, list[int]], over2: dict[int, list[int]]):
     """Each face σ of K, listed, with its image q(σ)."""
     f = r.f
-    return r.n, ((m, m, f(m)) for m in K.face_bits)
+    return r.n, ((m, m, f(m)) for m in over1)
 
 
-def _lifted_faces(r: ResolvedStep, K: SimplicialComplex, K2: SimplicialComplex):
+def _lifted_faces(r: ResolvedStep, over1: dict[int, list[int]], over2: dict[int, list[int]]):
     """Each face σ' of the projected complex, listed, with its zero-extension."""
     delete = r.step.delete
-    return r.out_n, ((m2, embed_mask(m2, delete), m2) for m2 in K2.face_bits)
+    return r.out_n, ((m2, embed_mask(m2, delete), m2) for m2 in over2)
 
 
 def _same_homology(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fld) -> bool:
@@ -407,8 +407,8 @@ def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
     if not code.words:
         return VerificationReport(theorem, code, step.describe(), fld, (), (("empty_code", True),))
     K = dom.K
-    K2 = image_complex(step, K)
     f, out_n = r.f, r.out_n
+    K2 = SimplicialComplex(out_n, r.image_facets(K.facet_bits))
 
     def q(masks: Iterable[int]) -> frozenset[int]:
         return frozenset(map(f, masks))
@@ -424,7 +424,7 @@ def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
 
     if spec.links:
         over1, over2 = dom.over, facets_over(K2)
-        width, pairs = spec.faces(r, K, K2)
+        width, pairs = spec.faces(r, over1, over2)
         failures: list[list[int]] = [[] for _ in spec.links]
         for shown, s1, s2 in pairs:
             lk1 = frozenset(F & ~s1 for F in over1[s1])

@@ -1,10 +1,12 @@
 """Simplicial-complex kernel: each complex is stored as its facets.
 
 The antichain of maximal faces, as bit masks, is the only stored state; every
-operation works on it, and the full face set is derived lazily where chain
-groups or face listings need it.  The void complex (no faces at all) has no
-facets and is a first-class value, distinct from the complex whose only face
-is the empty set; the latter is the link of a facet and is not contractible.
+operation works on it.  A face set is built by the pass that reads it and is
+not kept, so a complex held as a memo key holds its facets alone.  Only
+``minimal_non_faces`` is cached: ``sr_ideal`` and ``dual_complex`` share its
+one Berge pass.  The void complex (no faces at all) has no facets and is a
+first-class value, distinct from the complex whose only face is the empty
+set; the latter is the link of a facet and is not contractible.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def minimal_transversals(edges: Iterable[int]) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A simplicial complex on {1, ..., n}, given by its facets."""
+    """A simplicial complex on {1, ..., n}, given by its facets; faces and
+    vertices are derived on each read, and only ``minimal_non_faces`` is kept."""
 
     n: int
     facet_bits: frozenset[int]
@@ -98,7 +101,7 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facet_bits
 
-    @cached_property
+    @property
     def face_bits(self) -> frozenset[int]:
         faces: set[int] = set()
         for f in self.facet_bits:
@@ -113,7 +116,7 @@ class SimplicialComplex:
         top = (1 << self.n) - 1
         return minimal_transversals(top ^ f for f in self.facet_bits)
 
-    @cached_property
+    @property
     def vertex_bits(self) -> int:
         mask = 0
         for m in self.facet_bits:

@@ -5,22 +5,24 @@ over the chosen field.  The certified partition routes every face by the
 contractibility verdict of its link; the empty face is mandatory by
 definition regardless of its link.  A cone shortcut is applied first: when
 the intersection of facets containing σ exceeds σ, the link is a cone and
-therefore contractible.  These intersections come from one pass over the
-submasks of each facet, which meets each face once per facet containing
-it.  Next, a link with nonzero reduced Euler characteristic (computed for
-all faces at once) has nonzero homology over every field.  The links of
-characteristic 0 are decided on facet masks by ``collapse.link_profile``, as
-the duplicate theorem's link check is, and the complex itself (the link of
-∅, for ``ambient_verdict``) by ``collapse.contractibility``, which reads the
-same route.  Faces stay masks; the Codeword sets are views built when read.
+therefore contractible.  One ``complexes.facets_over`` index lists the
+facets over each face: their meet is that intersection, and for a face left
+undecided they give the link's facets.  Next, a link with nonzero reduced
+Euler characteristic (computed for all faces at once) has nonzero homology
+over every field.  The links of characteristic 0 are decided on facet masks
+by ``collapse.link_profile``, as the duplicate theorem's link check is, and
+the complex itself (the link of ∅, for ``ambient_verdict``) by
+``collapse.contractibility``, which reads the same route.  Faces stay masks;
+the Codeword sets are views built when read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import and_
 
 from .codes import Codeword, NeuralCode, binaries
-from .complexes import SimplicialComplex, code_complex, iter_submasks
+from .complexes import SimplicialComplex, code_complex, facets_over
 from .collapse import ContractibilityVerdict, Verdict, _status, contractibility, link_profile
 from .errors import VoidComplex
 from .homology import Field, link_euler_characteristics
@@ -113,22 +115,17 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
         raise VoidComplex("mandatory partition of the void complex")
     ambient = contractibility(K, field)
     chi = link_euler_characteristics(K)
-    meet: dict[int, int] = {}  # face mask -> intersection of the facets over it
-    for f in K.facet_bits:
-        for m in iter_submasks(f):
-            meet[m] = meet.get(m, f) & f
     cin, cout, unknown = {0}, set(), set()  # ∅ is mandatory by definition
     classes = {Verdict.NON_CONTRACTIBLE: cin, Verdict.CONTRACTIBLE: cout, Verdict.UNKNOWN: unknown}
-    for m, top in meet.items():
+    for m, over in facets_over(K).items():
         if not m:
             continue
-        if top != m:  # the link is a cone
+        if reduce(and_, over) != m:  # the link is a cone
             cout.add(m)
         elif chi[m]:
             cin.add(m)
         else:
-            lk = [f & ~m for f in K.facet_bits if not m & ~f]
-            classes[_status(link_profile(lk, field))].add(m)
+            classes[_status(link_profile([f & ~m for f in over], field))].add(m)
     return MandatoryPartition(
         field, K.n, frozenset(cin), frozenset(cout), frozenset(unknown), ambient
     )

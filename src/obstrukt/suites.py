@@ -45,6 +45,7 @@ from .codemaps import (
 from .complexes import code_complex
 from .errors import NeuronOutOfRange
 from .homology import Field
+from .ideals import permutation_tuple
 from .randgen import random_code
 
 ALL_THEOREMS = tuple(THEOREMS)
@@ -106,14 +107,17 @@ def code_reports(
     """All requested theorem instances for one code, in ``THEOREMS`` order.
 
     ``gammas=None`` checks every permutation of 1..n, and ``delete=None``
-    projects away each neuron in turn (none when n = 1).  ``source`` and
-    ``delete`` are checked whichever theorems are chosen.  Every instance
-    reads the code's complex and facets-over index from one ``Domain``.
+    projects away each neuron in turn (none when n = 1).  ``gammas``,
+    ``source`` and ``delete`` are checked whichever theorems are chosen, before
+    any instance runs.  Every instance reads the code's complex and
+    facets-over index from one ``Domain``.
     """
     n = code.n
     for name, neuron in (("source", source), ("delete", delete)):
         if neuron is not None and not 1 <= neuron <= n:
             raise NeuronOutOfRange(f"--{name} {neuron} outside 1..{n}")
+    for gamma in gammas or ():
+        permutation_tuple(gamma, n)
     if delete is None:
         deletes = range(1, n + 1) if n >= 2 else ()
     else:

@@ -50,6 +50,16 @@ class TestInputs:
         assert status == 0
         assert json.loads(out)["mh"] == ["0100", "0101", "1110"]
 
+    @pytest.mark.parametrize("command", [["mh"], ["verify", "--theorem", "duplicate"]])
+    @pytest.mark.parametrize("extra,named", [
+        (["--n", "5"], "--n"), (["--code", "12", "--n", "4"], "--code, --n"),
+    ])
+    def test_file_input_takes_no_inline_code_flags(self, tmp_path, capsys, command, extra, named):
+        path = tmp_path / "code.txt"
+        path.write_text("n=4\n123\n24\n2\n", encoding="utf-8")
+        status, out, err = run_cli(capsys, *command, "--input", str(path), *extra)
+        assert status == 2 and out == "" and err.endswith(f"does not take {named}\n")
+
     def test_stdin(self, capsys, monkeypatch):
         import io
 
@@ -347,6 +357,11 @@ class TestVerify:
         status, out, err = run_cli(capsys, "verify", "--n", "3", "--code", "12", flag, *extra)
         assert time.perf_counter() - start < 1.0
         assert status == 2 and out == "" and flag in err
+
+    def test_gamma_checked_whatever_the_theorem(self, capsys):
+        status, out, err = run_cli(capsys, "verify", "--n", "3", "--code", "12",
+                                   "--theorem", "duplicate", "--gamma", "9,9,9")
+        assert status == 2 and out == "" and "not a permutation" in err
 
     def test_suite_flags_left_out_take_the_suite_defaults(self, capsys):
         argv = ["verify", "--n", "3", "--samples", "4"]

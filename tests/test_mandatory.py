@@ -1,5 +1,6 @@
 import pytest
 
+import obstrukt.mandatory
 from obstrukt import (
     Codeword,
     Field,
@@ -8,6 +9,7 @@ from obstrukt import (
     Verdict,
     check_no_local_obstruction,
     code_complex,
+    core_homology,
     facet_intersection,
     link,
     mandatory_partition,
@@ -237,3 +239,24 @@ def test_projective_plane_link_is_unknown_over_q():
     assert apex in mandatory_partition(K, Field.RATIONAL).unknown
     assert apex in mandatory_set(K, Field.GF2).faces
     assert apex not in mandatory_set(K, Field.RATIONAL).faces
+
+
+@pytest.mark.parametrize("field", BOTH)
+def test_memo_keys_keep_no_face_set(field):
+    # a complex held as a memo key keeps its facets alone
+    K = cone(cx(RP2_FACETS, 6), 7)
+    mandatory_partition(K, field)
+    core_homology(K, field)
+    reduced_homology(K, field)
+    assert set(vars(K)) <= {"n", "facet_bits", "minimal_non_faces"}
+
+
+@pytest.mark.parametrize("field", BOTH)
+def test_partition_miss_reads_one_facets_over_index(monkeypatch, field):
+    K = cx(["1234", "345", "156", "26"], 6)
+    expected = mandatory_partition(K, field)
+    real, calls = obstrukt.mandatory.facets_over, []
+    monkeypatch.setattr(obstrukt.mandatory, "facets_over",
+                        lambda K: calls.append(K) or real(K))
+    assert mandatory_partition.__wrapped__(K, field) == expected  # a miss, past the memo
+    assert calls == [K]

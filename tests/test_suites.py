@@ -19,7 +19,7 @@ from obstrukt import (
     verify_projection,
 )
 from obstrukt.cli import main
-from obstrukt.errors import BadDensity, NeuronOutOfRange
+from obstrukt.errors import BadDensity, NeuronOutOfRange, NotAPermutation
 from obstrukt.suites import code_reports, sampled_codes, symmetric_group
 
 
@@ -177,6 +177,12 @@ class TestRunner:
         c = NeuralCode.from_masks(3, [0b011])
         with pytest.raises(NeuronOutOfRange, match=f"--{name} 9"):
             code_reports(c, theorems=("permutation",), **{name: 9})
+
+    def test_gammas_checked_whatever_the_theorems(self, monkeypatch):
+        c = NeuralCode.from_masks(3, [0b011])
+        monkeypatch.setattr(codemaps, "_verify", None)  # no instance may run
+        with pytest.raises(NotAPermutation):
+            code_reports(c, theorems=("duplicate",), gammas=((1, 2, 3), (9, 9, 9)))
 
     def test_domain_complex_and_index_built_once_per_code(self, monkeypatch):
         built = collections.Counter()
