@@ -254,10 +254,13 @@ def _check(name: str, relation: str, n: int, lhs, rhs=frozenset(), holds: bool |
            note: str = "") -> CheckResult:
     """One relation instance on two sets of width-n masks; unless ``holds``
     is given, ``relation`` (= or ⊆) is evaluated on the two sets."""
+    same = lhs == rhs
     if holds is None:
-        holds = lhs == rhs if relation == "=" else lhs <= rhs
+        holds = same if relation == "=" else lhs <= rhs
     outcome = Outcome.HOLDS if holds else Outcome.VIOLATED
-    return CheckResult(name, relation, tuple(binaries(lhs, n)), tuple(binaries(rhs, n)), outcome, note)
+    left = tuple(binaries(lhs, n))
+    return CheckResult(name, relation, left, left if same else tuple(binaries(rhs, n)),
+                       outcome, note)
 
 
 def _partial(name: str, note: str) -> CheckResult:
@@ -309,14 +312,16 @@ def _same_homology(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fl
 
 
 def _image_formula(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fld) -> bool:
-    """The link of an image face is the image of the link.  For a duplicate
-    this is the two-case formula: a face holding the source has a link
-    without it, whose image is that link widened.  The target's facets are
-    an antichain, so images equal to them are their own maximal masks;
-    only a projection's differing images need ``maximal_masks``."""
+    """The link of an image face is the image of the link: the maximal
+    images of lk1's facets are lk2's facets.  For a duplicate this is the
+    two-case formula: a face holding the source has a link without it,
+    whose image is that link widened.  lk2 is an antichain, so its facets
+    are the maximal images exactly when each is an image and every other
+    image lies under one of them; no ``maximal_masks`` pass is needed."""
     images = frozenset(map(r.f, lk1))
-    return images == lk2 or (isinstance(r.step, Project) and len(images) > 1
-                             and complexes.maximal_masks(images) == lk2)
+    if images == lk2:
+        return True
+    return lk2 <= images and all(i in map(i.__and__, lk2) for i in images - lk2)
 
 
 def _shift_by_empty_word(q, p1, p2) -> CheckResult:
@@ -426,10 +431,11 @@ def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
         over1, over2 = dom.over, facets_over(K2)
         width, pairs = spec.faces(r, over1, over2)
         failures: list[list[int]] = [[] for _ in spec.links]
+        laws = [(law, failed) for (_, law), failed in zip(spec.links, failures)]
         for shown, s1, s2 in pairs:
-            lk1 = frozenset(F & ~s1 for F in over1[s1])
-            lk2 = frozenset(F & ~s2 for F in over2[s2])
-            for (_, law), failed in zip(spec.links, failures):
+            lk1 = frozenset(map((~s1).__and__, over1[s1]))
+            lk2 = frozenset(map((~s2).__and__, over2[s2]))
+            for law, failed in laws:
                 if not law(r, lk1, lk2, fld):
                     failed.append(shown)
         for (name, _), failed in zip(spec.links, failures):

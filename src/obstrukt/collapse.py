@@ -7,16 +7,23 @@ in general is undecidable, so the only honest answers are certificates
 (a collapse to a point, or nonzero homology of the core) and Unknown.
 
 Every complex the package decides, links and the whole complex alike, goes
-through ``link_profile``, which decides each one once per copy relabelled
-onto vertices 1..k.
+through ``link_profile``.  Any complex that is not a cone is relabelled onto
+vertices 1..k, and every stage of its collapse is a key of one bounded memo:
+the strong-collapse core is unique up to isomorphism whatever order the
+dominated vertices go in (Barmak-Minian, Strong homotopy types, nerves and
+collapses, DCG 2012), so a stage met again, from another link or another
+labelling, is decided once.  Every collapse deletes the highest dominated
+vertex first; in the link of a duplicated neuron the copy is the highest
+twin, so deleting it leaves the source's link, a memo hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Iterable
+from functools import lru_cache, reduce
+from operator import and_, or_
+from typing import Collection, Iterable
 
 from .complexes import SimplicialComplex
 from .errors import VoidComplex
@@ -35,15 +42,15 @@ class ContractibilityVerdict:
     field: Field
 
 
-def _lowest_domination(facets: list[int]) -> int | None:
-    """The lowest dominated vertex as a bit, or None, from one meet per
+def _highest_domination(facets: Collection[int]) -> int | None:
+    """The highest dominated vertex as a bit, or None, from one meet per
     vertex: v is dominated when the facets holding v meet beyond v."""
     vbits = 0
     for f in facets:
         vbits |= f
     rest = vbits
     while rest:
-        bit = rest & -rest
+        bit = 1 << rest.bit_length() - 1
         meet = vbits
         for f in facets:
             if f & bit:
@@ -54,7 +61,7 @@ def _lowest_domination(facets: list[int]) -> int | None:
     return None
 
 
-def _delete_bit(facets: list[int], bit: int) -> list[int]:
+def _delete_bit(facets: Collection[int], bit: int) -> list[int]:
     """Facets of the complex with vertex ``bit`` deleted.  Facets without it
     stay maximal; each F ∖ v is maximal unless a facet without v contains it
     (it cannot lie in another G ∖ v, since F ⊆ G would follow)."""
@@ -64,36 +71,28 @@ def _delete_bit(facets: list[int], bit: int) -> list[int]:
 
 
 def _collapse_masks(facets: list[int]) -> list[int]:
-    """Delete the lowest dominated vertex until none remains; the result is
+    """Delete the highest dominated vertex until none remains; the result is
     the core's facets."""
-    while (bit := _lowest_domination(facets)) is not None:
+    while (bit := _highest_domination(facets)) is not None:
         facets = _delete_bit(facets, bit)
     return facets
 
 
 def strong_collapse_core(K: SimplicialComplex) -> SimplicialComplex:
-    """The strong-collapse core of K: the lowest dominated vertex is deleted
-    until none remains.  The deletions run on facet masks; only the core is
-    built as a complex."""
+    """The strong-collapse core of K: the highest dominated vertex is deleted
+    until none remains, the order every collapse in the package takes.  The
+    deletions run on facet masks; only the core is built as a complex, on
+    K's vertex labels."""
     if K.is_void:
         raise VoidComplex("strong collapse of the void complex")
     return SimplicialComplex(K.n, frozenset(_collapse_masks(list(K.facet_bits))))
-
-
-def _core_facets(facets: frozenset[int]) -> frozenset[int] | None:
-    """Facets of the strong-collapse core of the complex with these nonvoid
-    facets, or None when it collapses to a point."""
-    core = _collapse_masks(list(facets))
-    return None if len(core) == 1 and core[0].bit_count() == 1 else frozenset(core)
 
 
 def _packed(facets: Iterable[int]) -> frozenset[int]:
     """These facets relabelled onto vertices 1..k in their order; neither
     strong collapse nor homology sees the labels."""
     facets = list(facets)
-    used = 0
-    for f in facets:
-        used |= f
+    used = reduce(or_, facets, 0)
     gaps = ~used & ((1 << used.bit_length()) - 1)
     while gaps:  # close the highest gap first, so the lower ones stay put
         low = (1 << gaps.bit_length() - 1) - 1
@@ -102,29 +101,33 @@ def _packed(facets: Iterable[int]) -> frozenset[int]:
     return frozenset(facets)
 
 
-def _ranked(core: frozenset[int], field: Field) -> HomologyProfile:
-    """Homology of the complex with these facets, ranked on its relabelled
-    copy, so that copies on other vertex labels share one
-    ``reduced_homology`` memo entry."""
-    core = _packed(core)
-    return reduced_homology(SimplicialComplex(max(1, max(core).bit_length()), core), field)
+def _is_cone(facets: Iterable[int]) -> bool:
+    """Whether these nonvoid facets share a vertex."""
+    return reduce(and_, facets, -1) != 0
 
 
 @lru_cache(maxsize=4096)
 def _packed_profile(facets: frozenset[int], field: Field) -> HomologyProfile | None:
-    core = _core_facets(facets)
-    return None if core is None else _ranked(core, field)
+    """``link_profile`` of a complex packed onto vertices 1..k.  Deleting a
+    dominated vertex keeps the homotopy type, so each stage of the collapse
+    is looked up here in turn: one vertex, the highest dominated one, goes
+    per call, and the packed rest is a key of its own.  A cone (a single
+    vertex included) is contractible, and a core is ranked as it is."""
+    if _is_cone(facets):
+        return None
+    bit = _highest_domination(facets)
+    if bit is None:
+        return reduced_homology(SimplicialComplex(max(1, max(facets).bit_length()), facets), field)
+    return _packed_profile(_packed(_delete_bit(facets, bit)), field)
 
 
 def link_profile(facets: Iterable[int], field: Field) -> HomologyProfile | None:
     """Homology of the complex with these nonvoid facets (a link), or None
     when it is certified contractible.  A cone is answered from its facets'
-    meet; any other complex is decided once per relabelled copy."""
+    meet; any other complex is decided on its copy packed onto vertices
+    1..k, whose collapse stages share one bounded memo."""
     facets = list(facets)
-    meet = -1
-    for f in facets:
-        meet &= f
-    return None if meet else _packed_profile(_packed(facets), field)
+    return None if _is_cone(facets) else _packed_profile(_packed(facets), field)
 
 
 def _status(profile: HomologyProfile | None) -> Verdict:

@@ -3,17 +3,20 @@
 The antichain of maximal faces, as bit masks, is the only stored state; every
 operation works on it.  A face set is built by the pass that reads it and is
 not kept, so a complex held as a memo key holds its facets alone.  Only
-``minimal_non_faces`` is cached: ``sr_ideal`` and ``dual_complex`` share its
-one Berge pass.  The void complex (no faces at all) has no facets and is a
-first-class value, distinct from the complex whose only face is the empty
-set; the latter is the link of a facet and is not contractible.
+``minimal_non_faces`` is cached on the complex: ``sr_ideal`` and
+``dual_complex`` share its one Berge pass.  A small module memo keeps the
+last eight ``facets_over`` indexes, so that a partition, its χ̃ pass and the
+link laws of one theorem instance read one index per complex.  The void
+complex (no faces at all) has no facets and is a first-class value, distinct
+from the complex whose only face is the empty set; the latter is the link of
+a facet and is not contractible.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .codes import MAX_NEURONS, Codeword, NeuralCode, binaries
@@ -189,16 +192,26 @@ def link(K: SimplicialComplex, sigma: Codeword) -> SimplicialComplex:
     return SimplicialComplex(K.n, frozenset(f & ~s for f in over))
 
 
+@lru_cache(maxsize=8)
 def facets_over(K: SimplicialComplex) -> dict[int, list[int]]:
     """Each face of K, as a mask, with the facets containing it.
 
     The link of a face s has the facets F & ~s for F in ``facets_over(K)[s]``,
-    so one index serves the links of every face.
+    so one index serves the links of every face.  The last eight indexes
+    are kept, so that a theorem instance reads the index its partitions built;
+    callers share the dict and must not change it.
     """
     over: dict[int, list[int]] = {}
     for f in K.facet_bits:
-        for s in iter_submasks(f):
-            over.setdefault(s, []).append(f)
+        s = f
+        while s:  # the nonempty submasks of f
+            if s in over:
+                over[s].append(f)
+            else:
+                over[s] = [f]
+            s = (s - 1) & f
+    if K.facet_bits:
+        over[0] = list(K.facet_bits)
     return over
 
 

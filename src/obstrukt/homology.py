@@ -3,13 +3,16 @@
 The chain complex is augmented: the empty face spans degree -1, so the
 complex {∅} has one dimension of homology in degree -1.  Ranks are computed
 exactly, over GF(2) with bit-set Gaussian elimination and over the rationals
-with fraction-free sparse integer elimination.  ``reduced_homology`` always
+with fraction-free sparse integer elimination.  One builder,
+``_boundary_columns``, gives each boundary column as a packed row bitset,
+which the GF(2) rank reads as it is; ``_dense`` restores the signs for the
+rational rank and for ``boundary_matrix``.  ``reduced_homology`` always
 ranks the complex it is given; callers that need only the homotopy type
 (``collapse.core_homology`` and ``collapse.contractibility``, the mandatory
 partition, the duplicate theorem's link check) go through
 ``collapse.link_profile``, which answers a cone or a complex that collapses
 to a point without ranks and ranks any other complex on its strong-collapse
-core, once per relabelled copy.
+core, with each collapse stage decided once per relabelled copy.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gcd
+from typing import Iterable
 
 from .errors import DegreeOutOfRange, VoidComplex
 from .complexes import SimplicialComplex
@@ -91,32 +95,36 @@ def boundary_matrix(K: SimplicialComplex, i: int, field: Field) -> list[list[int
     return _dense(len(rows), _boundary_columns(rows, grades[i + 1]), field)
 
 
-def _boundary_columns(rows: list[int], cols: list[int]) -> list[list[tuple[int, int]]]:
-    """For each column face, the (row, sign) entries of its boundary.
-
-    Deleting the j-th smallest vertex (counting from 0) has sign (-1)^j.
-    """
-    row_index = {m: r for r, m in enumerate(rows)}
+def _boundary_columns(rows: list[int], cols: list[int]) -> list[int]:
+    """Each column face's boundary as a packed row bitset: bit r is set when
+    deleting one vertex of the face gives row face r."""
+    row_bit = {m: 1 << r for r, m in enumerate(rows)}
     columns = []
     for m in cols:
-        entries = []
-        sign = 1
+        col = 0
         rest = m
         while rest:
             low = rest & -rest
-            entries.append((row_index[m ^ low], sign))
-            sign = -sign
+            col |= row_bit[m ^ low]
             rest ^= low
-        columns.append(entries)
+        columns.append(col)
     return columns
 
 
-def _dense(nrows: int, columns: list[list[tuple[int, int]]], field: Field) -> list[list[int]]:
-    """Row-major matrix of boundary columns; over GF(2) every entry is 1."""
+def _dense(nrows: int, columns: list[int], field: Field) -> list[list[int]]:
+    """Row-major matrix of packed boundary columns, with their signs over the
+    rationals (over GF(2) every entry is 1).  Rows ascend by mask, and
+    deleting a lower vertex leaves a higher mask, so deleting the j-th
+    smallest vertex (counting from 0) gives the j-th largest row of the
+    column, whose sign is (-1)^j."""
     matrix = [[0] * len(columns) for _ in range(nrows)]
-    for c, entries in enumerate(columns):
-        for r, sign in entries:
+    for c, col in enumerate(columns):
+        sign = 1
+        while col:
+            r = col.bit_length() - 1
             matrix[r][c] = sign if field is Field.RATIONAL else 1
+            sign = -sign
+            col ^= 1 << r
     return matrix
 
 
@@ -172,7 +180,7 @@ def _boundary_rank(grades: list[list[int]], k: int, field: Field, room: int) -> 
     if k <= 0 or k >= len(grades) or not grades[k]:
         return 0
     columns = _boundary_columns(grades[k - 1], grades[k])
-    rank = rank_gf2([sum(1 << r for r, _ in entries) for entries in columns])
+    rank = rank_gf2(columns)
     if field is Field.GF2 or rank >= room:
         return rank
     return rank_fraction_free(_dense(len(grades[k - 1]), columns, field))
@@ -198,19 +206,23 @@ def reduced_homology(K: SimplicialComplex, field: Field) -> HomologyProfile:
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
-    """Reduced Euler characteristic: the empty face counts -1."""
+    """Reduced Euler characteristic Σ (-1)^dim τ over the faces τ of K; the
+    empty face counts -1."""
     if K.is_void:
         raise VoidComplex("Euler characteristic of the void complex")
-    return link_euler_characteristics(K)[0]  # the link of ∅ is K
+    return sum(1 if m.bit_count() % 2 else -1 for m in K.face_bits)
 
 
-def link_euler_characteristics(K: SimplicialComplex) -> dict[int, int]:
-    """Reduced Euler characteristic of the link of every face, by face mask:
-    χ̃(lk σ) = -(-1)^|σ| Σ (-1)^|τ| over the faces τ ⊇ σ.  The superset sums
-    are taken one vertex at a time: each face holding the vertex adds its
-    sum to the face without it, which is a face too."""
-    sums = {m: -1 if m.bit_count() % 2 else 1 for m in K.face_bits}
-    rest = K.vertex_bits
+def link_euler_characteristics(faces: Iterable[int]) -> dict[int, int]:
+    """Reduced Euler characteristic of the link of every face of a complex,
+    given all its faces as masks (the keys of its ``facets_over`` index, say),
+    by face mask: χ̃(lk σ) = -(-1)^|σ| Σ (-1)^|τ| over the faces τ ⊇ σ.  The
+    superset sums are taken one vertex at a time: each face holding the
+    vertex adds its sum to the face without it, which is a face too."""
+    sums = {m: -1 if m.bit_count() % 2 else 1 for m in faces}
+    rest = 0
+    for m in sums:
+        rest |= m
     while rest:
         bit = rest & -rest
         for m in sums:

@@ -8,12 +8,12 @@ the intersection of facets containing σ exceeds σ, the link is a cone and
 therefore contractible.  One ``complexes.facets_over`` index lists the
 facets over each face: their meet is that intersection, and for a face left
 undecided they give the link's facets.  Next, a link with nonzero reduced
-Euler characteristic (computed for all faces at once) has nonzero homology
-over every field.  The links of characteristic 0 are decided on facet masks
-by ``collapse.link_profile``, as the duplicate theorem's link check is, and
-the complex itself (the link of ∅, for ``ambient_verdict``) by
-``collapse.contractibility``, which reads the same route.  Faces stay masks;
-the Codeword sets are views built when read.
+Euler characteristic (computed for all faces at once, over the same index's
+keys) has nonzero homology over every field.  The links of characteristic 0
+are decided on facet masks by ``collapse.link_profile``, as the duplicate
+theorem's link check is, and the complex itself (the link of ∅, for
+``ambient_verdict``) by ``collapse.contractibility``, which reads the same
+route.  Faces stay masks; the Codeword sets are views built when read.
 """
 from __future__ import annotations
 
@@ -114,10 +114,11 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
     if K.is_void:
         raise VoidComplex("mandatory partition of the void complex")
     ambient = contractibility(K, field)
-    chi = link_euler_characteristics(K)
+    index = facets_over(K)
+    chi = link_euler_characteristics(index)
     cin, cout, unknown = {0}, set(), set()  # ∅ is mandatory by definition
     classes = {Verdict.NON_CONTRACTIBLE: cin, Verdict.CONTRACTIBLE: cout, Verdict.UNKNOWN: unknown}
-    for m, over in facets_over(K).items():
+    for m, over in index.items():
         if not m:
             continue
         if reduce(and_, over) != m:  # the link is a cone

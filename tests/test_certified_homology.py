@@ -18,6 +18,7 @@ from obstrukt import (
     Field,
     NeuralCode,
     SimplicialComplex,
+    Verdict,
     boundary_matrix,
     code_complex,
     core_homology,
@@ -27,11 +28,12 @@ from obstrukt import (
     contractibility,
     mandatory_partition,
     run_exhaustive,
+    strong_collapse_core,
     suites,
 )
 from obstrukt import collapse, homology
-from obstrukt.codemaps import Project, image_complex
-from obstrukt.collapse import _core_facets, link_profile
+from obstrukt.codemaps import Duplicate, Project, image_complex, resolve_step
+from obstrukt.collapse import link_profile
 from obstrukt.complexes import maximal_masks
 from obstrukt.errors import VoidComplex
 from obstrukt.homology import HomologyProfile, rank_fraction_free
@@ -115,9 +117,11 @@ def every_link(K):
 
 
 def unpacked_profile(lk, fld):
-    """The link route without relabelling or memo: the cone test and strong
-    collapse on the link as given, then plain ranks of the link itself."""
-    return None if _core_facets(lk.facet_bits) is None else reduced_homology(lk, fld)
+    """The link route without relabelling or memo: strong collapse on the
+    link as given, then plain ranks of the link itself."""
+    core = strong_collapse_core(lk).facet_bits
+    point = len(core) == 1 and max(core).bit_count() == 1
+    return None if point else reduced_homology(lk, fld)
 
 
 class TestLinkRoute:
@@ -159,6 +163,43 @@ class TestLinkRoute:
         assert collapse._packed_profile.cache_info().misses == 1
 
     @pytest.mark.parametrize("fld", BOTH)
+    def test_link_profile_against_the_references_cold_and_warm(self, fld):
+        """``link_profile`` against the face-set reference collapse and the
+        plain ranks of the complex as given, on every nonvoid complex with
+        n <= 4 and on seeded complexes up to n = 10: first with the stage
+        memo cleared before each complex, then with every stage kept."""
+        cases = [K for n in range(1, 5) for K in enumerate_complexes(n) if not K.is_void]
+        cases += seeded_complexes(150, seed=1010, max_n=10)
+        assert max(K.n for K in cases) == 10
+        seen = collections.Counter()
+        for warm in (False, True):
+            for K in cases:
+                if not warm:
+                    collapse._packed_profile.cache_clear()
+                profile = link_profile(K.facet_bits, fld)
+                status = ref_contractibility(K, fld)
+                assert (profile is None) == (status is Verdict.CONTRACTIBLE), K
+                if profile is not None:
+                    assert profile == reduced_homology(K, fld), K
+                    assert profile.is_trivial == (status is Verdict.UNKNOWN), K
+                seen[status] += 1
+        assert seen[Verdict.CONTRACTIBLE] and seen[Verdict.NON_CONTRACTIBLE]
+
+    def test_duplicated_cycle_is_decided_from_the_cycles_entry(self):
+        """The copy of a duplicated vertex is the highest twin, so deleting it
+        first leaves the source link: the 4-cycle 12, 23, 34, 14 with vertex
+        2 duplicated as 5 is not ranked a second time."""
+        cycle = [0b0011, 0b0110, 0b1100, 0b1001]
+        twin = list(map(resolve_step(Duplicate(2), 4).f, cycle))
+        assert sorted(twin) == [0b01001, 0b01100, 0b10011, 0b10110]
+        collapse._packed_profile.cache_clear()
+        reduced_homology.cache_clear()
+        assert link_profile(cycle, Field.GF2).betti == (0, 0, 1)
+        misses = reduced_homology.cache_info().misses
+        assert link_profile(twin, Field.GF2).betti == (0, 0, 1)
+        assert reduced_homology.cache_info().misses == misses
+
+    @pytest.mark.parametrize("fld", BOTH)
     def test_ambient_verdict_matches_contractibility_up_to_n4(self, fld):
         for n in range(1, 5):
             for K in enumerate_complexes(n):
@@ -166,6 +207,45 @@ class TestLinkRoute:
                     status = ref_contractibility(K, fld)
                     assert mandatory_partition(K, fld).ambient_verdict.status is status, K
                     assert contractibility(K, fld).status is status, K
+
+
+def signed_boundary(K, i, fld):
+    """The boundary matrix built entry by entry: rows and columns ascend by
+    mask, and deleting the j-th smallest vertex of a column face has sign
+    (-1)^j over the rationals and 1 over GF(2)."""
+    faces = sorted(K.face_bits)
+    rows = [m for m in faces if m.bit_count() == i] if i >= 0 else []
+    cols = [m for m in faces if m.bit_count() == i + 1]
+    matrix = [[0] * len(cols) for _ in rows]
+    for c, m in enumerate(cols):
+        vertices = [b for b in range(K.n) if m >> b & 1]
+        for j, b in enumerate(vertices):
+            sign = (-1) ** j if fld is Field.RATIONAL else 1
+            matrix[rows.index(m ^ 1 << b)][c] = sign
+    return matrix
+
+
+class TestPackedBoundaryColumns:
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_dense_restores_the_signed_matrix_up_to_n4(self, fld):
+        """``_dense`` over the packed columns of ``_boundary_columns`` gives
+        the signed matrix, in every degree of every nonvoid complex with
+        n <= 4, and so does ``boundary_matrix``."""
+        matrices = 0
+        for n in range(1, 5):
+            for K in enumerate_complexes(n):
+                if K.is_void:
+                    continue
+                grades = homology._grades(K)
+                for i in range(-1, K.dim + 1):
+                    rows = grades[i] if i >= 0 else []
+                    columns = homology._boundary_columns(rows, grades[i + 1])
+                    assert all(isinstance(col, int) for col in columns)
+                    expected = signed_boundary(K, i, fld)
+                    assert homology._dense(len(rows), columns, fld) == expected, (K, i)
+                    assert boundary_matrix(K, i, fld) == expected, (K, i)
+                    matrices += 1
+        assert matrices == 601
 
 
 class TestRationalEliminationOnCones:

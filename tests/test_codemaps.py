@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obstrukt import (
     AddTrivialOff,
@@ -29,6 +30,7 @@ from obstrukt import (
     verify_projection,
 )
 from obstrukt.codemaps import THEOREMS, embed_mask, project_mask, resolve_step
+from obstrukt.complexes import maximal_masks
 from obstrukt.errors import NeuronOutOfRange, NotAPermutation, NotInDomain, WidthMismatch
 from obstrukt.suites import exhaustive_codes
 
@@ -209,8 +211,9 @@ class TestLinkLemmas:
     def test_projection_law_is_the_closed_image_of_the_link(self, n):
         """The projection row's link law agrees with the closure of the
         projected link's face set on every (complex, delete, face of the
-        image), on the matching link and on the whole image complex.  Without
-        its maximal_masks pass the law fails on a matching link."""
+        image), on the matching link and on the whole image complex.  Plain
+        equality of the images with the target link fails on a matching
+        link."""
         law = dict(THEOREMS["projection"].links)["link_image_formula"]
 
         def unreduced(r, lk1, lk2, fld):
@@ -235,6 +238,26 @@ class TestLinkLemmas:
                     triples += 1
         assert triples == {2: 16, 3: 159, 4: 3532}[n]  # 3,707 in all
         assert unreduced_failures > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_projection_law_subset_check_is_the_maximal_masks_comparison(self, data):
+        """On random antichains lk2 up to width 12 and image sets built around
+        them (some members of lk2, masks under them, random masks), the law's
+        check, lk2 ⊆ images with every other image under a member of lk2,
+        answers as comparing ``maximal_masks(images)`` with lk2.  An
+        identity step makes the images the given masks."""
+        law = dict(THEOREMS["projection"].links)["link_image_formula"]
+        width = data.draw(st.integers(1, 12))
+        masks = st.integers(0, (1 << width) - 1)
+        lk2 = maximal_masks(data.draw(st.lists(masks, min_size=1, max_size=8)))
+        members = data.draw(st.lists(st.sampled_from(sorted(lk2)), max_size=len(lk2) + 2))
+        if data.draw(st.booleans()):
+            members += sorted(lk2)
+        under = [m & data.draw(masks) for m in members]
+        images = frozenset(members + under + data.draw(st.lists(masks, max_size=2)))
+        r = resolve_step(AddTrivialOff(), width)
+        assert law(r, images, lk2, Field.GF2) == (maximal_masks(images) == lk2)
 
     def test_add_on_preserves_links_verbatim(self):
         for c in rand_codes(13, 25):

@@ -18,7 +18,7 @@ from obstrukt import (
     strong_collapse_core,
 )
 from obstrukt.codemaps import Duplicate
-from obstrukt.collapse import _core_facets, _facet_homology, _lowest_domination
+from obstrukt.collapse import _facet_homology, _highest_domination
 from obstrukt.errors import VoidComplex
 
 from conftest import (RP2_FACETS, code, cone, cx, enumerate_complexes, full_simplex,
@@ -35,7 +35,7 @@ class TestDomination:
     def test_full_edge_dominates_both_ways(self):
         K = code_complex(code(["12"], 2))
         assert pairs_of(K) == {(1, 2), (2, 1)}
-        assert _lowest_domination(list(K.facet_bits)) == 0b01
+        assert _highest_domination(list(K.facet_bits)) == 0b10
 
     def test_hollow_triangle_has_none(self):
         hollow = cx(["12", "13", "23"], 3)
@@ -48,15 +48,16 @@ class TestDomination:
                 facets_with_v = [f for f in hollow.facet_bits if f & vb]
                 assert not all(f & ub for f in facets_with_v)
         assert pairs_of(hollow) == set()
-        assert _lowest_domination(list(hollow.facet_bits)) is None
+        assert _highest_domination(list(hollow.facet_bits)) is None
 
     def test_duplicated_neuron_is_dominated_by_source(self):
         c = code(["123", "24", "2"], 4)
         c2 = map_code(Duplicate(1), c)
         K2 = code_complex(c2)
         assert (5, 1) in pairs_of(K2)
-        lowest = min(v for v, _ in pairs_of(K2))
-        assert _lowest_domination(list(K2.facet_bits)) == 1 << (lowest - 1)
+        highest = max(v for v, _ in pairs_of(K2))
+        assert highest == 5
+        assert _highest_domination(list(K2.facet_bits)) == 1 << (highest - 1)
 
     def test_void_raises(self):
         with pytest.raises(VoidComplex):
@@ -69,8 +70,8 @@ def is_single_point(K):
 
 class TestStrongCollapse:
     def test_full_simplex_collapses_to_point(self):
-        # vertices 1, 2 and 3 go in turn, each dominated by every other
-        assert strong_collapse_core(full_simplex(4)).facet_bits == {0b1000}
+        # vertices 4, 3 and 2 go in turn, each dominated by every other
+        assert strong_collapse_core(full_simplex(4)).facet_bits == {0b0001}
 
     def test_hollow_triangle_is_its_own_core(self):
         hollow = cx(["12", "13", "23"], 3)
@@ -87,13 +88,13 @@ class TestStrongCollapse:
 
     def test_mask_loop_matches_the_reference_loop(self):
         """The facet-mask collapse reaches the same core as deleting the
-        lowest dominated vertex from the face set, on every nonvoid complex
+        highest dominated vertex from the face set, on every nonvoid complex
         with n <= 4 and on 200 seeded codes each at n = 8 and n = 10."""
 
         def reference(K):
             faces = K.face_bits
             while pairs := ref_dominated(faces, K.n):
-                bit = 1 << (min(pairs)[0] - 1)
+                bit = 1 << (max(pairs)[0] - 1)
                 faces = frozenset(s for s in faces if not s & bit)
             return SimplicialComplex.from_masks(faces, K.n)
 
@@ -134,7 +135,7 @@ def test_mask_link_route_matches_the_complex_route(field):
         K = SimplicialComplex(n, facets)
         assert _facet_homology(facets, field) == core_homology(K, field) == reduced_homology(K, field)
         status = ref_contractibility(K, field)
-        assert (_core_facets(facets) is None) == (status is Verdict.CONTRACTIBLE), K
+        assert is_single_point(strong_collapse_core(K)) == (status is Verdict.CONTRACTIBLE), K
         assert contractibility(K, field).status is status, K
         contractible += status is Verdict.CONTRACTIBLE
     assert len(cases) == 373 and 0 < contractible < len(cases)

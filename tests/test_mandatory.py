@@ -260,3 +260,20 @@ def test_partition_miss_reads_one_facets_over_index(monkeypatch, field):
                         lambda K: calls.append(K) or real(K))
     assert mandatory_partition.__wrapped__(K, field) == expected  # a miss, past the memo
     assert calls == [K]
+
+
+@pytest.mark.parametrize("field", BOTH)
+def test_partition_miss_enumerates_the_faces_once(monkeypatch, field):
+    """The χ̃ pass reads the keys of the partition's facets-over index, so a
+    miss walks K's faces once: one index and no face set of K."""
+    K = cx(["1234", "345", "156", "26"], 6)
+    expected = mandatory_partition(K, field)
+    enumerations = []
+    face_bits = SimplicialComplex.face_bits
+    monkeypatch.setattr(SimplicialComplex, "face_bits",
+                        property(lambda C: enumerations.append(C) or face_bits.fget(C)))
+    index = obstrukt.mandatory.facets_over
+    monkeypatch.setattr(obstrukt.mandatory, "facets_over",
+                        lambda C: enumerations.append(C) or index(C))
+    assert mandatory_partition.__wrapped__(K, field) == expected  # a miss, past the memo
+    assert [C for C in enumerations if C == K] == [K]

@@ -443,15 +443,15 @@ class TestMaskRepresentation:
         assert built["SimplicialComplex"] <= 1_200
 
     def test_sampled_verify_decides_each_link_once(self, monkeypatch, capsys):
-        # Three n = 8 sampled ops with cold memos run 211 strong collapses,
-        # rank 93 cores and call maximal_masks 1,659 times.  Deciding every
-        # link on its own vertex labels, once per call, took 685 collapses
-        # and 218 ranks; taking the maximal masks of every multi-facet
-        # projected link took 2,613 calls.
+        # Three n = 8 sampled ops with cold memos scan for a dominated vertex
+        # 238 times, rank 32 cores and call maximal_masks 30 times.  Deciding
+        # each link's whole collapse once per relabelled copy took 679 scans
+        # and 37 ranks, and taking the maximal masks of every projected link
+        # whose images differ from the target link took 1,659 calls.
         from obstrukt import collapse, complexes, mandatory_partition, reduced_homology
 
         calls = collections.Counter()
-        for module, name in ((collapse, "_collapse_masks"), (complexes, "maximal_masks")):
+        for module, name in ((collapse, "_highest_domination"), (complexes, "maximal_masks")):
             def counting(*args, _real=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
@@ -464,6 +464,6 @@ class TestMaskRepresentation:
             argv = ["verify", "--n", "8", "--samples", "1", "--seed", str(seed), "--field", "GF2"]
             assert main(argv) == 0
             assert len(capsys.readouterr().out.splitlines()) == 14
-        assert calls["_collapse_masks"] <= 300
-        assert reduced_homology.cache_info().misses <= 140
-        assert calls["maximal_masks"] <= 2_000
+        assert calls["_highest_domination"] <= 320
+        assert reduced_homology.cache_info().misses <= 35
+        assert calls["maximal_masks"] <= 100
