@@ -82,16 +82,16 @@ def _top_level_chunks(text: str) -> Iterator[tuple[int, str]]:
 
 
 def _code_from_inline(text: str, form: NotationForm, n: int) -> NeuralCode:
-    words = []
+    masks = set()
     for pos, chunk in _top_level_chunks(text):
         token = chunk.strip()
         if token:
             try:
-                words.append(parse_codeword(token, form, n))
+                masks.add(parse_codeword(token, form, n).bits)
             except MalformedText as exc:
                 col = pos + chunk.index(token) + (exc.column or 1)
                 raise MalformedText(f"{exc} (inline code)", line=1, column=col) from exc
-    return NeuralCode(n, frozenset(words))
+    return NeuralCode(n, masks)
 
 
 def _code_from_file(path: str, form: NotationForm) -> NeuralCode:
@@ -106,19 +106,19 @@ def _code_from_file(path: str, form: NotationForm) -> NeuralCode:
         n = int(lines[0].strip()[2:])
     except ValueError:
         raise MalformedText(f"bad neuron count {lines[0].strip()!r}", line=1, column=3)
-    words = []
+    masks = set()
     for ln, raw in enumerate(lines[1:], start=2):
         token = raw.strip()
         if not token or token.startswith("#"):
             continue
         try:
-            words.append(parse_codeword(token, form, n))
+            masks.add(parse_codeword(token, form, n).bits)
         except MalformedText as exc:
             exc.line = ln
             raise
         except ObstruktError as exc:
             raise MalformedText(f"{exc}", line=ln, column=1) from exc
-    return NeuralCode(n, frozenset(words))
+    return NeuralCode(n, masks)
 
 
 def _load_code(args: SimpleNamespace) -> NeuralCode:
@@ -147,7 +147,7 @@ def _cmd_analyze(args: SimpleNamespace) -> int:
     K = code_complex(code)
     payload: dict = {
         "n": code.n,
-        "code": binaries(code.masks(), code.n),
+        "code": binaries(code.masks, code.n),
         "facets": binaries(K.facet_bits, K.n),
     }
     if K.is_void:
@@ -159,7 +159,7 @@ def _cmd_analyze(args: SimpleNamespace) -> int:
     payload["sr_ideal"] = sr_ideal(K).to_lists()
     payload["dual_complex_facets"] = binaries(dual_complex(K).facet_bits, K.n)
     lines = [
-        f"code on {code.n} neurons with {len(code.words)} words",
+        f"code on {code.n} neurons with {len(code.masks)} words",
         "facets: " + " ".join(payload["facets"]),
         "homology dims: " + json.dumps(payload["homology"]["dims"]),
         "mandatory (homological): " + " ".join(payload["mh"]),
@@ -267,7 +267,7 @@ def _cmd_map(args: SimpleNamespace) -> int:
         target = _code_from_inline(args.target, form, args.target_n)
         step = Include(target)
     image = map_code(step, code)
-    payload = {"n": image.n, "words": binaries(image.masks(), image.n)}
+    payload = {"n": image.n, "words": binaries(image.masks, image.n)}
     _emit(args, payload, ["image: " + " ".join(payload["words"])])
     return 0
 
@@ -278,7 +278,7 @@ def _cmd_random(args: SimpleNamespace) -> int:
     if args.count < 0:
         raise MalformedText(f"--count must be at least 0, got {args.count}")
     for c in sampled_codes(args.n, args.count, args.seed, args.density):
-        text = " ".join(binaries(c.masks(), c.n)) or "(empty)"
+        text = " ".join(binaries(c.masks, c.n)) or "(empty)"
         print(code_to_json(c) if args.output == "json" else text)
     return 0
 

@@ -70,40 +70,10 @@ class Include:
     target: NeuralCode
 
     def describe(self) -> str:
-        return f"include(into {len(self.target.words)} words)"
+        return f"include(into {len(self.target.masks)} words)"
 
 
 ElementaryMap = Union[Permute, AddTrivialOn, AddTrivialOff, Duplicate, Project, Include]
-
-
-def validate_step(step: ElementaryMap, n: int) -> int:
-    """Check a step against the incoming width and return the outgoing width."""
-    if isinstance(step, Permute):
-        permutation_tuple(step.gamma, n)
-        return n
-    if isinstance(step, (AddTrivialOn, AddTrivialOff)):
-        if n + 1 > MAX_NEURONS:
-            raise NeuronOutOfRange(f"widening past {MAX_NEURONS} neurons")
-        return n + 1
-    if isinstance(step, Duplicate):
-        if not 1 <= step.source <= n:
-            raise NeuronOutOfRange(f"duplicate source {step.source} outside 1..{n}")
-        if n + 1 > MAX_NEURONS:
-            raise NeuronOutOfRange(f"widening past {MAX_NEURONS} neurons")
-        return n + 1
-    if isinstance(step, Project):
-        if not 1 <= step.delete <= n:
-            raise NeuronOutOfRange(f"projection index {step.delete} outside 1..{n}")
-        if n < 2:
-            raise WidthMismatch("cannot project the only neuron away")
-        return n - 1
-    if isinstance(step, Include):
-        if step.target.n != n:
-            raise WidthMismatch(
-                f"inclusion target width {step.target.n} differs from {n}"
-            )
-        return n
-    raise TypeError(f"not an elementary map: {step!r}")
 
 
 def project_mask(mask: int, delete: int) -> int:
@@ -148,33 +118,52 @@ def _identity(mask: int) -> int:
     return mask
 
 
+def _widened(n: int) -> int:
+    if n + 1 > MAX_NEURONS:
+        raise NeuronOutOfRange(f"widening past {MAX_NEURONS} neurons")
+    return n + 1
+
+
 def resolve_step(step: ElementaryMap, n: int) -> ResolvedStep:
-    """Validate a step against width n and resolve its mask function."""
-    out_n = validate_step(step, n)
+    """Check a step against the incoming width n and resolve its mask
+    function and outgoing width."""
+    out_n = n
     if isinstance(step, Permute):
         # position i of the image reads coordinate γ(i) of the argument
-        f = partial(permute_mask, gamma=invert_permutation(step.gamma))
+        f = partial(permute_mask, gamma=invert_permutation(permutation_tuple(step.gamma, n)))
     elif isinstance(step, AddTrivialOn):
-        f = (1 << n).__or__
+        f, out_n = (1 << n).__or__, _widened(n)
+    elif isinstance(step, AddTrivialOff):
+        f, out_n = _identity, _widened(n)
     elif isinstance(step, Duplicate):
+        if not 1 <= step.source <= n:
+            raise NeuronOutOfRange(f"duplicate source {step.source} outside 1..{n}")
         shift = step.source - 1
 
         def f(mask: int) -> int:
             return mask | ((mask >> shift & 1) << n)
+        out_n = _widened(n)
     elif isinstance(step, Project):
-        f = partial(project_mask, delete=step.delete)
-    else:  # AddTrivialOff and Include leave masks as they are
+        if not 1 <= step.delete <= n:
+            raise NeuronOutOfRange(f"projection index {step.delete} outside 1..{n}")
+        if n < 2:
+            raise WidthMismatch("cannot project the only neuron away")
+        f, out_n = partial(project_mask, delete=step.delete), n - 1
+    elif isinstance(step, Include):
+        if step.target.n != n:
+            raise WidthMismatch(f"inclusion target width {step.target.n} differs from {n}")
         f = _identity
+    else:
+        raise TypeError(f"not an elementary map: {step!r}")
     return ResolvedStep(step, n, out_n, f)
 
 
 def map_code(step: ElementaryMap, code: NeuralCode) -> NeuralCode:
     r = resolve_step(step, code.n)
-    if isinstance(step, Include):
-        for w in code.words:
-            if w not in step.target:
-                raise NotInDomain(f"{w!r} is not a word of the inclusion target")
-    return NeuralCode.from_masks(r.out_n, map(r.f, code.masks()))
+    if isinstance(step, Include) and (missing := code.masks - step.target.masks):
+        first = binaries(missing, code.n)[0]
+        raise NotInDomain(f"Codeword({first!r}) is not a word of the inclusion target")
+    return NeuralCode(r.out_n, map(r.f, code.masks))
 
 
 def image_complex(step: ElementaryMap, K: SimplicialComplex) -> SimplicialComplex:
@@ -238,7 +227,7 @@ class VerificationReport:
         return {
             "theorem": self.theorem,
             "n": self.code.n,
-            "code": binaries(self.code.masks(), self.code.n),
+            "code": binaries(self.code.masks, self.code.n),
             "map": self.map_desc,
             "field": self.field.value,
             "verdict": self.verdict.value,
@@ -409,7 +398,7 @@ def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
     code = dom.code
     spec = THEOREMS[theorem]
     r = resolve_step(step, code.n)
-    if not code.words:
+    if not code.masks:
         return VerificationReport(theorem, code, step.describe(), fld, (), (("empty_code", True),))
     K = dom.K
     f, out_n = r.f, r.out_n
@@ -463,7 +452,7 @@ def verify_permutation(
     code: NeuralCode | Domain, gamma: Iterable[int], fld: Field = Field.GF2
 ) -> VerificationReport:
     """Permutation preserves the mandatory set and the certified partition."""
-    return _verify("permutation", code, Permute(permutation_tuple(gamma, code.n)), fld)
+    return _verify("permutation", code, Permute(tuple(gamma)), fld)
 
 
 def verify_add_trivial_on(code: NeuralCode | Domain, fld: Field = Field.GF2) -> VerificationReport:

@@ -1,8 +1,10 @@
 """Codewords and neural codes stored as fixed-width bit vectors.
 
 A codeword is a subset of {1, ..., n} packed into one machine word: bit i-1
-is set exactly when neuron i fires.  Three text notations are supported (set,
-word, binary) and round-trip exactly.  All values are immutable.
+is set exactly when neuron i fires.  A neural code stores its words as these
+masks; ``Codeword`` is the type that text is parsed into and printed from.
+Three text notations are supported (set, word, binary) and round-trip
+exactly.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -61,28 +64,6 @@ class Codeword:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def _check_width(self, other: "Codeword") -> None:
-        if self.n != other.n:
-            raise WidthMismatch(f"widths differ: {self.n} vs {other.n}")
-
-    def issubset(self, other: "Codeword") -> bool:
-        self._check_width(other)
-        return self.bits & ~other.bits == 0
-
-    def __le__(self, other: "Codeword") -> bool:
-        return self.issubset(other)
-
-    def __lt__(self, other: "Codeword") -> bool:
-        return self.issubset(other) and self.bits != other.bits
-
-    def __and__(self, other: "Codeword") -> "Codeword":
-        self._check_width(other)
-        return Codeword(self.bits & other.bits, self.n)
-
-    def __or__(self, other: "Codeword") -> "Codeword":
-        self._check_width(other)
-        return Codeword(self.bits | other.bits, self.n)
-
     def binary(self) -> str:
         return format(self.bits, f"0{self.n}b")[::-1]
 
@@ -92,41 +73,33 @@ class Codeword:
 
 @dataclass(frozen=True)
 class NeuralCode:
-    """A finite set of codewords on a declared neuron count.
+    """A finite set of codewords on a declared neuron count, stored as the
+    words' masks; ``words`` is their Codeword view, built when read.
 
     Membership of the empty codeword is significant and always preserved
     verbatim from the input.
     """
 
     n: int
-    words: frozenset[Codeword]
+    masks: frozenset[int]  # any iterable of masks is stored as a frozenset
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_NEURONS:
             raise NeuronOutOfRange(f"neuron count must be in 1..{MAX_NEURONS}, got {self.n}")
-        for w in self.words:
-            if w.n != self.n:
-                raise WidthMismatch(f"codeword width {w.n} differs from code width {self.n}")
+        object.__setattr__(self, "masks", frozenset(self.masks))
+        for m in self.masks:
+            if m < 0 or m >> self.n:
+                raise WidthMismatch(f"word {m:#x} does not fit width {self.n}")
 
-    @classmethod
-    def from_masks(cls, n: int, masks: Iterable[int]) -> "NeuralCode":
-        return cls(n, frozenset(Codeword(m, n) for m in masks))
-
-    def masks(self) -> frozenset[int]:
-        return frozenset(w.bits for w in self.words)
-
-    def sorted_words(self) -> list[Codeword]:
-        return sorted(self.words, key=Codeword.binary)
+    @cached_property
+    def words(self) -> frozenset[Codeword]:
+        return frozenset(Codeword(m, self.n) for m in self.masks)
 
     def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, cw: Codeword) -> bool:
-        return cw in self.words
+        return len(self.masks)
 
     def __repr__(self) -> str:
-        inner = ",".join(w.binary() for w in self.sorted_words())
-        return f"NeuralCode(n={self.n}, {{{inner}}})"
+        return f"NeuralCode(n={self.n}, {{{','.join(binaries(self.masks, self.n))}}})"
 
 
 def _parse_set_form(text: str, n: int) -> Codeword:
@@ -223,4 +196,4 @@ def binaries(masks: Iterable[int], n: int) -> list[str]:
 
 def code_to_json(code: NeuralCode) -> str:
     """Render a code as ``{"n": int, "words": [...]}`` in the face-list format."""
-    return json.dumps({"n": code.n, "words": binaries(code.masks(), code.n)})
+    return json.dumps({"n": code.n, "words": binaries(code.masks, code.n)})

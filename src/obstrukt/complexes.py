@@ -163,7 +163,7 @@ def code_complex(code: NeuralCode) -> SimplicialComplex:
 
     The empty code yields the void complex.
     """
-    return SimplicialComplex.from_masks(code.masks(), code.n)
+    return SimplicialComplex.from_masks(code.masks, code.n)
 
 
 def facets(code: NeuralCode) -> frozenset[Codeword]:

@@ -186,7 +186,8 @@ def _boundary_rank(grades: list[list[int]], k: int, field: Field, room: int) -> 
     return rank_fraction_free(_dense(len(grades[k - 1]), columns, field))
 
 
-@lru_cache(maxsize=65536)
+# Bounded like the partition memo: a long suite's complexes rarely recur.
+@lru_cache(maxsize=1024)
 def reduced_homology(K: SimplicialComplex, field: Field) -> HomologyProfile:
     """Dimensions of reduced homology in every degree from -1 up to dim K."""
     if K.is_void:

@@ -54,22 +54,14 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.gen_bits
 
-    def generators(self) -> tuple[Codeword, ...]:
-        return tuple(sorted((Codeword(m, self.n) for m in self.gen_bits), key=Codeword.binary))
-
     def contains_monomial(self, support: Codeword) -> bool:
         """Monotone membership: x^σ lies in the ideal iff some generator divides it."""
         if support.n != self.n:
             raise WidthMismatch(f"support width {support.n} differs from {self.n}")
         return any(g & ~support.bits == 0 for g in self.gen_bits)
 
-    def widen(self, n: int) -> "MonomialIdeal":
-        if n < self.n:
-            raise WidthMismatch(f"cannot shrink width {self.n} to {n}")
-        return MonomialIdeal(n, self.gen_bits)
-
     def to_lists(self) -> list[list[int]]:
-        return sorted([list(g.neurons()) for g in self.generators()])
+        return sorted([i + 1 for i in range(self.n) if g >> i & 1] for g in self.gen_bits)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -105,13 +97,9 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_contains(I: MonomialIdeal, J: MonomialIdeal) -> bool:
-    """True when I ⊇ J; the narrower ideal is zero-padded to the wider width."""
-    n = max(I.n, J.n)
-    wide_i = I.widen(n)
-    wide_j = J.widen(n)
-    return all(
-        any(g & ~h == 0 for g in wide_i.gen_bits) for h in wide_j.gen_bits
-    )
+    """True when I ⊇ J, reading the narrower ideal zero-padded to the wider
+    width: every generator of J is divisible by one of I."""
+    return all(any(g & ~h == 0 for g in I.gen_bits) for h in J.gen_bits)
 
 
 def permutation_tuple(gamma: Iterable[int], n: int) -> tuple[int, ...]:

@@ -108,7 +108,10 @@ def mandatory_set(K: SimplicialComplex, field: Field = Field.GF2) -> MandatorySe
     return mandatory_partition(K, field).mandatory
 
 
-@lru_cache(maxsize=65536)
+# 1,024 entries hold the 649 partitions per field of an exhaustive n = 4
+# suite and a sampled n = 8 suite's working set (its permutations and
+# projections), and keep memory flat over a long suite.
+@lru_cache(maxsize=1024)
 def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartition:
     """Certified three-way split of all faces by link contractibility."""
     if K.is_void:
@@ -134,14 +137,21 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
 
 @dataclass(frozen=True)
 class ObstructionCheck:
+    """The mandatory faces a code lacks, as masks of width n; ``missing``
+    is their Codeword view."""
+
     passes: bool
-    missing: frozenset[Codeword]
+    missing_masks: frozenset[int]
     n: int
+
+    @property
+    def missing(self) -> frozenset[Codeword]:
+        return _words(self.missing_masks, self.n)
 
     def to_json_dict(self) -> dict:
         return {
             "passes": self.passes,
-            "missing": binaries((c.bits for c in self.missing), self.n),
+            "missing": binaries(self.missing_masks, self.n),
         }
 
 
@@ -149,8 +159,8 @@ def check_no_local_obstruction(code: NeuralCode, field: Field = Field.GF2) -> Ob
     """Necessary condition for open convexity: the code must contain every
     homologically mandatory face of its complex."""
     K = code_complex(code)
-    missing = mandatory_set(K, field).masks - code.masks()
-    return ObstructionCheck(not missing, _words(missing, code.n), code.n)
+    missing = mandatory_set(K, field).masks - code.masks
+    return ObstructionCheck(not missing, missing, code.n)
 
 
 def analysis_json_dict(K: SimplicialComplex, field: Field) -> dict:

@@ -25,4 +25,4 @@ def random_code(n: int, seed: int, density: float = 0.3) -> NeuralCode:
         raise BadDensity(f"density must be in (0, 1], got {density}")
     rng = random.Random(seed)
     masks = [m for m in range(1, 1 << n) if rng.random() < density]
-    return NeuralCode.from_masks(n, masks)
+    return NeuralCode(n, masks)

@@ -53,6 +53,10 @@ ALL_THEOREMS = tuple(THEOREMS)
 MAX_EXHAUSTIVE_N = 4  # n = 5 would mean 2^32 codes
 MAX_SYMMETRIC_N = 8  # 8! = 40,320 permutations per check
 _WINDOW = 64  # codes read ahead per pool worker
+# Keys whose reports a run keeps: above the 168 complexes of an exhaustive
+# n = 4 suite, so an exhaustive key is verified once.  Sampled keys carry
+# their code's own permutations and never recur, so clearing loses nothing.
+_MAX_KEYS = 256
 _HOLDS, _PARTIAL, _VIOLATED = Outcome.HOLDS.value, Outcome.PARTIAL.value, Outcome.VIOLATED.value
 
 
@@ -84,7 +88,7 @@ def exhaustive_codes(n: int) -> Iterator[NeuralCode]:
     _check_exhaustive_width(n)
     top = (1 << n) - 1
     return (
-        NeuralCode.from_masks(n, [m for m in range(1, top + 1) if bits >> (m - 1) & 1] + empty)
+        NeuralCode(n, [m for m in range(1, top + 1) if bits >> (m - 1) & 1] + empty)
         for bits in range(1 << top)
         for empty in ([], [0])
     )
@@ -158,7 +162,7 @@ class SuiteResult:
 
 def _run_one(key: tuple) -> list[dict]:
     n, facets, fld, theorems, gammas = key
-    code = NeuralCode.from_masks(n, facets)
+    code = NeuralCode(n, facets)
     reports = code_reports(code, fld, theorems=theorems, gammas=gammas)
     return [r.to_json_dict() for r in reports]
 
@@ -213,17 +217,29 @@ def _run(
     encoded once per code, spliced in.  Codes are read in windows, one at a
     time serially and ``_WINDOW * jobs`` with a pool: the window's unseen
     keys are verified, then its lines are written, so nothing is kept per
-    code.
+    code.  Once more than ``_MAX_KEYS`` keys are kept, their weighted
+    verdicts go into the tally and they are dropped.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     # key -> (each report's line halves, [] when nothing is written; verdicts; violated reports)
     verified: dict[tuple, tuple[list[tuple[str, str]], list[str], list[dict]]] = {}
     weights: collections.Counter[tuple] = collections.Counter()
+    tally: collections.Counter[str] = collections.Counter()
+
+    def fold() -> None:
+        for key, weight in weights.items():
+            for verdict in verified[key][1]:
+                tally[verdict] += weight
+        verified.clear()
+        weights.clear()
+
     result = SuiteResult()
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         mapper = map if pool is None else functools.partial(pool.imap, chunksize=1)
         size = 1 if pool is None else _WINDOW * jobs
         while window := list(itertools.islice(keyed, size)):
+            if len(verified) > _MAX_KEYS:
+                fold()
             fresh = {key: None for _, key in window if key not in verified}
             if fresh:
                 for key, reports in zip(fresh, mapper(_run_one, fresh)):
@@ -242,10 +258,7 @@ def _run(
                     code = json.dumps(binaries)
                     for head, tail in halves:
                         write(head + code + tail)
-    tally: collections.Counter[str] = collections.Counter()
-    for key, weight in weights.items():
-        for verdict in verified[key][1]:
-            tally[verdict] += weight
+    fold()
     result.instances = sum(tally.values())
     result.holds, result.partial, result.violated = tally[_HOLDS], tally[_PARTIAL], tally[_VIOLATED]
     return result
@@ -272,7 +285,7 @@ def _keyed(
             gammas = tuple(tuple(rng.sample(range(1, n + 1), n)) for _ in range(gammas_per_code))
         facets = tuple(sorted(code_complex(code).facet_bits))
         key = (n, facets, fld, tuple(theorems), gammas)
-        yield functools.partial(binaries, code.masks(), n), key
+        yield functools.partial(binaries, code.masks, n), key
 
 
 @functools.cache

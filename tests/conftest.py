@@ -28,7 +28,7 @@ def w(text: str, n: int) -> Codeword:
 
 
 def code(texts: list[str], n: int) -> NeuralCode:
-    return NeuralCode(n, frozenset(w(t, n) for t in texts))
+    return NeuralCode(n, (w(t, n).bits for t in texts))
 
 
 def cx(texts: list[str], n: int) -> SimplicialComplex:
@@ -121,7 +121,7 @@ def neural_codes(draw, max_n: int = 5, allow_empty_word: bool = True, max_words:
     top = (1 << n) - 1
     lo = 0 if allow_empty_word else 1
     masks = draw(st.frozensets(st.integers(lo, top), max_size=max_words))
-    return NeuralCode.from_masks(n, masks)
+    return NeuralCode(n, masks)
 
 
 @st.composite
@@ -129,7 +129,7 @@ def nonempty_codes(draw, max_n: int = 5, max_words: int = 10):
     n = draw(st.integers(min_value=1, max_value=max_n))
     top = (1 << n) - 1
     masks = draw(st.frozensets(st.integers(0, top), min_size=1, max_size=max_words))
-    return NeuralCode.from_masks(n, masks)
+    return NeuralCode(n, masks)
 
 
 @st.composite

@@ -361,7 +361,7 @@ class TestSummaryCounts:
 
 
 def test_duplicate_code_counts_once_per_code():
-    code = NeuralCode.from_masks(2, [0b01, 0b11])
+    code = NeuralCode(2, [0b01, 0b11])
     twice = suites.run_suite([code, code])
     once = suites.run_suite([code])
     assert twice.instances == 2 * once.instances and twice.holds == 2 * once.holds

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import obstrukt.complexes
 import obstrukt.ideals
-from obstrukt import NotationForm, format_codeword
+from obstrukt import Codeword, NotationForm, format_codeword
 from obstrukt.cli import main
 
 from conftest import neural_codes
@@ -112,7 +112,7 @@ class TestInputs:
 def test_inline_round_trip(form, data):
     # format each word, join with commas, and read the code back through the CLI
     c = data.draw(neural_codes(max_n=9 if form is NotationForm.WORD else 12))
-    text = ",".join(format_codeword(cw, form) for cw in c.sorted_words())
+    text = ",".join(format_codeword(cw, form) for cw in sorted(c.words, key=Codeword.binary))
     identity = ",".join(str(i) for i in range(1, c.n + 1))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

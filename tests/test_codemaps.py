@@ -46,13 +46,13 @@ def rand_codes(seed, count, lo=1, hi=5, density=0.4, allow_empty_word=False):
         if allow_empty_word and rng.random() < 0.3:
             masks.append(0)
         if masks:
-            out.append(NeuralCode.from_masks(n, masks))
+            out.append(NeuralCode(n, masks))
     return out
 
 
 def apply_step(step, cw):
     """The image of one codeword, read from the image of its one-word code."""
-    (image,) = map_code(step, NeuralCode(cw.n, frozenset({cw}))).words
+    (image,) = map_code(step, NeuralCode(cw.n, {cw.bits})).words
     return image
 
 
@@ -84,7 +84,7 @@ class TestApply:
         assert apply_step(AddTrivialOff(), cw).binary() == "1100"
 
     def test_duplicate_copies_source_coordinate(self):
-        c = NeuralCode.from_masks(2, [0b01, 0b10])
+        c = NeuralCode(2, [0b01, 0b10])
         image = map_code(Duplicate(1), c)
         assert {cw.binary() for cw in image.words} == {"101", "010"}
 
@@ -396,6 +396,9 @@ class TestCodeMap:
         assert map_chain(small, (Include(big),)) == small
         with pytest.raises(NotInDomain):
             map_chain(big, (Include(small),))
+        # the first missing word in printed order is named
+        with pytest.raises(NotInDomain, match=r"Codeword\('0001'\)"):
+            map_code(Include(code(["∅"], 4)), code(["4", "3", "34", "1"], 4))
 
     def test_isomorphism_compositions_preserve_mandatory_set(self):
         rng = random.Random(99)
@@ -479,7 +482,7 @@ class TestVerifyAddTrivialOff:
 
 class TestVerifyDuplicate:
     def test_two_singletons(self):
-        c = NeuralCode.from_masks(2, [0b01, 0b10])
+        c = NeuralCode(2, [0b01, 0b10])
         assert verify_duplicate(c, 1).verdict is Outcome.HOLDS
 
     def test_pendant_code(self):
@@ -543,6 +546,6 @@ def test_invalid_map_rejected_whatever_the_code(n, verify, error):
     messages = []
     for masks in ([], [1]):
         with pytest.raises(error) as info:
-            verify(NeuralCode.from_masks(n, masks))
+            verify(NeuralCode(n, masks))
         messages.append(str(info.value))
     assert messages[0] == messages[1]

@@ -115,36 +115,13 @@ class TestFormat:
         assert binaries(masks, n) == sorted(Codeword(m, n).binary() for m in masks)
 
 
-class TestWordOps:
-    def test_subset(self):
-        a = parse_codeword("1010", BINARY, 4)
-        b = parse_codeword("1110", BINARY, 4)
-        assert a.issubset(b) is True
-        assert b.issubset(a) is False
-
-    def test_meet(self):
-        a = Codeword.from_neurons([2, 4], 4)
-        b = Codeword.from_neurons([1, 2, 3], 4)
-        assert a & b == Codeword.from_neurons([2], 4)
-
-    def test_join(self):
-        a = Codeword.from_neurons([2, 4], 5)
-        b = Codeword.from_neurons([3, 5], 5)
-        assert a | b == Codeword.from_neurons([2, 3, 4, 5], 5)
-
-    def test_width_mismatch(self):
-        with pytest.raises(WidthMismatch):
-            Codeword.empty(3) & Codeword.empty(4)
-
-
 class TestFacets:
     def test_antichain_stays(self):
         c = code(["24", "35", "45", "123"], 6)
         # oracle: pairwise containment check shows an antichain
-        words = list(c.words)
-        for a in words:
-            for b in words:
-                assert a == b or not a.issubset(b)
+        for a in c.masks:
+            for b in c.masks:
+                assert a == b or a & ~b
         assert facets(c) == c.words
 
     def test_dominated_word_dropped(self):
@@ -152,13 +129,13 @@ class TestFacets:
         assert facets(c) == frozenset({w("12", 4), w("13", 4), w("24", 4)})
 
     def test_single_empty_word(self):
-        c = NeuralCode(3, frozenset({Codeword.empty(3)}))
+        c = NeuralCode(3, frozenset({0}))
         assert facets(c) == c.words
 
     @given(neural_codes())
     def test_idempotent(self, c):
         first = facets(c)
-        again = facets(NeuralCode(c.n, first))
+        again = facets(NeuralCode(c.n, (f.bits for f in first)))
         assert first == again
 
     @given(neural_codes())
@@ -172,8 +149,8 @@ class TestFacets:
     @given(neural_codes())
     def test_every_word_below_some_facet(self, c):
         tops = facets(c)
-        for cw in c.words:
-            assert any(cw.issubset(t) for t in tops)
+        for m in c.masks:
+            assert any(m & ~t.bits == 0 for t in tops)
 
 
 def test_code_json_sorted():
@@ -181,6 +158,17 @@ def test_code_json_sorted():
     payload = json.loads(code_to_json(c))
     assert payload == {"n": 4, "words": ["0100", "0101", "1110"]}
     assert payload["words"] == sorted(payload["words"])
+
+
+def test_code_stores_masks_and_views_words():
+    c = NeuralCode(3, [0b011, 0, 0b011])
+    assert c.masks == frozenset({0, 0b011})
+    assert c == NeuralCode(3, {0, 0b011}) and hash(c) == hash(NeuralCode(3, {0, 0b011}))
+    assert c.words == frozenset({Codeword.empty(3), Codeword(0b011, 3)})
+    assert repr(c) == "NeuralCode(n=3, {000,110})"
+    for bad in (0b1000, -1):
+        with pytest.raises(WidthMismatch):
+            NeuralCode(3, [bad])
 
 
 def test_empty_word_membership_is_preserved():

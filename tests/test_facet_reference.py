@@ -28,7 +28,7 @@ from obstrukt import (
     restriction,
     sr_ideal,
 )
-from obstrukt.codemaps import resolve_step, validate_step
+from obstrukt.codemaps import resolve_step
 from obstrukt.collapse import _delete_bit
 from obstrukt.errors import FaceNotInComplex
 
@@ -183,6 +183,6 @@ def test_image_complex(n):
     for K in enumerate_complexes(n):
         faces = K.face_bits
         for step in steps:
-            out = image_complex(step, K)
-            assert out.n == validate_step(step, n)
-            assert out.face_bits == ref_closure(map(resolve_step(step, n).f, faces))
+            out, r = image_complex(step, K), resolve_step(step, n)
+            assert out.n == r.out_n
+            assert out.face_bits == ref_closure(map(r.f, faces))

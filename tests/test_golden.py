@@ -22,7 +22,7 @@ import pytest
 
 from conftest import RP2_FACETS
 from obstrukt.cli import main
-from obstrukt.codes import NotationForm, format_codeword
+from obstrukt.codes import Codeword, NotationForm, format_codeword
 from obstrukt.randgen import random_code
 
 GOLDEN = {
@@ -61,7 +61,7 @@ def test_stdout_digest(name, capsys, monkeypatch):
 
 
 def _inline(code) -> str:
-    return ",".join(format_codeword(c, NotationForm.WORD) for c in code.sorted_words())
+    return ",".join(format_codeword(c, NotationForm.WORD) for c in sorted(code.words, key=Codeword.binary))
 
 
 COMMAND_INPUTS = [

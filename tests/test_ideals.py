@@ -163,7 +163,7 @@ class TestPermutedIdeals:
         for _ in range(40):
             n = rng.randint(2, 5)
             masks = [m for m in range(1, 1 << n) if rng.random() < 0.4]
-            c = NeuralCode.from_masks(n, masks)
+            c = NeuralCode(n, masks)
             K = code_complex(c)
             if K.is_void or len(K.face_bits) == 1 << n:
                 continue
@@ -187,7 +187,7 @@ class TestMapContainments:
             n = rng.randint(lo, hi)
             masks = [m for m in range(1, 1 << n) if rng.random() < 0.4]
             if masks:
-                out.append(NeuralCode.from_masks(n, masks))
+                out.append(NeuralCode(n, masks))
         return out
 
     def test_add_trivial_on_grows_sr_ideal(self):

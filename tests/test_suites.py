@@ -1,6 +1,9 @@
 import collections
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,8 +64,8 @@ class TestEnumeration:
 
     def test_empty_word_toggled_both_ways(self):
         codes = list(exhaustive_codes(2))
-        with_empty = [c for c in codes if 0 in c.masks()]
-        without = [c for c in codes if 0 not in c.masks()]
+        with_empty = [c for c in codes if 0 in c.masks]
+        without = [c for c in codes if 0 not in c.masks]
         assert len(with_empty) == len(without) == 8
 
     def test_width_guard(self):
@@ -155,7 +158,7 @@ class TestRunner:
         assert result.holds == result.instances
 
     def test_single_code_reports_order_is_stable(self):
-        c = NeuralCode.from_masks(3, [0b111, 0b011])
+        c = NeuralCode(3, [0b111, 0b011])
         names = [r.theorem for r in code_reports(c)]
         assert names == ["permutation"] * 6 + [
             "add_trivial_on",
@@ -167,19 +170,19 @@ class TestRunner:
         ]
 
     def test_named_maps_and_theorem_order(self):
-        c = NeuralCode.from_masks(3, [0b111, 0b011])
+        c = NeuralCode(3, [0b111, 0b011])
         reports = code_reports(c, theorems=("projection", "duplicate", "permutation"),
                                gammas=((2, 1, 3),), source=3, delete=2)
         assert [r.map_desc for r in reports] == ["permute(2,1,3)", "duplicate(3)", "project(2)"]
 
     @pytest.mark.parametrize("name", ["source", "delete"])
     def test_named_neurons_checked_whatever_the_theorems(self, name):
-        c = NeuralCode.from_masks(3, [0b011])
+        c = NeuralCode(3, [0b011])
         with pytest.raises(NeuronOutOfRange, match=f"--{name} 9"):
             code_reports(c, theorems=("permutation",), **{name: 9})
 
     def test_gammas_checked_whatever_the_theorems(self, monkeypatch):
-        c = NeuralCode.from_masks(3, [0b011])
+        c = NeuralCode(3, [0b011])
         monkeypatch.setattr(codemaps, "_verify", None)  # no instance may run
         with pytest.raises(NotAPermutation):
             code_reports(c, theorems=("duplicate",), gammas=((1, 2, 3), (9, 9, 9)))
@@ -190,7 +193,7 @@ class TestRunner:
             real = getattr(codemaps, name)
             monkeypatch.setattr(codemaps, name,
                                 lambda K, _real=real, _name=name: built.update([_name]) or _real(K))
-        c = NeuralCode.from_masks(4, [0b0111, 0b1100, 0b1001])
+        c = NeuralCode(4, [0b0111, 0b1100, 0b1001])
         reports = code_reports(c, theorems=("duplicate", "projection"))
         # one index for the domain's complex, one per image complex
         assert built == {"code_complex": 1, "facets_over": 1 + len(reports)} and len(reports) == 5
@@ -213,7 +216,7 @@ class TestRunner:
         assert result.instances == 5 * 3
 
     def test_no_permutations_built_without_the_permutation_theorem(self):
-        wide = NeuralCode.from_masks(10, [0b11, 0b1000000000])
+        wide = NeuralCode(10, [0b11, 0b1000000000])
         result = run_suite([wide], theorems=("projection",))
         assert result.instances == 10 and result.ok
         with pytest.raises(NeuronOutOfRange, match="--gamma"):
@@ -227,7 +230,7 @@ class TestRunner:
             return [{"verdict": "holds"}, {"verdict": "partial"}]
 
         monkeypatch.setattr(suites, "_run_one", fake)
-        codes = [NeuralCode.from_masks(2, [0b01]), NeuralCode.from_masks(2, [0b11])]
+        codes = [NeuralCode(2, [0b01]), NeuralCode(2, [0b11])]
         result = run_suite(codes)
         assert (result.instances, result.holds, result.partial, result.violated) == (3, 1, 1, 1)
         assert not result.ok
@@ -272,6 +275,24 @@ class TestGrouping:
         lines = []
         run_exhaustive(2, Field.GF2, jobs=2, write=lines.append)
         assert lines == per_code_lines(2, Field.GF2)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_report_cache_cap_changes_nothing(self, monkeypatch, sampled):
+        # a cap of one key drops the kept reports at nearly every code: the
+        # lines and the tally stay, and the exhaustive suite verifies its 20
+        # complexes again
+        def run(write):
+            return run_sampled(5, 30, seed=4, write=write) if sampled else run_exhaustive(3, write=write)
+
+        lines, capped, calls = [], [], []
+        result = run(lines.append)
+        real = suites._run_one
+        monkeypatch.setattr(suites, "_run_one", lambda key: calls.append(key) or real(key))
+        monkeypatch.setattr(suites, "_MAX_KEYS", 1)
+        assert run(capped.append) == result
+        assert capped == lines
+        if not sampled:
+            assert len(calls) > len(set(calls)) == 20
 
     @pytest.mark.parametrize("n,complexes", [(2, 6), (3, 20)])
     def test_one_verification_per_complex(self, monkeypatch, n, complexes):
@@ -419,10 +440,11 @@ class TestSplice:
 
 class TestMaskRepresentation:
     def test_sampled_verify_builds_few_codewords_and_complexes(self, monkeypatch, capsys):
-        # Between the partition and the JSON line every face stays an int
-        # mask: three n = 8 sampled ops with cold memos build about 260
-        # Codewords and 600 complexes in all.  Holding faces as Codewords and
-        # ranking links as complexes built 12,622 and 2,450.
+        # From the drawn code to the JSON line every word and face stays an
+        # int mask: three n = 8 sampled ops with cold memos build no Codeword
+        # and 77 complexes in all.  Storing a code's words as Codewords built
+        # 262, and holding faces as Codewords and ranking links as complexes
+        # built 12,622 Codewords and 2,450 complexes.
         from obstrukt import Codeword, SimplicialComplex, mandatory_partition, reduced_homology
 
         built = collections.Counter()
@@ -439,7 +461,7 @@ class TestMaskRepresentation:
             argv = ["verify", "--n", "8", "--samples", "1", "--seed", str(seed), "--field", "GF2"]
             assert main(argv) == 0
             assert len(capsys.readouterr().out.splitlines()) == 14
-        assert built["Codeword"] <= 1_000
+        assert built["Codeword"] == 0
         assert built["SimplicialComplex"] <= 1_200
 
     def test_sampled_verify_decides_each_link_once(self, monkeypatch, capsys):
@@ -467,3 +489,32 @@ class TestMaskRepresentation:
         assert calls["_highest_domination"] <= 320
         assert reduced_homology.cache_info().misses <= 35
         assert calls["maximal_masks"] <= 100
+
+
+# Four sampled n = 8 chunks of 150 codes with their lines written, in a fresh
+# interpreter; ru_maxrss (KiB on Linux) after each chunk goes to stdout.
+_CHUNKS = """
+import os, resource
+from obstrukt.suites import run_sampled
+with open(os.devnull, "w") as sink:
+    for k in range(4):
+        run_sampled(8, 150, seed=1 + 150 * k, write=sink.write)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+def test_memory_stays_flat_over_a_long_sampled_suite():
+    # Bounded memos and a bounded report cache: the peak grows about 1 MB
+    # from the first chunk to the fourth.  Unbounded, it grew from 42 MB to
+    # 91 MB, as each chunk added about 900 partitions, 1,000 homology
+    # profiles and 150 keys' encoded reports.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("OBSTRUKT_FIELD", None)
+    ran = subprocess.run([sys.executable, "-c", _CHUNKS], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert ran.returncode == 0, ran.stderr
+    peaks = [int(line) for line in ran.stdout.split()]
+    assert len(peaks) == 4
+    assert peaks[3] - peaks[0] < 10 * 1024, peaks
