@@ -7,12 +7,15 @@ with fraction-free sparse integer elimination.  One builder,
 ``_boundary_columns``, gives each boundary column as a packed row bitset,
 which the GF(2) rank reads as it is; ``_dense`` restores the signs for the
 rational rank and for ``boundary_matrix``.  ``reduced_homology`` always
-ranks the complex it is given; callers that need only the homotopy type
+ranks the complex it is given, and the tests keep it as the independent
+oracle; callers that need only the homotopy type
 (``collapse.core_homology`` and ``collapse.contractibility``, the mandatory
 partition, the duplicate theorem's link check) go through
 ``collapse.link_profile``, which answers a cone or a complex that collapses
 to a point without ranks and ranks any other complex on its strong-collapse
-core, with each collapse stage decided once per relabelled copy.
+core, with each collapse stage decided once per relabelled copy.  A core
+on k vertices with more than 2^(k-1) faces is handed to
+``reduced_homology`` as its Alexander dual, which has fewer.
 """
 
 from __future__ import annotations

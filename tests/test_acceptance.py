@@ -13,14 +13,10 @@ either reading, since both sets have the same image {2, 123}.
 import itertools
 import os
 import time
-import warnings
-
-import pytest
 
 from obstrukt import (
     Codeword,
     Field,
-    NeuralCode,
     NotationForm,
     SimplicialComplex,
     alexander_dual,
@@ -43,7 +39,6 @@ from obstrukt import (
     strong_collapse_core,
 )
 from obstrukt.codemaps import AddTrivialOn, Duplicate, Permute, Project, resolve_step
-from obstrukt.errors import DegenerateDualWarning
 from obstrukt.ideals import invert_permutation
 from obstrukt.suites import exhaustive_codes
 

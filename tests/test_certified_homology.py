@@ -209,6 +209,117 @@ class TestLinkRoute:
                     assert contractibility(K, fld).status is status, K
 
 
+# The face count that picks a core's route, replaced: every complex looks
+# empty, so its dual is ranked, or full, so it is ranked as it is.
+DUAL, DIRECT = (lambda K: 0), (lambda K: 1 << K.n)
+
+
+class TestDualRanks:
+    """A core on k vertices holding more than 2^(k-1) faces is ranked on its
+    Alexander dual; both routes must give the plain ranks of the complex.
+    Each complex below is ranked on both routes: the cone test and the
+    collapse are switched off, so the complex itself is the core, and the
+    face count that picks the route is replaced."""
+
+    @pytest.fixture
+    def ranked(self, monkeypatch):
+        monkeypatch.setattr(collapse, "_is_cone", lambda facets: False)
+        monkeypatch.setattr(collapse, "_highest_domination", lambda facets: None)
+        handed = []
+
+        def recording(K, fld):
+            handed.append(K)
+            return reduced_homology(K, fld)
+
+        monkeypatch.setattr(collapse, "reduced_homology", recording)
+
+        def ranked(K, fld, route):
+            """K's profile on ``route``, checked to rank the complex that
+            route names: K relabelled, or the complements of its non-faces."""
+            collapse._packed_profile.cache_clear()
+            handed.clear()
+            with monkeypatch.context() as m:
+                m.setattr(SimplicialComplex, "__len__", route)
+                profile = link_profile(K.facet_bits, fld)
+            k, faces = K.vertex_bits.bit_count(), len(K.face_bits)
+            (core,) = handed
+            dual = route is DUAL and k > 0
+            assert len(core.face_bits) == ((1 << k) - faces if dual else faces), (K, core)
+            return profile
+
+        yield ranked
+        collapse._packed_profile.cache_clear()  # its entries skipped the cone test and collapse
+
+    @staticmethod
+    def has_dual(K):
+        """Every complex but the full simplex on its vertices, whose dual is void."""
+        return len(K.facet_bits) > 1 or K.facet_bits == {0}
+
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_every_complex_up_to_n4(self, ranked, fld):
+        cases = [K for n in range(1, 5) for K in enumerate_complexes(n)
+                 if not K.is_void and self.has_dual(K)]
+        assert len(cases) > 150
+        for K in cases:
+            for route in (DUAL, DIRECT):
+                assert ranked(K, fld, route) == reduced_homology(K, fld), K
+
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_seeded_cores_up_to_n10(self, request, fld):
+        rng, cores = random.Random(1111), []
+        while len(cores) < 300:
+            n = rng.randint(3, 10)
+            facets = [sum(1 << v for v in rng.sample(range(n), rng.randint(2, min(4, n))))
+                      for _ in range(rng.randint(n, 3 * n))]
+            # collapsed before the fixture switches the collapse off
+            core = strong_collapse_core(SimplicialComplex.from_masks(facets, n))
+            if self.has_dual(core):
+                cores.append(core)
+        sizes = collections.Counter(K.vertex_bits.bit_count() for K in cores)
+        assert max(sizes) == 10 and sum(sizes[k] for k in range(7, 11)) >= 100, sizes
+        ranked = request.getfixturevalue("ranked")
+        for K in cores:
+            expected = reduced_homology(K, fld)
+            for route in (DUAL, DIRECT):
+                assert ranked(K, fld, route) == expected, K
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_boundary_of_a_simplex_is_ranked_on_the_empty_face(self, ranked, k):
+        """The dual of the boundary of the simplex on [k] is {∅}, whose one
+        Betti number, in degree -1, is the sphere's in degree k - 2."""
+        top = (1 << k) - 1
+        sphere = SimplicialComplex(k, frozenset(top ^ 1 << v for v in range(k)))
+        for fld in BOTH:
+            expected = reduced_homology(sphere, fld)
+            assert expected.nonzero_degrees() == (k - 2,) and expected.dim_at(k - 2) == 1
+            assert ranked(sphere, fld, DUAL) == ranked(sphere, fld, DIRECT) == expected
+
+    def test_boundary_of_a_simplex_takes_the_dual_unforced(self, monkeypatch):
+        handed = []
+
+        def recording(K, fld):
+            handed.append(K)
+            return reduced_homology(K, fld)
+
+        monkeypatch.setattr(collapse, "reduced_homology", recording)
+        collapse._packed_profile.cache_clear()
+        for k in range(3, 9):
+            handed.clear()
+            top = (1 << k) - 1
+            profile = link_profile([top ^ 1 << v for v in range(k)], Field.GF2)
+            assert profile.nonzero_degrees() == (k - 2,)
+            assert handed == [SimplicialComplex(k, frozenset({0}))]
+
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_projective_plane_and_its_cone(self, ranked, fld):
+        for K in rp2_family()[:2]:
+            expected = reduced_homology(K, fld)
+            for route in (DUAL, DIRECT):
+                assert ranked(K, fld, route) == expected, K
+        rp2 = rp2_family()[0]
+        assert ranked(rp2, fld, DUAL).betti == ((0, 0, 1, 1) if fld is Field.GF2 else ())
+
+
 def signed_boundary(K, i, fld):
     """The boundary matrix built entry by entry: rows and columns ascend by
     mask, and deleting the j-th smallest vertex of a column face has sign

@@ -23,13 +23,16 @@ from obstrukt import (
     mandatory_partition,
     mandatory_set,
     random_code,
+    reduced_homology,
     verify_add_trivial_off,
     verify_add_trivial_on,
     verify_duplicate,
     verify_permutation,
     verify_projection,
 )
-from obstrukt.codemaps import THEOREMS, embed_mask, project_mask, resolve_step
+from obstrukt import codemaps
+from obstrukt.codemaps import THEOREMS, embed_mask, resolve_step
+from obstrukt.codes import binaries
 from obstrukt.complexes import maximal_masks
 from obstrukt.errors import NeuronOutOfRange, NotAPermutation, NotInDomain, WidthMismatch
 from obstrukt.suites import exhaustive_codes
@@ -207,6 +210,18 @@ class TestLinkLemmas:
                     triples += 1
         assert triples == {1: 3, 2: 24, 3: 240, 4: 5376}[n]  # 5,643 in all
 
+    @pytest.mark.parametrize("fld", [Field.GF2, Field.RATIONAL])
+    def test_duplicate_homology_law_compares_reduced_homology(self, fld):
+        """On every pair of nonvoid complexes with n ≤ 3, equal facet sets
+        included, the duplicate row's homology law answers as comparing the
+        plain ranks of the two."""
+        law = dict(THEOREMS["duplicate"].links)["link_homology_preserved"]
+        r = resolve_step(Duplicate(1), 3)
+        cases = [K.widen(3) for n in range(1, 4) for K in enumerate_complexes(n) if not K.is_void]
+        for A, B in itertools.product(cases, repeat=2):
+            expected = reduced_homology(A, fld) == reduced_homology(B, fld)
+            assert law(r, A.facet_bits, B.facet_bits, fld) == expected, (A, B)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_projection_law_is_the_closed_image_of_the_link(self, n):
         """The projection row's link law agrees with the closure of the
@@ -228,7 +243,7 @@ class TestLinkLemmas:
                 for m2 in sorted(K2.face_bits):
                     lk1 = link(K, Codeword(embed_mask(m2, delete), n))
                     lk2 = link(K2, Codeword(m2, n - 1))
-                    closed = ref_closure(project_mask(x, delete) for x in lk1.face_bits)
+                    closed = ref_closure(map(r.f, lk1.face_bits))
                     assert law(r, lk1.facet_bits, lk2.facet_bits, Field.GF2)
                     for other in (lk2, K2):
                         assert law(r, lk1.facet_bits, other.facet_bits, Field.GF2) == (
@@ -281,10 +296,11 @@ class TestLinkLemmas:
         for c in rand_codes(19, 25, lo=2):
             n = c.n
             K = code_complex(c)
+            project = resolve_step(Project(n), n).f
             for m2 in code_complex(map_code(Project(n), c)).face_bits:
                 lifted = Codeword(embed_mask(m2, n), n)
                 lk = link(K, lifted)
-                image_back = {embed_mask(project_mask(x, n), n) for x in lk.face_bits}
+                image_back = {embed_mask(project(x), n) for x in lk.face_bits}
                 assert image_back <= lk.face_bits
 
     def test_projection_closed_star_matches_upper_link(self):
@@ -302,8 +318,9 @@ class TestLinkLemmas:
                 lk_low = link(K, Codeword(low, n))
                 # the closed star of the vertex: the facets that hold it
                 starred = SimplicialComplex(n, frozenset(f for f in lk_low.facet_bits if f & vbit))
-                lhs = {project_mask(x, n) for x in starred.face_bits}
-                rhs = {project_mask(x, n) for x in link(K, Codeword(high, n)).face_bits}
+                project = resolve_step(Project(n), n).f
+                lhs = set(map(project, starred.face_bits))
+                rhs = set(map(project, link(K, Codeword(high, n)).face_bits))
                 assert lhs == rhs
 
     def test_projection_builds_no_complex_per_face(self, monkeypatch):
@@ -328,6 +345,67 @@ class TestLinkLemmas:
         laws = [ch for ch in report.checks if ch.name == "link_image_formula"]
         assert [ch.outcome for ch in laws] == [Outcome.HOLDS]
         assert len(K.facet_bits) == 11 and len(images[4].face_bits) > 100
+
+    # Maps of each theorem row on n neurons, by row name.
+    ROW_STEPS = {
+        "permutation": lambda n: [Permute(g) for g in itertools.permutations(range(1, n + 1))],
+        "add_trivial_on": lambda n: [AddTrivialOn()],
+        "add_trivial_off": lambda n: [AddTrivialOff()],
+        "duplicate": lambda n: [Duplicate(s) for s in range(1, n + 1)],
+        "projection": lambda n: [Project(d) for d in range(1, n + 1)] if n > 1 else [],
+    }
+
+    def test_every_row_with_link_laws_maps_coordinates(self):
+        """``_verify`` reads the image of the link of σ as f(F) ∖ f(σ) over
+        the facets F holding σ, which is exact only when f(A ∖ B) is
+        f(A) ∖ f(B) for all masks: the map acts coordinate by coordinate."""
+        assert set(self.ROW_STEPS) == set(THEOREMS)
+        rows = [name for name, spec in THEOREMS.items() if spec.links]
+        assert {"duplicate", "projection"} <= set(rows)
+        for name in rows:
+            for n in range(1, 5):
+                for step in self.ROW_STEPS[name](n):
+                    f = resolve_step(step, n).f
+                    for a in range(1 << n):
+                        for b in range(1 << n):
+                            assert f(a & ~b) == f(a) & ~f(b), (name, step, a, b)
+
+    @pytest.mark.parametrize("theorem", ["duplicate", "projection"])
+    def test_verify_fails_the_faces_the_laws_fail(self, theorem, monkeypatch):
+        """The failure list of each link check equals the faces at which the
+        law, called directly on the two links, answers False: on every code
+        with n ≤ 3, with K2's facets-over index as built and with one facet
+        of K2 dropped from it, so that the laws fail somewhere."""
+        spec = THEOREMS[theorem]
+        real = codemaps.facets_over
+        instances = failing = 0
+        for n in range(1, 4):
+            for c in exhaustive_codes(n):
+                if not c.masks:
+                    continue
+                K = code_complex(c)
+                for step in self.ROW_STEPS[theorem](n):
+                    r = resolve_step(step, n)
+                    K2 = image_complex(step, K)
+                    for dropped in [None, *sorted(K2.facet_bits)]:
+                        over2 = {s: [g for g in over if g != dropped]
+                                 for s, over in real(K2).items()}
+                        monkeypatch.setattr(codemaps, "facets_over",
+                                            lambda L: over2 if L == K2 else real(L))
+                        report = codemaps._verify(theorem, c, step, Field.GF2)
+                        monkeypatch.setattr(codemaps, "facets_over", real)
+                        width, pairs = spec.faces(r, real(K), over2)
+                        pairs = list(pairs)
+                        for name, law in spec.links:
+                            failed = [shown for shown, s1, s2 in pairs if not law(
+                                r, frozenset(f & ~s1 for f in real(K)[s1]),
+                                frozenset(g & ~s2 for g in over2[s2]), Field.GF2)]
+                            (check,) = [ch for ch in report.checks if ch.name == name]
+                            assert check.lhs == tuple(binaries(failed, width)), (c, step, name)
+                            assert (check.outcome is Outcome.HOLDS) == (not failed)
+                            failing += bool(failed)
+                        instances += 1
+        assert instances > 1000 and failing > 100
 
     def test_duplicate_appended_vertex_dominated(self):
         for c in rand_codes(29, 25):

@@ -1,12 +1,13 @@
 """Golden outputs: the SHA-256 of the stdout of fixed CLI runs.
 
-Four verify runs cover the exhaustive n = 3 suite over both fields and two
+Six verify runs cover the exhaustive n = 3 suite over both fields and four
 seeded sampled suites, so any change to a verdict, a check, an observation or
 the order of the JSON lines changes a digest.  The exhaustive runs are
 repeated with ``--jobs 2`` against the same digests.  The n = 6 run is there for its
 partial instances (two permutation, one add-trivial-on, one duplicate),
 which pin the names and notes of the checks that stand in for an
-uncertified partition.
+uncertified partition.  The two n = 12 runs, one per field, reach the sizes
+where link cores are dense and their ranks dominate.
 
 The commands that are not suites (analyze, cmin, mh, homology, dual) each
 get one digest per field over the same inputs: seeded codes with n = 3 to 8
@@ -41,6 +42,14 @@ GOLDEN = {
     "sampled_n6_seed167_partial": (
         ["verify", "--n", "6", "--samples", "1", "--seed", "167"],
         "0ba5ae52b24a88a52c4f5c538179315ae7379a7813c223b6bdf71ccc12e59be8",
+    ),
+    "sampled_n12_seed1_gf2": (
+        ["verify", "--n", "12", "--samples", "3", "--seed", "1", "--field", "GF2"],
+        "f823c69400da8678eec672bbb544ce0c5be685ecf446c5402c1cd7ad06c65201",
+    ),
+    "sampled_n12_seed1_q": (
+        ["verify", "--n", "12", "--samples", "3", "--seed", "1", "--field", "Q"],
+        "5da2aff07b4be6411e14a55ec30e9d18ac890cc3d3354de6fc5cbb3b6dc0e951",
     ),
 }
 # Output does not depend on --jobs: the pooled exhaustive runs print the serial bytes.

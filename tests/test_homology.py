@@ -1,9 +1,7 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from obstrukt import (
     Codeword,
@@ -18,8 +16,7 @@ from obstrukt import (
 from obstrukt.homology import link_euler_characteristics, rank_fraction_free
 from obstrukt.errors import DegreeOutOfRange, VoidComplex
 
-from conftest import (RP2_FACETS, code, complexes, cone, cx, enumerate_complexes, full_simplex,
-                      seeded_complexes, w)
+from conftest import RP2_FACETS, code, cone, cx, enumerate_complexes, full_simplex, seeded_complexes
 
 BOTH = (Field.GF2, Field.RATIONAL)
 

@@ -1,6 +1,4 @@
-import itertools
 import random
-import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,9 +18,9 @@ from obstrukt import (
 )
 from obstrukt.codemaps import AddTrivialOff, AddTrivialOn, Duplicate, Permute, Project
 from obstrukt.errors import DegenerateDualWarning, NotAPermutation, VoidComplex
-from obstrukt.ideals import invert_permutation, minimal_masks, permute_mask
+from obstrukt.ideals import invert_permutation, minimal_masks
 
-from conftest import code, cx, enumerate_complexes, full_simplex, neural_codes, w
+from conftest import code, cx, enumerate_complexes, full_simplex
 
 
 def ideal(n, *gens):

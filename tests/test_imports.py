@@ -1,4 +1,4 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package, and every test file, uses every name it imports.
 
 The package's ``__init__.py`` is left out: it imports names to re-export
 them.  An import statement marked ``# noqa: F401`` is left out too; those
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "obstrukt"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "obstrukt"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -50,7 +51,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

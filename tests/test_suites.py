@@ -490,6 +490,29 @@ class TestMaskRepresentation:
         assert reduced_homology.cache_info().misses <= 35
         assert calls["maximal_masks"] <= 100
 
+    def test_sampled_verify_ranks_dense_cores_on_their_duals(self, monkeypatch, capsys):
+        # The same three ops hand 213 faces to reduced_homology, because a
+        # core holding more than half of the subsets of its vertices is
+        # ranked on its Alexander dual.  Ranking every core as it is handed
+        # over 1,256 faces.
+        from obstrukt import collapse, mandatory_partition, reduced_homology
+
+        faces = []
+
+        def counting(K, fld, _real=collapse.reduced_homology):
+            faces.append(len(K.face_bits))
+            return _real(K, fld)
+
+        monkeypatch.setattr(collapse, "reduced_homology", counting)
+        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
+        for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
+            memo.cache_clear()
+        for seed in (11, 12, 13):
+            argv = ["verify", "--n", "8", "--samples", "1", "--seed", str(seed), "--field", "GF2"]
+            assert main(argv) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 14
+        assert faces and sum(faces) <= 500
+
 
 # Four sampled n = 8 chunks of 150 codes with their lines written, in a fresh
 # interpreter; ru_maxrss (KiB on Linux) after each chunk goes to stdout.
