@@ -11,10 +11,9 @@ is undecidable in general).  Faces are mapped and compared as masks.
 
 The rows with link laws (duplicate and projection) have coordinate maps,
 f(A ∖ B) = f(A) ∖ f(B), so the image of a link is read off the images of
-the complex's facets, mapped once per instance: where they are the facets
-over the image face, the image formula holds without a call, which is made
-only where they differ.  The homology law answers equal links without
-ranks.
+the complex's facets, mapped once per instance, and the image formula is
+decided on those images and the facets over the image face without building
+either link.  The homology law answers equal links without ranks.
 """
 
 from __future__ import annotations
@@ -312,7 +311,11 @@ def _image_formula(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fl
     two-case formula: a face holding the source has a link without it,
     whose image is that link widened.  lk2 is an antichain, so its facets
     are the maximal images exactly when each is an image and every other
-    image lies under one of them; no ``maximal_masks`` pass is needed."""
+    image lies under one of them; no ``maximal_masks`` pass is needed.  A
+    map with link laws is a coordinate map, so the image of lk σ is
+    q(F) ∖ q(σ) over the facets F holding σ; these q(F) and the facets over
+    q(σ) all hold q(σ), and taking it away keeps their order, so the law
+    reads the same on the facets over σ and over q(σ) as on the links."""
     images = frozenset(map(r.f, lk1))
     if images == lk2:
         return True
@@ -425,23 +428,19 @@ def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
     if spec.links:
         over1, over2 = dom.over, facets_over(K2)
         width, pairs = spec.faces(r, over1, over2)
-        # A map with link laws is a coordinate map, so the image of lk σ is
-        # f(F) ∖ f(σ) over the facets F holding σ; as these f(F) and the
-        # facets over f(σ) all hold f(σ), comparing them is the image
-        # formula's first branch.
-        image = {F: f(F) for F in K.facet_bits}.__getitem__
+        # The image formula is read on the facets over σ and over σ' (see
+        # ``_image_formula``), each facet of K mapped once, by one lookup.
+        imaged = ResolvedStep(r.step, r.n, out_n, {F: f(F) for F in K.facet_bits}.__getitem__)
         failures: list[list[int]] = [[] for _ in spec.links]
         laws = [(law, failed) for (_, law), failed in zip(spec.links, failures)]
         for shown, s1, s2 in pairs:
-            imaged = set(map(image, over1[s1])) == set(over2[s2])
-            lk1 = None
             for law, failed in laws:
-                if imaged and law is _image_formula:
-                    continue
-                if lk1 is None:
-                    lk1 = frozenset(map((~s1).__and__, over1[s1]))
-                    lk2 = frozenset(map((~s2).__and__, over2[s2]))
-                if not law(r, lk1, lk2, fld):
+                if law is _image_formula:
+                    holds = law(imaged, over1[s1], frozenset(over2[s2]), fld)
+                else:
+                    holds = law(r, frozenset(map((~s1).__and__, over1[s1])),
+                                frozenset(map((~s2).__and__, over2[s2])), fld)
+                if not holds:
                     failed.append(shown)
         for (name, _), failed in zip(spec.links, failures):
             note = "faces listed on the left violate the relation" if failed else ""

@@ -5,11 +5,11 @@ operation works on it.  A face set is built by the pass that reads it and is
 not kept, so a complex held as a memo key holds its facets alone.  Only
 ``minimal_non_faces`` is cached on the complex: ``sr_ideal`` and
 ``dual_complex`` share its one Berge pass.  A small module memo keeps the
-last eight ``facets_over`` indexes, so that a partition, its χ̃ pass and the
-link laws of one theorem instance read one index per complex.  The void
-complex (no faces at all) has no facets and is a first-class value, distinct
-from the complex whose only face is the empty set; the latter is the link of
-a facet and is not contractible.
+last eight ``facets_over`` indexes, which only the link laws of the
+duplicate and projection theorems read.  The void complex (no faces at all)
+has no facets and is a first-class value, distinct from the complex whose
+only face is the empty set; the latter is the link of a facet and is not
+contractible.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ def facets_over(K: SimplicialComplex) -> dict[int, list[int]]:
 
     The link of a face s has the facets F & ~s for F in ``facets_over(K)[s]``,
     so one index serves the links of every face.  The last eight indexes
-    are kept, so that a theorem instance reads the index its partitions built;
-    callers share the dict and must not change it.
+    are kept, so that a complex met again by a later theorem instance is
+    indexed once; callers share the dict and must not change it.
     """
     over: dict[int, list[int]] = {}
     for f in K.facet_bits:

@@ -15,7 +15,10 @@ partition, the duplicate theorem's link check) go through
 to a point without ranks and ranks any other complex on its strong-collapse
 core, with each collapse stage decided once per relabelled copy.  A core
 on k vertices with more than 2^(k-1) faces is handed to
-``reduced_homology`` as its Alexander dual, which has fewer.
+``reduced_homology`` as its Alexander dual, which has fewer.  Reduced Euler
+characteristics need no ranks: ``euler_characteristic`` counts the faces,
+and ``link_euler_characteristics`` reads the links of all the facet
+intersections from one pass over the facets.
 """
 
 from __future__ import annotations
@@ -217,20 +220,22 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     return sum(1 if m.bit_count() % 2 else -1 for m in K.face_bits)
 
 
-def link_euler_characteristics(faces: Iterable[int]) -> dict[int, int]:
-    """Reduced Euler characteristic of the link of every face of a complex,
-    given all its faces as masks (the keys of its ``facets_over`` index, say),
-    by face mask: χ̃(lk σ) = -(-1)^|σ| Σ (-1)^|τ| over the faces τ ⊇ σ.  The
-    superset sums are taken one vertex at a time: each face holding the
-    vertex adds its sum to the face without it, which is a face too."""
-    sums = {m: -1 if m.bit_count() % 2 else 1 for m in faces}
-    rest = 0
-    for m in sums:
-        rest |= m
-    while rest:
-        bit = rest & -rest
-        for m in sums:
-            if m & bit:
-                sums[m ^ bit] += sums[m]
-        rest ^= bit
-    return {m: -s if m.bit_count() % 2 == 0 else s for m, s in sums.items()}
+def link_euler_characteristics(facets: Iterable[int]) -> dict[int, int]:
+    """Reduced Euler characteristic of the link of every face that is an
+    intersection of facets, by face mask, from the facets alone; the link of
+    any other face is a cone, with χ̃ = 0.  A face σ maps to the sum of
+    (-1)^|S| over the nonempty sets S of facets that meet in σ, which is
+    χ̃(lk σ) by inclusion-exclusion over the simplices F ∖ σ covering the
+    link: it is the Möbius value μ(σ, 1̂) of the intersection lattice with a
+    top added (Rota, On the foundations of combinatorial theory I, 1964).
+    The facets are added one at a time: every set S of earlier facets, with
+    meet m, gains the set S ∪ {F}, with meet m ∩ F and the opposite sign.
+    The keys are the whole lattice, faces whose value is 0 included."""
+    chi: dict[int, int] = {}
+    get = chi.get
+    for f in facets:
+        for m, v in list(chi.items()):
+            m &= f
+            chi[m] = get(m, 0) - v
+        chi[f] = get(f, 0) - 1
+    return chi

@@ -3,26 +3,27 @@
 A face is homologically mandatory when its link has nonzero reduced homology
 over the chosen field.  The certified partition routes every face by the
 contractibility verdict of its link; the empty face is mandatory by
-definition regardless of its link.  A cone shortcut is applied first: when
-the intersection of facets containing σ exceeds σ, the link is a cone and
-therefore contractible.  One ``complexes.facets_over`` index lists the
-facets over each face: their meet is that intersection, and for a face left
-undecided they give the link's facets.  Next, a link with nonzero reduced
-Euler characteristic (computed for all faces at once, over the same index's
-keys) has nonzero homology over every field.  The links of characteristic 0
-are decided on facet masks by ``collapse.link_profile``, as the duplicate
-theorem's link check is, and the complex itself (the link of ∅, for
-``ambient_verdict``) by ``collapse.contractibility``, which reads the same
-route.  Faces stay masks; the Codeword sets are views built when read.
+definition regardless of its link.  Only a face that is an intersection of
+facets can have a link that is not a cone (Curto et al., What makes a neural
+code convex?, SIAM J. Appl. Algebra Geom. 2017), so the partition is decided
+on the lattice of facet intersections alone.  One pass over the facets,
+``homology.link_euler_characteristics``, gives that lattice and the reduced
+Euler characteristic of each of its links: a link with χ̃ ≠ 0 has nonzero
+homology over every field.  The links of characteristic 0 are decided on
+facet masks by ``collapse.link_profile``, as the duplicate theorem's link
+check is, and the complex itself (the link of ∅, for ``ambient_verdict``)
+by ``collapse.contractibility``, which reads the same route.  Every other
+face has a cone for its link and is certified out; that class is
+enumerated only when it is read.  Faces stay masks; the Codeword sets are
+views built when read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from operator import and_
+from functools import cached_property, lru_cache
 
 from .codes import Codeword, NeuralCode, binaries
-from .complexes import SimplicialComplex, code_complex, facets_over
+from .complexes import SimplicialComplex, code_complex
 from .collapse import ContractibilityVerdict, Verdict, _status, contractibility, link_profile
 from .errors import VoidComplex
 from .homology import Field, link_euler_characteristics
@@ -51,7 +52,9 @@ class MandatorySet:
 class MandatoryPartition:
     """Faces split by link-contractibility certificate, as masks of width n;
     ``certified_in``, ``certified_out`` and ``unknown`` are their Codeword
-    views.
+    views.  The certified-out faces are the rest of the faces of the complex
+    with facets ``facet_bits``, enumerated on the first read of
+    ``out_masks``.
 
     ``in_masks`` always holds the empty face; ``ambient_verdict`` carries
     the contractibility status for the whole complex (the link of ∅), so
@@ -62,9 +65,14 @@ class MandatoryPartition:
     field: Field
     n: int
     in_masks: frozenset[int]
-    out_masks: frozenset[int]
     unknown_masks: frozenset[int]
     ambient_verdict: ContractibilityVerdict
+    facet_bits: frozenset[int]
+
+    @cached_property
+    def out_masks(self) -> frozenset[int]:
+        faces = SimplicialComplex(self.n, self.facet_bits).face_bits
+        return faces - self.in_masks - self.unknown_masks
 
     @property
     def certified_in(self) -> frozenset[Codeword]:
@@ -113,26 +121,25 @@ def mandatory_set(K: SimplicialComplex, field: Field = Field.GF2) -> MandatorySe
 # projections), and keep memory flat over a long suite.
 @lru_cache(maxsize=1024)
 def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartition:
-    """Certified three-way split of all faces by link contractibility."""
+    """Certified three-way split of all faces by link contractibility,
+    decided on the facet intersections: any other face has a cone for its
+    link and lands in ``out_masks``, which is enumerated on its first read."""
     if K.is_void:
         raise VoidComplex("mandatory partition of the void complex")
     ambient = contractibility(K, field)
-    index = facets_over(K)
-    chi = link_euler_characteristics(index)
-    cin, cout, unknown = {0}, set(), set()  # ∅ is mandatory by definition
-    classes = {Verdict.NON_CONTRACTIBLE: cin, Verdict.CONTRACTIBLE: cout, Verdict.UNKNOWN: unknown}
-    for m, over in index.items():
+    facets = K.facet_bits
+    cin, unknown = {0}, set()  # ∅ is mandatory by definition
+    classes = {Verdict.NON_CONTRACTIBLE: cin, Verdict.UNKNOWN: unknown}
+    for m, chi in link_euler_characteristics(facets).items():
         if not m:
             continue
-        if reduce(and_, over) != m:  # the link is a cone
-            cout.add(m)
-        elif chi[m]:
+        if chi:
             cin.add(m)
         else:
-            classes[_status(link_profile([f & ~m for f in over], field))].add(m)
-    return MandatoryPartition(
-        field, K.n, frozenset(cin), frozenset(cout), frozenset(unknown), ambient
-    )
+            status = _status(link_profile([f & ~m for f in facets if not m & ~f], field))
+            if status is not Verdict.CONTRACTIBLE:
+                classes[status].add(m)
+    return MandatoryPartition(field, K.n, frozenset(cin), frozenset(unknown), ambient, facets)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -239,27 +241,45 @@ class TestRationalRank:
             assert reduced_homology(K, Field.RATIONAL).betti == betti_by_fractions(K)
 
 
+def _facet_intersections(K):
+    """Brute force: the meet of every nonempty set of facets."""
+    facets = sorted(K.facet_bits)
+    meets = set()
+    for chosen in range(1, 1 << len(facets)):
+        meets.add(reduce(and_, (f for i, f in enumerate(facets) if chosen >> i & 1)))
+    return meets
+
+
 class TestLinkEuler:
-    def test_every_link_on_small_complexes(self):
-        for n in range(1, 5):
-            for K in enumerate_complexes(n):
-                if K.is_void:
-                    continue
-                chi = link_euler_characteristics(K.face_bits)
-                assert set(chi) == set(K.face_bits)
-                for m, value in chi.items():
-                    assert value == euler_characteristic(link(K, Codeword(m, n)))
+    CASES = [K for n in range(1, 5) for K in enumerate_complexes(n) if not K.is_void]
+    CASES += [cx(RP2_FACETS, 6)]
+
+    def test_keys_are_the_facet_intersections(self):
+        for K in self.CASES:
+            assert set(link_euler_characteristics(K.facet_bits)) == _facet_intersections(K), K
+
+    def test_every_value_is_the_link_characteristic(self):
+        for K in self.CASES:
+            for m, value in link_euler_characteristics(K.facet_bits).items():
+                assert value == euler_characteristic(link(K, Codeword(m, K.n))), (K, m)
+
+    def test_faces_off_the_lattice_have_cones_for_links(self):
+        for K in self.CASES:
+            chi = link_euler_characteristics(K.facet_bits)
+            for m in K.face_bits - chi.keys():
+                assert euler_characteristic(link(K, Codeword(m, K.n))) == 0
 
     def test_projective_plane(self):
         K = cx(RP2_FACETS, 6)
-        chi = link_euler_characteristics(K.face_bits)
+        chi = link_euler_characteristics(K.facet_bits)
         assert chi[0] == euler_characteristic(K) == 0
         assert all(chi[m] == -1 for m in K.facet_bits)  # link {∅}
         assert all(chi[m] == -1 for m in K.face_bits if m.bit_count() == 1)  # 5-cycles
         assert all(chi[m] == 1 for m in K.face_bits if m.bit_count() == 2)  # two points
+        assert len(chi) == len(K.face_bits)  # every face of RP² is a facet intersection
 
     def test_void_complex_has_no_faces(self):
-        assert link_euler_characteristics(SimplicialComplex.void(2).face_bits) == {}
+        assert link_euler_characteristics(SimplicialComplex.void(2).facet_bits) == {}
 
 
 class TestProfileValue:

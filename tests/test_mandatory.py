@@ -1,9 +1,14 @@
+import random
+import sys
+from functools import reduce
+from operator import and_
+
 import pytest
 
-import obstrukt.mandatory
 from obstrukt import (
     Codeword,
     Field,
+    MandatoryPartition,
     NeuralCode,
     SimplicialComplex,
     Verdict,
@@ -14,7 +19,12 @@ from obstrukt import (
     link,
     mandatory_partition,
     mandatory_set,
+    random_code,
     reduced_homology,
+    verify_add_trivial_on,
+    verify_duplicate,
+    verify_permutation,
+    verify_projection,
 )
 from obstrukt.errors import VoidComplex
 
@@ -251,29 +261,110 @@ def test_memo_keys_keep_no_face_set(field):
     assert set(vars(K)) <= {"n", "facet_bits", "minimal_non_faces"}
 
 
-@pytest.mark.parametrize("field", BOTH)
-def test_partition_miss_reads_one_facets_over_index(monkeypatch, field):
-    K = cx(["1234", "345", "156", "26"], 6)
-    expected = mandatory_partition(K, field)
-    real, calls = obstrukt.mandatory.facets_over, []
-    monkeypatch.setattr(obstrukt.mandatory, "facets_over",
-                        lambda K: calls.append(K) or real(K))
-    assert mandatory_partition.__wrapped__(K, field) == expected  # a miss, past the memo
-    assert calls == [K]
+def _face_by_face(K, field):
+    """M_H and the partition read face by face: a face is a cone's when the
+    facets holding it meet beyond it, and any other face has its link built
+    and decided by ``reduced_homology`` and the face-set reference collapse."""
+    mh, part = set(), {status: set() for status in Verdict}
+    for m in K.face_bits:
+        if m and reduce(and_, [f for f in K.facet_bits if not m & ~f]) != m:
+            part[Verdict.CONTRACTIBLE].add(m)
+            continue
+        lk = link(K, Codeword(m, K.n))
+        if not reduced_homology(lk, field).is_trivial:
+            mh.add(m)
+        part[Verdict.NON_CONTRACTIBLE if m == 0 else ref_contractibility(lk, field)].add(m)
+    return mh, part
+
+
+def _many_facet_complexes(count, seed):
+    """Complexes on 5 to 8 vertices spanned by 8 to 24 random sets of 2 or 3
+    vertices, so that the facet-intersection lattice is large."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(5, 8)
+        words = [sum(1 << v for v in rng.sample(range(n), rng.randint(2, 3)))
+                 for _ in range(rng.randint(8, 24))]
+        out.append(SimplicialComplex.from_masks(words, n))
+    return out
 
 
 @pytest.mark.parametrize("field", BOTH)
-def test_partition_miss_enumerates_the_faces_once(monkeypatch, field):
-    """The χ̃ pass reads the keys of the partition's facets-over index, so a
-    miss walks K's faces once: one index and no face set of K."""
-    K = cx(["1234", "345", "156", "26"], 6)
-    expected = mandatory_partition(K, field)
-    enumerations = []
+def test_lattice_partition_matches_the_face_by_face_reference(field):
+    """Seeded codes on 5 to 8 neurons at five densities, complexes with many
+    small facets, and the cone over RP²: every class of the partition, and
+    M_H, equal the face-by-face reading."""
+    cases = [code_complex(random_code(n, 97 * n + s, density))
+             for n in range(5, 9) for s in range(3) for density in (0.05, 0.1, 0.2, 0.3, 0.45)]
+    cases += _many_facet_complexes(40, seed=101) + [cone(cx(RP2_FACETS, 6), 7)]
+    unknown = 0
+    for K in cases:
+        mh, part = _face_by_face(K, field)
+        fast = mandatory_partition.__wrapped__(K, field)  # a miss, past the memo
+        assert fast.in_masks == part[Verdict.NON_CONTRACTIBLE], K
+        assert fast.out_masks == part[Verdict.CONTRACTIBLE], K
+        assert fast.unknown_masks == part[Verdict.UNKNOWN], K
+        assert fast.mandatory.masks == mandatory_set(K, field).masks == mh, K
+        unknown += len(fast.unknown_masks)
+    assert max(len(K.facet_bits) for K in cases) >= 15
+    assert bool(unknown) is (field is Field.RATIONAL)  # the apex over RP²
+
+
+def _watch_face_enumeration(monkeypatch):
+    """Record every complex whose face set is built, and every complex
+    handed to ``facets_over`` through any module that binds it."""
+    seen = []
     face_bits = SimplicialComplex.face_bits
     monkeypatch.setattr(SimplicialComplex, "face_bits",
-                        property(lambda C: enumerations.append(C) or face_bits.fget(C)))
-    index = obstrukt.mandatory.facets_over
-    monkeypatch.setattr(obstrukt.mandatory, "facets_over",
-                        lambda C: enumerations.append(C) or index(C))
-    assert mandatory_partition.__wrapped__(K, field) == expected  # a miss, past the memo
-    assert [C for C in enumerations if C == K] == [K]
+                        property(lambda C: seen.append(C) or face_bits.fget(C)))
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("obstrukt") and hasattr(module, "facets_over"):
+            monkeypatch.setattr(module, "facets_over",
+                                lambda C, _real=module.facets_over: seen.append(C) or _real(C))
+    return seen
+
+
+@pytest.mark.parametrize("field", BOTH)
+def test_partition_miss_enumerates_no_faces(monkeypatch, field):
+    """A miss reads the facets alone: no facets-over index and no face set,
+    of K or of anything else, once the ranks of its cores are memoised."""
+    for K in (cx(["1234", "345", "156", "26"], 6), cx(RP2_FACETS, 6), full_simplex(12)):
+        expected = mandatory_partition(K, field)
+        seen = _watch_face_enumeration(monkeypatch)
+        part = mandatory_partition.__wrapped__(K, field)  # a miss, past the memo
+        assert part == expected and part.mandatory == expected.mandatory
+        assert seen == []
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field", BOTH)
+def test_first_read_of_out_masks_enumerates_the_faces_once(monkeypatch, field):
+    K = cx(["1234", "345", "156", "26"], 6)
+    mandatory_partition(K, field)
+    part = mandatory_partition.__wrapped__(K, field)
+    seen = _watch_face_enumeration(monkeypatch)
+    assert part.out_masks is part.out_masks
+    assert part.certified_out == {Codeword(m, K.n) for m in part.out_masks}
+    assert part.to_json_dict()["cmin_out"] == sorted(c.binary() for c in part.certified_out)
+    assert seen == [K]
+
+
+@pytest.mark.parametrize("field", BOTH)
+def test_mh_and_the_link_law_rows_never_read_out_masks(monkeypatch, field):
+    """``mh`` and the projection, duplicate and add-trivial-on instances read
+    the certified-in and unknown classes only, so the certified-out faces
+    are never enumerated for them."""
+    def forbidden(part):
+        raise AssertionError("out_masks read")
+
+    monkeypatch.setattr(MandatoryPartition, "out_masks", property(forbidden))
+    for K in seeded_complexes(30, seed=71, max_n=6):
+        c = NeuralCode(K.n, K.facet_bits)
+        mandatory_set(K, field)
+        for delete in range(1, K.n + 1) if K.n > 1 else ():
+            verify_projection(c, delete, field)
+        verify_duplicate(c, 1, field)
+        verify_add_trivial_on(c, field)
+    with pytest.raises(AssertionError, match="out_masks read"):  # a row that compares it
+        verify_permutation(NeuralCode(2, [0b01, 0b10]), (2, 1), field)
