@@ -33,7 +33,7 @@ from .complexes import code_complex, complex_to_json, dual_complex, link
 from .errors import MalformedText, ObstruktError
 from .homology import Field, reduced_homology  # noqa: F401  bound for bench/test_bench.py
 from .ideals import alexander_dual, sr_ideal
-from .mandatory import analysis_json_dict, mandatory_set
+from .mandatory import mandatory_partition, mandatory_set
 from .suites import ALL_THEOREMS, code_reports, run_exhaustive, run_sampled, sampled_codes
 
 _THEOREM_FLAGS = {t.replace("_", "-"): t for t in ALL_THEOREMS} | {"all": "all"}
@@ -155,7 +155,7 @@ def _cmd_analyze(args: SimpleNamespace) -> int:
         _emit(args, payload, ["empty code: void complex"])
         return 0
     payload["homology"] = core_homology(K, args.field).to_json_dict()
-    payload.update(analysis_json_dict(K, args.field))
+    payload.update(mandatory_partition(K, args.field).to_json_dict())
     payload["sr_ideal"] = sr_ideal(K).to_lists()
     payload["dual_complex_facets"] = binaries(dual_complex(K).facet_bits, K.n)
     lines = [
@@ -181,7 +181,7 @@ def _cmd_mh(args: SimpleNamespace) -> int:
 
 def _cmd_cmin(args: SimpleNamespace) -> int:
     code = _load_code(args)
-    payload = analysis_json_dict(code_complex(code), args.field)
+    payload = mandatory_partition(code_complex(code), args.field).to_json_dict()
     lines = [
         "certified in: " + " ".join(payload["cmin_in"]),
         "certified out: " + " ".join(payload["cmin_out"]),

@@ -269,14 +269,16 @@ class Theorem:
 
     ``mh`` relates M_H(q(C)) to q(M_H(C)): "=", or "⊆" for the target inside
     the image, whose reverse containment is then reported as an observation.
-    ``links`` are laws on the facet masks of link(K, σ) and link(K2, σ') for
-    every face pair that ``faces`` reads off the facets-over indexes of K and
-    K2: it returns the width of the listed faces and (listed face, σ, σ') as
-    masks; a failing pair lists its first entry.  ``classes`` pairs a check
-    name with a partition class whose image must equal the target's class;
-    ``partial`` names the check that stands in when either partition has
-    uncertified links (None compares the classes regardless).  ``shift`` replaces the class comparison for a map
-    that moves the partition.  ``ideals`` are laws on the Stanley-Reisner
+    ``links`` are laws on link(K, σ) and link(K2, σ') for every face pair
+    that ``faces`` reads off the facets-over indexes of K and K2: it returns
+    the width of the listed faces and (listed face, σ, σ') as masks; a
+    failing pair lists its first entry.  Each law takes the image of each
+    facet of K (a lookup), the facets over σ and over σ', σ and σ', and
+    the field.  ``classes`` pairs a check name with a partition class whose
+    image must equal the target's class; ``partial`` names the check that
+    stands in when either partition has uncertified links (None compares
+    the classes regardless).  ``shift`` replaces the class comparison for a
+    map that moves the partition.  ``ideals`` are laws on the Stanley-Reisner
     ideals of K and K2, each giving the observed and the expected generators.
     """
 
@@ -301,25 +303,32 @@ def _lifted_faces(r: ResolvedStep, over1: dict[int, list[int]], over2: dict[int,
     return r.out_n, ((m2, embed_mask(m2, delete), m2) for m2 in over2)
 
 
-def _same_homology(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fld) -> bool:
+def _same_homology(image: Callable[[int], int], over1: list[int], over2: list[int],
+                   s1: int, s2: int, fld: Field) -> bool:
+    """lk σ and lk σ' have the same homology: the facets over σ and σ'
+    with σ and σ' taken away are the two links' facets."""
+    lk1 = frozenset(map((~s1).__and__, over1))
+    lk2 = frozenset(map((~s2).__and__, over2))
     return lk1 == lk2 or _facet_homology(lk1, fld) == _facet_homology(lk2, fld)
 
 
-def _image_formula(r: ResolvedStep, lk1: frozenset[int], lk2: frozenset[int], fld) -> bool:
+def _image_formula(image: Callable[[int], int], over1: list[int], over2: list[int],
+                   s1: int, s2: int, fld: Field) -> bool:
     """The link of an image face is the image of the link: the maximal
-    images of lk1's facets are lk2's facets.  For a duplicate this is the
-    two-case formula: a face holding the source has a link without it,
-    whose image is that link widened.  lk2 is an antichain, so its facets
-    are the maximal images exactly when each is an image and every other
-    image lies under one of them; no ``maximal_masks`` pass is needed.  A
-    map with link laws is a coordinate map, so the image of lk σ is
-    q(F) ∖ q(σ) over the facets F holding σ; these q(F) and the facets over
-    q(σ) all hold q(σ), and taking it away keeps their order, so the law
-    reads the same on the facets over σ and over q(σ) as on the links."""
-    images = frozenset(map(r.f, lk1))
-    if images == lk2:
+    images of the link of σ's facets are the facets of the link of σ'.  For
+    a duplicate this is the two-case formula: a face holding the source has
+    a link without it, whose image is that link widened.  A map with link
+    laws is a coordinate map, so the image of lk σ is q(F) ∖ q(σ) over the
+    facets F holding σ; these q(F) and the facets over q(σ) all hold q(σ),
+    and taking it away keeps their order, so the law is read on the facets
+    over σ and over σ' as it would be on the links.  The facets over σ' are
+    an antichain, so they are the maximal images exactly when each is an
+    image and every other image lies under one of them; no
+    ``maximal_masks`` pass is needed."""
+    images, targets = frozenset(map(image, over1)), frozenset(over2)
+    if images == targets:
         return True
-    return lk2 <= images and all(i in map(i.__and__, lk2) for i in images - lk2)
+    return targets <= images and all(i in map(i.__and__, targets) for i in images - targets)
 
 
 def _shift_by_empty_word(q, p1, p2) -> CheckResult:
@@ -377,10 +386,10 @@ THEOREMS: dict[str, Theorem] = {
 
 
 class Domain:
-    """A map's domain code with its complex and the complex's facets-over
-    index, each built on first use, so that every instance checked on one
-    ``Domain`` shares them.  The ``verify_*`` functions take a ``Domain`` or
-    a bare code."""
+    """A map's domain code with its complex, built on first use, so that
+    every instance checked on one ``Domain`` shares it (and the memo of
+    ``facets_over`` its index).  The ``verify_*`` functions take a
+    ``Domain`` or a bare code."""
 
     def __init__(self, code: NeuralCode) -> None:
         self.code = code
@@ -389,10 +398,6 @@ class Domain:
     @cached_property
     def K(self) -> SimplicialComplex:
         return code_complex(self.code)
-
-    @cached_property
-    def over(self) -> dict[int, list[int]]:
-        return facets_over(self.K)
 
 
 def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
@@ -426,21 +431,15 @@ def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
         observations = (("mh_reverse_containment_holds", q_mh1 <= mh2),)
 
     if spec.links:
-        over1, over2 = dom.over, facets_over(K2)
+        over1, over2 = facets_over(K), facets_over(K2)
         width, pairs = spec.faces(r, over1, over2)
-        # The image formula is read on the facets over σ and over σ' (see
-        # ``_image_formula``), each facet of K mapped once, by one lookup.
-        imaged = ResolvedStep(r.step, r.n, out_n, {F: f(F) for F in K.facet_bits}.__getitem__)
+        image = {F: f(F) for F in K.facet_bits}.__getitem__  # each facet mapped once
         failures: list[list[int]] = [[] for _ in spec.links]
         laws = [(law, failed) for (_, law), failed in zip(spec.links, failures)]
         for shown, s1, s2 in pairs:
+            above1, above2 = over1[s1], over2[s2]
             for law, failed in laws:
-                if law is _image_formula:
-                    holds = law(imaged, over1[s1], frozenset(over2[s2]), fld)
-                else:
-                    holds = law(r, frozenset(map((~s1).__and__, over1[s1])),
-                                frozenset(map((~s2).__and__, over2[s2])), fld)
-                if not holds:
+                if not law(image, above1, above2, s1, s2, fld):
                     failed.append(shown)
         for (name, _), failed in zip(spec.links, failures):
             note = "faces listed on the left violate the relation" if failed else ""

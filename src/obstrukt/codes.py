@@ -46,15 +46,6 @@ class Codeword:
             raise WidthMismatch(f"bit pattern {self.bits:#x} does not fit width {self.n}")
 
     @classmethod
-    def from_neurons(cls, neurons: Iterable[int], n: int) -> "Codeword":
-        bits = 0
-        for i in neurons:
-            if not 1 <= i <= n:
-                raise NeuronOutOfRange(f"neuron {i} outside 1..{n}")
-            bits |= 1 << (i - 1)
-        return cls(bits, n)
-
-    @classmethod
     def empty(cls, n: int) -> "Codeword":
         return cls(0, n)
 
@@ -94,9 +85,6 @@ class NeuralCode:
     @cached_property
     def words(self) -> frozenset[Codeword]:
         return frozenset(Codeword(m, self.n) for m in self.masks)
-
-    def __len__(self) -> int:
-        return len(self.masks)
 
     def __repr__(self) -> str:
         return f"NeuralCode(n={self.n}, {{{','.join(binaries(self.masks, self.n))}}})"

@@ -113,6 +113,13 @@ def _is_cone(facets: Iterable[int]) -> bool:
     return reduce(and_, facets, -1) != 0
 
 
+def _face_bound(facets: Iterable[int]) -> int:
+    """Σ_F 2^|F|, at least the number of faces of the complex with these
+    facets.  A core on k vertices whose bound is at most 2^(k-1) holds at
+    most half of the 2^k subsets, so the Berge pass for its dual is not run."""
+    return sum(1 << f.bit_count() for f in facets)
+
+
 @lru_cache(maxsize=4096)
 def _packed_profile(facets: frozenset[int], field: Field) -> HomologyProfile | None:
     """``link_profile`` of a complex packed onto vertices 1..k.  Deleting a
@@ -121,7 +128,8 @@ def _packed_profile(facets: frozenset[int], field: Field) -> HomologyProfile | N
     per call, and the packed rest is a key of its own.  A cone (a single
     vertex included) is contractible.  A core holding more than half of the
     2^k subsets of its k vertices is ranked on its Alexander dual, which
-    holds the rest; any other core is ranked as it is."""
+    holds the rest; any other core, among them every core whose
+    ``_face_bound`` is at most 2^(k-1), is ranked as it is."""
     if _is_cone(facets):
         return None
     bit = _highest_domination(facets)
@@ -129,17 +137,15 @@ def _packed_profile(facets: frozenset[int], field: Field) -> HomologyProfile | N
         return _packed_profile(_packed(_delete_bit(facets, bit)), field)
     k = max(facets).bit_length()
     core = SimplicialComplex(max(1, k), facets)
-    if k:
+    if k and _face_bound(facets) > 1 << k - 1:
         # The dual on [k] holds the complements of the core's non-faces,
         # 2^k - |core| faces, and H̃_i(core) ≅ H̃^(k-i-3)(dual).
         top = (1 << k) - 1
         dual = SimplicialComplex(k, frozenset(top ^ m for m in core.minimal_non_faces))
         if 2 * len(dual) < 1 << k:
             profile = reduced_homology(dual, field)
-            betti = [profile.dim_at(k - i - 3) for i in range(-1, k - 1)]
-            while betti and not betti[-1]:
-                betti.pop()
-            return HomologyProfile(field, tuple(betti))
+            return HomologyProfile(field, tuple(profile.dim_at(k - i - 3)
+                                                for i in range(-1, k - 1)))
     return reduced_homology(core, field)
 
 

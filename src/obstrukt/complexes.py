@@ -92,10 +92,6 @@ class SimplicialComplex:
                     raise ValueError(f"facet {m:#x} lies inside facet {f:#x}")
 
     @classmethod
-    def void(cls, n: int) -> "SimplicialComplex":
-        return cls(n, frozenset())
-
-    @classmethod
     def from_masks(cls, masks: Iterable[int], n: int) -> "SimplicialComplex":
         """Smallest complex containing the given faces (downward closure)."""
         return cls(n, maximal_masks(masks))
@@ -144,12 +140,6 @@ class SimplicialComplex:
 
     def __len__(self) -> int:
         return len(self.face_bits)
-
-    def widen(self, n: int) -> "SimplicialComplex":
-        """Reinterpret on a larger vertex count; new vertices stay unused."""
-        if n < self.n:
-            raise WidthMismatch(f"cannot shrink width {self.n} to {n}")
-        return SimplicialComplex(n, self.facet_bits)
 
     def __repr__(self) -> str:
         if self.is_void:

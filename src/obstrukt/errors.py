@@ -39,6 +39,10 @@ class VoidComplex(ObstruktError):
     """Operation is undefined on the void complex (the one with no faces at all)."""
 
 
+class TooManyFaces(ObstruktError):
+    """The faces asked for are more than the package enumerates."""
+
+
 class DegreeOutOfRange(ObstruktError):
     """Chain degree outside -1..dim(K)."""
 

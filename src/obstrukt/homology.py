@@ -42,12 +42,19 @@ class Field(Enum):
 class HomologyProfile:
     """Reduced Betti numbers by degree, starting at degree -1.
 
-    Trailing zeros are stripped so profiles of complexes of different
-    dimensions compare equal when their homology agrees in every degree.
+    Trailing zeros are stripped on construction, so profiles of complexes of
+    different dimensions compare equal when their homology agrees in every
+    degree.
     """
 
     field: Field
     betti: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        betti = self.betti
+        while betti and not betti[-1]:
+            betti = betti[:-1]
+        object.__setattr__(self, "betti", betti)
 
     def dim_at(self, degree: int) -> int:
         idx = degree + 1
@@ -204,12 +211,8 @@ def reduced_homology(K: SimplicialComplex, field: Field) -> HomologyProfile:
     for k in range(1, top + 1):
         room = min(len(grades[k]), len(grades[k - 1]) - ranks[k - 1])
         ranks[k] = _boundary_rank(grades, k, field, room)
-    betti = []
-    for k in range(top + 1):
-        betti.append(len(grades[k]) - ranks[k] - ranks[k + 1])
-    while betti and betti[-1] == 0:
-        betti.pop()
-    return HomologyProfile(field, tuple(betti))
+    return HomologyProfile(field, tuple(len(grades[k]) - ranks[k] - ranks[k + 1]
+                                        for k in range(top + 1)))
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:

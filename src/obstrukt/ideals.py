@@ -41,15 +41,6 @@ class MonomialIdeal:
         if minimal_masks(self.gen_bits) != self.gen_bits:
             raise ValueError("generators must form an antichain under divisibility")
 
-    @classmethod
-    def from_generators(cls, n: int, masks: Iterable[int]) -> "MonomialIdeal":
-        """Build from any generating set; redundant generators are dropped."""
-        return cls(n, minimal_masks(masks))
-
-    @classmethod
-    def zero(cls, n: int) -> "MonomialIdeal":
-        return cls(n, frozenset())
-
     @property
     def is_zero(self) -> bool:
         return not self.gen_bits

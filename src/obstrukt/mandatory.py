@@ -11,11 +11,12 @@ on the lattice of facet intersections alone.  One pass over the facets,
 Euler characteristic of each of its links: a link with χ̃ ≠ 0 has nonzero
 homology over every field.  The links of characteristic 0 are decided on
 facet masks by ``collapse.link_profile``, as the duplicate theorem's link
-check is, and the complex itself (the link of ∅, for ``ambient_verdict``)
-by ``collapse.contractibility``, which reads the same route.  Every other
-face has a cone for its link and is certified out; that class is
-enumerated only when it is read.  Faces stay masks; the Codeword sets are
-views built when read.
+check is.  The complex itself, the link of ∅, is decided in the same pass
+for ``ambient_verdict``; when ∅ is no facet intersection, the facets share
+a vertex and the complex is a cone.  Every other face has a cone for its
+link and is certified out; that class is enumerated only when it is read,
+and refused past ``MAX_LISTED_FACES`` faces, a count the same pass gives.
+Faces stay masks; the Codeword sets are views built when read.
 """
 from __future__ import annotations
 
@@ -24,10 +25,15 @@ from functools import cached_property, lru_cache
 
 from .codes import Codeword, NeuralCode, binaries
 from .complexes import SimplicialComplex, code_complex
-from .collapse import ContractibilityVerdict, Verdict, _status, contractibility, link_profile
-from .errors import VoidComplex
+from .collapse import ContractibilityVerdict, Verdict, _status, link_profile
+from .errors import TooManyFaces, VoidComplex
 from .homology import Field, link_euler_characteristics
 from .homology import reduced_homology  # noqa: F401  bound for bench/test_bench.py
+
+
+# The full simplex on 20 vertices, 2^20 faces, is the largest complex whose
+# certified-out faces are listed.
+MAX_LISTED_FACES = 1 << 20
 
 
 def _words(masks: frozenset[int], n: int) -> frozenset[Codeword]:
@@ -52,9 +58,10 @@ class MandatorySet:
 class MandatoryPartition:
     """Faces split by link-contractibility certificate, as masks of width n;
     ``certified_in``, ``certified_out`` and ``unknown`` are their Codeword
-    views.  The certified-out faces are the rest of the faces of the complex
-    with facets ``facet_bits``, enumerated on the first read of
-    ``out_masks``.
+    views.  The certified-out faces are the rest of the ``face_count``
+    faces of the complex with facets ``facet_bits``, enumerated on the first
+    read of ``out_masks``, which refuses a complex of more than
+    ``MAX_LISTED_FACES`` faces.
 
     ``in_masks`` always holds the empty face; ``ambient_verdict`` carries
     the contractibility status for the whole complex (the link of ∅), so
@@ -68,9 +75,13 @@ class MandatoryPartition:
     unknown_masks: frozenset[int]
     ambient_verdict: ContractibilityVerdict
     facet_bits: frozenset[int]
+    face_count: int
 
     @cached_property
     def out_masks(self) -> frozenset[int]:
+        if self.face_count > MAX_LISTED_FACES:
+            raise TooManyFaces(f"certified-out faces are enumerated for at most "
+                               f"{MAX_LISTED_FACES} faces; the complex has {self.face_count}")
         faces = SimplicialComplex(self.n, self.facet_bits).face_bits
         return faces - self.in_masks - self.unknown_masks
 
@@ -101,6 +112,7 @@ class MandatoryPartition:
     def to_json_dict(self) -> dict:
         return {
             "field": self.field.value,
+            "mh": self.mandatory.binaries(),
             "cmin_in": binaries(self.in_masks, self.n),
             "cmin_out": binaries(self.out_masks, self.n),
             "cmin_unknown": binaries(self.unknown_masks, self.n),
@@ -122,24 +134,30 @@ def mandatory_set(K: SimplicialComplex, field: Field = Field.GF2) -> MandatorySe
 @lru_cache(maxsize=1024)
 def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartition:
     """Certified three-way split of all faces by link contractibility,
-    decided on the facet intersections: any other face has a cone for its
-    link and lands in ``out_masks``, which is enumerated on its first read."""
+    decided on the facet intersections, ∅ among them: any other face has a
+    cone for its link and lands in ``out_masks``, which is enumerated on its
+    first read.  The same pass counts the faces: K is the union of the
+    simplices on its facets, so by inclusion-exclusion it has
+    -Σ_σ χ̃(lk σ)·2^|σ| faces over the facet intersections σ."""
     if K.is_void:
         raise VoidComplex("mandatory partition of the void complex")
-    ambient = contractibility(K, field)
     facets = K.facet_bits
+    ambient = Verdict.CONTRACTIBLE  # unless ∅ is a facet intersection, K is a cone
     cin, unknown = {0}, set()  # ∅ is mandatory by definition
     classes = {Verdict.NON_CONTRACTIBLE: cin, Verdict.UNKNOWN: unknown}
+    face_count = 0
     for m, chi in link_euler_characteristics(facets).items():
-        if not m:
-            continue
+        face_count -= chi << m.bit_count()
         if chi:
-            cin.add(m)
+            status = Verdict.NON_CONTRACTIBLE
         else:
             status = _status(link_profile([f & ~m for f in facets if not m & ~f], field))
-            if status is not Verdict.CONTRACTIBLE:
-                classes[status].add(m)
-    return MandatoryPartition(field, K.n, frozenset(cin), frozenset(unknown), ambient, facets)
+        if not m:
+            ambient = status
+        elif status is not Verdict.CONTRACTIBLE:
+            classes[status].add(m)
+    return MandatoryPartition(field, K.n, frozenset(cin), frozenset(unknown),
+                              ContractibilityVerdict(ambient, field), facets, face_count)
 
 
 @dataclass(frozen=True)
@@ -168,9 +186,3 @@ def check_no_local_obstruction(code: NeuralCode, field: Field = Field.GF2) -> Ob
     K = code_complex(code)
     missing = mandatory_set(K, field).masks - code.masks
     return ObstructionCheck(not missing, missing, code.n)
-
-
-def analysis_json_dict(K: SimplicialComplex, field: Field) -> dict:
-    """Combined mandatory report used by the command-line front end."""
-    part = mandatory_partition(K, field)
-    return {"field": field.value, "mh": part.mandatory.binaries()} | part.to_json_dict()

@@ -113,8 +113,8 @@ def code_reports(
     ``gammas=None`` checks every permutation of 1..n, and ``delete=None``
     projects away each neuron in turn (none when n = 1).  ``gammas``,
     ``source`` and ``delete`` are checked whichever theorems are chosen, before
-    any instance runs.  Every instance reads the code's complex and
-    facets-over index from one ``Domain``.
+    any instance runs.  Every instance reads the code's complex from one
+    ``Domain``, and its facets-over index from the memo of ``facets_over``.
     """
     n = code.n
     for name, neuron in (("source", source), ("delete", delete)):

@@ -9,6 +9,7 @@ tallies.
 
 import collections
 import json
+import math
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from obstrukt import (
     strong_collapse_core,
     suites,
 )
-from obstrukt import collapse, homology
+from obstrukt import collapse, homology, mandatory
 from obstrukt.codemaps import Duplicate, Project, image_complex, resolve_step
 from obstrukt.collapse import link_profile
 from obstrukt.complexes import maximal_masks
@@ -68,7 +69,8 @@ class TestCoreHomology:
     @pytest.mark.parametrize("fld", BOTH)
     def test_projective_plane_its_cones_and_wider_copies(self, fld):
         for K in rp2_family():
-            for wide in (K, K.widen(K.n + 1), K.widen(64)):
+            for width in (K.n, K.n + 1, 64):
+                wide = SimplicialComplex(width, K.facet_bits)
                 assert core_homology(wide, fld) == reduced_homology(wide, fld)
         assert core_homology(rp2_family()[0], Field.GF2).betti == (0, 0, 1, 1)
 
@@ -79,7 +81,7 @@ class TestCoreHomology:
     @pytest.mark.parametrize("n", [1, 2, 64])
     def test_void_raises(self, n):
         with pytest.raises(VoidComplex):
-            core_homology(SimplicialComplex.void(n))
+            core_homology(SimplicialComplex(n, frozenset()))
 
     def test_cones_never_reach_the_ranks(self, monkeypatch):
         def refuse(K):
@@ -89,7 +91,7 @@ class TestCoreHomology:
         collapse._packed_profile.cache_clear()
         monkeypatch.setattr(homology, "_grades", refuse)
         cones = [cx(["12", "23"], 3), cx(["1234"], 4), *rp2_family()[1:]]
-        cones += [K.widen(64) for K in cones]
+        cones += [SimplicialComplex(64, K.facet_bits) for K in cones]
         for K in cones:
             for fld in BOTH:
                 assert core_homology(K, fld) == HomologyProfile(fld, ())
@@ -107,7 +109,7 @@ class TestCoreHomology:
         monkeypatch.setattr("obstrukt.collapse.reduced_homology", recording)
         K = cx(["12", "13", "23", "34"], 4)  # the pendant edge collapses away
         for width in (4, 5, 9, 64):
-            core_homology(K.widen(width))
+            core_homology(SimplicialComplex(width, K.facet_bits))
         assert len(set(ranked)) == 1 and ranked[0].n == 3
 
 
@@ -209,8 +211,45 @@ class TestLinkRoute:
                     assert contractibility(K, fld).status is status, K
 
 
+class TestEmptyFaceOnTheLattice:
+    """The partition decides ∅, whose link is the complex, in its pass over
+    the facet intersections: χ̃ ≠ 0 certifies it, a complex whose facets
+    share a vertex is a cone, and only the rest reach ``link_profile``."""
+
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_ambient_verdict_is_the_contractibility_verdict(self, fld):
+        cases = [K for n in range(1, 5) for K in enumerate_complexes(n) if not K.is_void]
+        cases += rp2_family()[:2] + seeded_complexes(100, seed=2424, max_n=8)
+        assert max(K.n for K in cases) == 8
+        for K in cases:
+            assert mandatory_partition(K, fld).ambient_verdict == contractibility(K, fld), K
+
+    @pytest.mark.parametrize("fld", BOTH)
+    def test_no_link_profile_of_the_whole_complex(self, monkeypatch, fld):
+        """On the hollow triangle (χ̃ = -1) and on the cone over RP^2, whose
+        apex link has χ̃ = 0, a partition miss never hands ``link_profile``
+        all of K's facets."""
+        handed = []
+
+        def recording(facets, field):
+            facets = list(facets)
+            handed.append(frozenset(facets))
+            return link_profile(facets, field)
+
+        for module in (collapse, mandatory):
+            monkeypatch.setattr(module, "link_profile", recording)
+        hollow, coned = cx(["12", "13", "23"], 3), rp2_family()[1]
+        for K, ambient in ((hollow, Verdict.NON_CONTRACTIBLE), (coned, Verdict.CONTRACTIBLE)):
+            mandatory_partition.cache_clear()
+            handed.clear()
+            assert mandatory_partition(K, fld).ambient_verdict.status is ambient
+            assert K.facet_bits not in handed, K
+        assert handed  # the apex of the cone, whose link is RP^2
+
+
 # The face count that picks a core's route, replaced: every complex looks
-# empty, so its dual is ranked, or full, so it is ranked as it is.
+# empty, so its dual is ranked, or full, so it is ranked as it is.  Either
+# way the face bound that lets a core reach that count is lifted.
 DUAL, DIRECT = (lambda K: 0), (lambda K: 1 << K.n)
 
 
@@ -240,11 +279,13 @@ class TestDualRanks:
             handed.clear()
             with monkeypatch.context() as m:
                 m.setattr(SimplicialComplex, "__len__", route)
+                m.setattr(collapse, "_face_bound", lambda facets: math.inf)
                 profile = link_profile(K.facet_bits, fld)
             k, faces = K.vertex_bits.bit_count(), len(K.face_bits)
             (core,) = handed
             dual = route is DUAL and k > 0
             assert len(core.face_bits) == ((1 << k) - faces if dual else faces), (K, core)
+            assert profile.betti[-1:] != (0,), profile  # no trailing zero on either route
             return profile
 
         yield ranked

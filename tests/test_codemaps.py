@@ -79,11 +79,11 @@ class TestApply:
         assert image == code(["123", "2"], 3)
 
     def test_add_on_appends_firing_neuron(self):
-        cw = Codeword.from_neurons([1, 2], 3)
+        cw = w("12", 3)
         assert apply_step(AddTrivialOn(), cw).binary() == "1101"
 
     def test_add_off_appends_silent_neuron(self):
-        cw = Codeword.from_neurons([1, 2], 3)
+        cw = w("12", 3)
         assert apply_step(AddTrivialOff(), cw).binary() == "1100"
 
     def test_duplicate_copies_source_coordinate(self):
@@ -93,7 +93,7 @@ class TestApply:
 
     def test_permute_reads_gamma_positions(self):
         # γ = (2,3,1): position i of the image reads coordinate γ(i)
-        cw = Codeword.from_neurons([2], 3)
+        cw = w("2", 3)
         out = apply_step(Permute((2, 3, 1)), cw)
         assert out.binary() == "100"
 
@@ -181,7 +181,7 @@ def ref_closure(masks):
 def two_case_formula(step, sigma, lk1, lk2):
     """A face holding the source keeps its link; any other's link maps across."""
     if sigma.bits >> (step.source - 1) & 1:
-        return lk2 == lk1.widen(lk2.n)
+        return lk2 == SimplicialComplex(lk2.n, lk1.facet_bits)
     return lk2 == image_complex(step, lk1)
 
 
@@ -203,9 +203,10 @@ class TestLinkLemmas:
                     sigma = Codeword(m, n)
                     lk1 = link(K, sigma)
                     lk2 = link(K2, apply_step(step, sigma))
-                    assert law(r, lk1.facet_bits, lk2.facet_bits, Field.GF2)
-                    for other in (lk2, K2, lk1.widen(n + 1), image_complex(step, lk1)):
-                        assert law(r, lk1.facet_bits, other.facet_bits, Field.GF2) == (
+                    assert law(r.f, lk1.facet_bits, lk2.facet_bits, 0, 0, Field.GF2)
+                    widened = SimplicialComplex(n + 1, lk1.facet_bits)
+                    for other in (lk2, K2, widened, image_complex(step, lk1)):
+                        assert law(r.f, lk1.facet_bits, other.facet_bits, 0, 0, Field.GF2) == (
                             two_case_formula(step, sigma, lk1, other))
                     triples += 1
         assert triples == {1: 3, 2: 24, 3: 240, 4: 5376}[n]  # 5,643 in all
@@ -214,13 +215,18 @@ class TestLinkLemmas:
     def test_duplicate_homology_law_compares_reduced_homology(self, fld):
         """On every pair of nonvoid complexes with n ≤ 3, equal facet sets
         included, the duplicate row's homology law answers as comparing the
-        plain ranks of the two."""
+        plain ranks of the two: given as the facets over ∅, and as the
+        facets over the apexes 4 and 5 of cones over the two, which the law
+        takes away."""
         law = dict(THEOREMS["duplicate"].links)["link_homology_preserved"]
-        r = resolve_step(Duplicate(1), 3)
-        cases = [K.widen(3) for n in range(1, 4) for K in enumerate_complexes(n) if not K.is_void]
+        f = resolve_step(Duplicate(1), 3).f
+        cases = [SimplicialComplex(3, K.facet_bits)
+                 for n in range(1, 4) for K in enumerate_complexes(n) if not K.is_void]
         for A, B in itertools.product(cases, repeat=2):
             expected = reduced_homology(A, fld) == reduced_homology(B, fld)
-            assert law(r, A.facet_bits, B.facet_bits, fld) == expected, (A, B)
+            assert law(f, A.facet_bits, B.facet_bits, 0, 0, fld) == expected, (A, B)
+            coned = [g | 0b1000 for g in A.facet_bits], [g | 0b10000 for g in B.facet_bits]
+            assert law(f, *coned, 0b1000, 0b10000, fld) == expected, (A, B)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_projection_law_is_the_closed_image_of_the_link(self, n):
@@ -244,9 +250,9 @@ class TestLinkLemmas:
                     lk1 = link(K, Codeword(embed_mask(m2, delete), n))
                     lk2 = link(K2, Codeword(m2, n - 1))
                     closed = ref_closure(map(r.f, lk1.face_bits))
-                    assert law(r, lk1.facet_bits, lk2.facet_bits, Field.GF2)
+                    assert law(r.f, lk1.facet_bits, lk2.facet_bits, 0, 0, Field.GF2)
                     for other in (lk2, K2):
-                        assert law(r, lk1.facet_bits, other.facet_bits, Field.GF2) == (
+                        assert law(r.f, lk1.facet_bits, other.facet_bits, 0, 0, Field.GF2) == (
                             closed == other.face_bits)
                     unreduced_failures += not unreduced(r, lk1.facet_bits, lk2.facet_bits,
                                                         Field.GF2)
@@ -271,8 +277,8 @@ class TestLinkLemmas:
             members += sorted(lk2)
         under = [m & data.draw(masks) for m in members]
         images = frozenset(members + under + data.draw(st.lists(masks, max_size=2)))
-        r = resolve_step(AddTrivialOff(), width)
-        assert law(r, images, lk2, Field.GF2) == (maximal_masks(images) == lk2)
+        identity = resolve_step(AddTrivialOff(), width).f
+        assert law(identity, images, lk2, 0, 0, Field.GF2) == (maximal_masks(images) == lk2)
 
     def test_add_on_preserves_links_verbatim(self):
         for c in rand_codes(13, 25):
@@ -373,7 +379,8 @@ class TestLinkLemmas:
     @pytest.mark.parametrize("theorem", ["duplicate", "projection"])
     def test_verify_fails_the_faces_the_laws_fail(self, theorem, monkeypatch):
         """The failure list of each link check equals the faces at which the
-        law, called directly on the two links, answers False: on every code
+        law, called directly on the facets over the two faces, answers False:
+        on every code
         with n ≤ 3, with K2's facets-over index as built and with one facet
         of K2 dropped from it, so that the laws fail somewhere."""
         spec = THEOREMS[theorem]
@@ -398,8 +405,7 @@ class TestLinkLemmas:
                         pairs = list(pairs)
                         for name, law in spec.links:
                             failed = [shown for shown, s1, s2 in pairs if not law(
-                                r, frozenset(f & ~s1 for f in real(K)[s1]),
-                                frozenset(g & ~s2 for g in over2[s2]), Field.GF2)]
+                                r.f, real(K)[s1], over2[s2], s1, s2, Field.GF2)]
                             (check,) = [ch for ch in report.checks if ch.name == name]
                             assert check.lhs == tuple(binaries(failed, width)), (c, step, name)
                             assert (check.outcome is Outcome.HOLDS) == (not failed)

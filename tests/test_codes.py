@@ -82,18 +82,18 @@ class TestParse:
 
 class TestFormat:
     def test_binary_widths(self):
-        assert format_codeword(Codeword.from_neurons([1, 2], 3), BINARY) == "110"
-        assert format_codeword(Codeword.from_neurons([1, 2], 4), BINARY) == "1100"
+        assert format_codeword(Codeword(0b011, 3), BINARY) == "110"
+        assert format_codeword(Codeword(0b0011, 4), BINARY) == "1100"
 
     def test_empty_word(self):
         assert format_codeword(Codeword.empty(5), WORD) == "∅"
 
     def test_set(self):
-        assert format_codeword(Codeword.from_neurons([2, 4], 5), SET) == "{2,4}"
+        assert format_codeword(Codeword(0b01010, 5), SET) == "{2,4}"
 
     def test_word_rejects_wide(self):
         with pytest.raises(UnrepresentableForm):
-            format_codeword(Codeword.from_neurons([10], 12), WORD)
+            format_codeword(Codeword(1 << 9, 12), WORD)
 
     @given(neural_codes(max_n=9))
     def test_round_trip_all_forms(self, c):
@@ -176,4 +176,4 @@ def test_empty_word_membership_is_preserved():
     without = code(["1"], 2)
     assert Codeword.empty(2) in with_empty.words
     assert Codeword.empty(2) not in without.words
-    assert len(with_empty) == 2
+    assert len(with_empty.masks) == 2

@@ -61,7 +61,7 @@ class TestDomination:
 
     def test_void_raises(self):
         with pytest.raises(VoidComplex):
-            strong_collapse_core(SimplicialComplex.void(2))
+            strong_collapse_core(SimplicialComplex(2, frozenset()))
 
 
 def is_single_point(K):

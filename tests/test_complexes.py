@@ -163,7 +163,7 @@ class TestCone:
     @given(complexes(max_n=5))
     def test_link_of_apex_recovers_complex(self, K):
         C = cone(K, K.n + 1)
-        apex = Codeword.from_neurons([K.n + 1], K.n + 1)
+        apex = Codeword(1 << K.n, K.n + 1)
         assert link(C, apex).face_bits == K.face_bits
 
 
@@ -213,7 +213,7 @@ class TestDual:
         assert dual_complex(full_simplex(3)).is_void
 
     def test_void_dualizes_to_full(self):
-        assert dual_complex(SimplicialComplex.void(3)) == full_simplex(3)
+        assert dual_complex(SimplicialComplex(3, frozenset())) == full_simplex(3)
 
     def test_double_dual_worked_example(self):
         K = code_complex(code(["24", "35", "45", "123"], 6))
@@ -227,7 +227,7 @@ class TestDual:
 
 class TestStructure:
     def test_void_versus_empty_face_complex(self):
-        void = SimplicialComplex.void(2)
+        void = SimplicialComplex(2, frozenset())
         point_of_nothing = SimplicialComplex(2, frozenset({0}))
         assert void != point_of_nothing
         assert void.is_void and not point_of_nothing.is_void
@@ -236,7 +236,7 @@ class TestStructure:
         assert cx(["123"], 3).dim == 2
         assert SimplicialComplex(1, frozenset({0})).dim == -1
         with pytest.raises(VoidComplex):
-            SimplicialComplex.void(2).dim
+            SimplicialComplex(2, frozenset()).dim
 
     def test_delete_vertex(self):
         K = cx(["12", "23"], 3)

@@ -15,7 +15,7 @@ from obstrukt import (
     link,
     reduced_homology,
 )
-from obstrukt.homology import link_euler_characteristics, rank_fraction_free
+from obstrukt.homology import HomologyProfile, link_euler_characteristics, rank_fraction_free
 from obstrukt.errors import DegreeOutOfRange, VoidComplex
 
 from conftest import RP2_FACETS, code, cone, cx, enumerate_complexes, full_simplex, seeded_complexes
@@ -90,7 +90,7 @@ class TestBoundaryMatrix:
 
     def test_void(self):
         with pytest.raises(VoidComplex):
-            boundary_matrix(SimplicialComplex.void(2), 0, Field.GF2)
+            boundary_matrix(SimplicialComplex(2, frozenset()), 0, Field.GF2)
 
     @pytest.mark.parametrize("field", BOTH)
     def test_boundary_squares_to_zero_worked_example(self, field):
@@ -116,6 +116,12 @@ class TestBoundaryMatrix:
 
 
 class TestProfiles:
+    @pytest.mark.parametrize("field", BOTH)
+    def test_profiles_trim_their_trailing_zeros(self, field):
+        assert HomologyProfile(field, (0, 1, 0, 0)) == HomologyProfile(field, (0, 1))
+        assert HomologyProfile(field, (0, 1, 0, 0)).betti == (0, 1)
+        assert HomologyProfile(field, (0, 0)).is_trivial
+
     def test_empty_face_complex(self):
         K = SimplicialComplex(2, frozenset({0}))
         profile = reduced_homology(K, Field.GF2)
@@ -161,7 +167,7 @@ class TestProfiles:
 
     def test_void_raises(self):
         with pytest.raises(VoidComplex):
-            reduced_homology(SimplicialComplex.void(2), Field.GF2)
+            reduced_homology(SimplicialComplex(2, frozenset()), Field.GF2)
 
 
 class TestEuler:
@@ -186,7 +192,7 @@ class TestEuler:
 
     def test_void_raises(self):
         with pytest.raises(VoidComplex):
-            euler_characteristic(SimplicialComplex.void(1))
+            euler_characteristic(SimplicialComplex(1, frozenset()))
 
 
 class TestFieldSensitivity:
@@ -279,7 +285,7 @@ class TestLinkEuler:
         assert len(chi) == len(K.face_bits)  # every face of RP² is a facet intersection
 
     def test_void_complex_has_no_faces(self):
-        assert link_euler_characteristics(SimplicialComplex.void(2).facet_bits) == {}
+        assert link_euler_characteristics(SimplicialComplex(2, frozenset()).facet_bits) == {}
 
 
 class TestProfileValue:

@@ -26,7 +26,8 @@ from obstrukt import (
     verify_permutation,
     verify_projection,
 )
-from obstrukt.errors import VoidComplex
+from obstrukt import mandatory
+from obstrukt.errors import TooManyFaces, VoidComplex
 
 from conftest import (RP2_FACETS, code, cone, cx, enumerate_complexes, full_simplex,
                       ref_contractibility, seeded_complexes, w)
@@ -94,7 +95,7 @@ class TestMandatorySet:
 
     def test_void_raises(self):
         with pytest.raises(VoidComplex):
-            mandatory_set(SimplicialComplex.void(3), Field.GF2)
+            mandatory_set(SimplicialComplex(3, frozenset()), Field.GF2)
 
 
 class TestMandatoryPartition:
@@ -165,8 +166,29 @@ class TestMandatoryPartition:
 
     def test_json_keys(self):
         payload = mandatory_partition(full_simplex(2), Field.GF2).to_json_dict()
-        assert set(payload) == {"field", "cmin_in", "cmin_out", "cmin_unknown", "complex_verdict"}
+        assert list(payload) == ["field", "mh", "cmin_in", "cmin_out", "cmin_unknown",
+                                 "complex_verdict"]
+        assert payload["mh"] == ["11"]  # the facet, whose link is {∅}; K itself is a cone
         assert payload["cmin_in"] == ["00", "11"]  # sorted binaries
+
+    def test_face_count_is_exact_up_to_n4(self):
+        for n in range(1, 5):
+            for K in enumerate_complexes(n):
+                if not K.is_void:
+                    assert mandatory_partition(K, Field.GF2).face_count == len(K.face_bits), K
+
+    def test_out_masks_are_listed_up_to_the_bound(self, monkeypatch):
+        """With the bound at 2^10, the full simplex on 10 vertices is listed
+        and on 11 refused; the face count of the refusal is named."""
+        monkeypatch.setattr(mandatory, "MAX_LISTED_FACES", 1 << 10)
+        mandatory_partition.cache_clear()  # no out_masks read under the real bound
+        at = mandatory_partition(full_simplex(10), Field.GF2)
+        assert len(at.out_masks) == (1 << 10) - 2  # all but ∅ and the facet
+        above = mandatory_partition(full_simplex(11), Field.GF2)
+        with pytest.raises(TooManyFaces, match="the complex has 2048$"):
+            above.out_masks
+        assert above.mandatory.masks == {(1 << 11) - 1}  # M_H needs no listing
+        mandatory_partition.cache_clear()
 
 
 class TestObstructionCheck:

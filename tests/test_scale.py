@@ -9,12 +9,20 @@ F ∖ σ over σ cover lk σ by simplices, so lk σ has the homotopy type of
 their nerve, a complex on at most 8 vertices.  Two digests pin bytes
 printed before the facet-intersection rewrite: the full simplex at n = 16
 and the 8 × 16 code.
+
+A fourth input, 30 random words of 8 neurons, has a sparse core on many
+vertices: ``mh`` and ``homology`` on it must answer within 2 s without a
+Berge pass for the core's Alexander dual, and agree with plain ranks.
+``cmin`` and ``analyze`` list every face, so on the full simplex at n = 64
+they must refuse within 1 s, naming its face count.
 """
 
 import hashlib
 import itertools
 import json
+import signal
 import time
+from contextlib import contextmanager
 from functools import reduce
 from operator import and_
 
@@ -23,6 +31,7 @@ import pytest
 from obstrukt import Field, SimplicialComplex, collapse, mandatory_partition, reduced_homology
 from obstrukt.cli import main
 from obstrukt.codes import binaries
+from obstrukt.mandatory import MAX_LISTED_FACES
 
 WIDE_CODES = {
     "all_ones": ["1" * 64],
@@ -43,6 +52,41 @@ WIDE_CODES = {
         "0110000010001101000000000111011001010000001101000010100001001000",
     ],
 }
+
+# 30 words of 8 neurons at n = 64: random.Random(5), rng.sample(range(64), 8)
+# per word.  Over GF2, H̃ is 28 in degree 1 and 1 in degree 2.
+SPARSE_CORE = [
+    "0000000000000000000000100000000010000000010010010010010000000010",
+    "0001000000100001000000000000010000000000010000000100010000000001",
+    "0000001000000011000000011000001000100000000000000000000100000000",
+    "1000000000010100010000000010000100000000000000100000000100000000",
+    "0000100010100000000000000000000000000001000000001101000001000000",
+    "1000000010000100000000000000000000000000000000000100000110001010",
+    "0000000000101000001010000001000000000000000000000000000100000110",
+    "0000000000011000000100001010000000000000000010000000000001001000",
+    "0010100001100000100000010010000000000000000000000000000000010000",
+    "1000000000000000000100000000000000000110001100000000100000001000",
+    "0000100000000000000100100000001000000000000110000000100000000100",
+    "0001000000010000100000000000001000000000100001000000000000000110",
+    "0110000000000000000000100100000000010000000000010000001000001000",
+    "1010000000000000000000011000100000000100000000000000010000000001",
+    "0000000100001001000000010000000000000001000000001000100000000100",
+    "0000000000000000100000100000000011000000000000000100000001010010",
+    "0000001000000000000000010000000000000100000000010101000100010000",
+    "0010010000000100000001000001000010000100000000000000000000001000",
+    "0000010001000000010001000000000000100000000010100000000000100000",
+    "0000010000010000000110000000000000000001100100000001000000000000",
+    "0001000000100000000100000000001000000000000010100000000000000011",
+    "0010000000100001000000000100000000100010000000010000000000010000",
+    "0001000001000000100000000010010000000000010010000000100000000000",
+    "0000100010000100000001000000000100000000000000100001010000000000",
+    "0000001000100000100000000011000000000000100000000010000001000000",
+    "0001000001000000001000000010010000000000000000010000001000000010",
+    "0000000000000000000011000000010101000000000010100000000000000010",
+    "0000000101000000011000000100001000000000000000000000000001000100",
+    "0000000000010000000001000000000100100000100000001000100100000000",
+    "0000010000000000010000010000000110010000000000000010000100000000",
+]
 
 # sha256 of the stdout of `mh --form binary`, the same over GF2 and Q
 PINNED = {
@@ -97,3 +141,83 @@ def test_full_simplex_at_16_keeps_its_bytes(capsys):
     assert main(["mh", "--field", "GF2", "--n", "16", "--form", "binary", "--code", "1" * 16]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED["all_ones", 16]
+
+
+class Overtime(Exception):
+    """Raised into a run that outlasts its deadline; no handler in the CLI
+    catches it, as it would a TimeoutError (an OSError)."""
+
+
+@contextmanager
+def _deadline(seconds: float):
+    """Fail a run that outlasts ``seconds`` instead of waiting for it."""
+    def expire(signum, frame):
+        raise Overtime(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _meets(facets: list[int]) -> set[int]:
+    """∅ and every intersection of facets, by closing under pairwise meets."""
+    meets, fresh = {0}, set(facets)
+    while fresh:
+        meets |= fresh
+        fresh = {a & b for a in fresh for b in meets} - meets
+    return meets
+
+
+def _timed_main(argv: list[str], capsys, seconds: float) -> tuple[int, float, str, str]:
+    start = time.perf_counter()
+    with _deadline(seconds + 1):
+        status = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    return status, elapsed, out, err
+
+
+@pytest.mark.parametrize("field", ["GF2", "Q"])
+def test_sparse_wide_core_answers_in_time(field, capsys):
+    for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
+        memo.cache_clear()
+    facets = [_mask(w) for w in SPARSE_CORE]
+    fld = Field(field)
+    argv = ["--field", field, "--n", "64", "--form", "binary", "--code", ",".join(SPARSE_CORE)]
+    status, elapsed, out, _ = _timed_main(["homology", *argv], capsys, 2.0)
+    K = SimplicialComplex.from_masks(facets, 64)
+    assert status == 0 and json.loads(out) == reduced_homology(K, fld).to_json_dict()
+    assert elapsed < 2.0, f"homology took {elapsed:.2f} s"
+    if fld is Field.GF2:
+        assert json.loads(out)["dims"] == {"1": 28, "2": 1}
+    status, elapsed, out, _ = _timed_main(["mh", *argv], capsys, 2.0)
+    expected = {s for s in _meets(facets) if not reduced_homology(
+        SimplicialComplex(64, frozenset(f & ~s for f in facets if not s & ~f)), fld).is_trivial}
+    assert status == 0 and json.loads(out) == {"mh": binaries(expected, 64)}
+    assert elapsed < 2.0, f"mh took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("command", ["cmin", "analyze"])
+def test_listing_the_faces_of_the_full_simplex_at_64_is_refused(command, capsys):
+    status, elapsed, out, err = _timed_main(
+        [command, "--n", "64", "--form", "binary", "--code", "1" * 64], capsys, 1.0)
+    assert status == 2 and not out and str(1 << 64) in err
+    assert elapsed < 1.0, f"{command} took {elapsed:.2f} s"
+
+
+def test_listed_inputs_lie_under_the_bound():
+    """Every complex on at most 20 vertices has its faces listed: the golden
+    and benchmark inputs (n ≤ 12) and the full simplex at n = 16.  Of the
+    wide codes, the 8 × 16 code and the sparse core are listed too."""
+    assert MAX_LISTED_FACES >= 1 << 20
+    counts = {}
+    for name, words in [*WIDE_CODES.items(), ("sparse_core", SPARSE_CORE)]:
+        K = SimplicialComplex.from_masks([_mask(w) for w in words], 64)
+        counts[name] = mandatory_partition(K, Field.GF2).face_count
+    assert counts == {"all_ones": 1 << 64, "8x16": 523_643, "4x20": 4_191_672,
+                      "sparse_core": 7_307}
+    assert max(counts["8x16"], counts["sparse_core"]) <= MAX_LISTED_FACES < counts["4x20"]

@@ -8,11 +8,14 @@ from pathlib import Path
 import pytest
 
 from obstrukt import (
+    Duplicate,
     Field,
     NeuralCode,
+    Project,
     code_complex,
     codemaps,
     exhaustive_codes,
+    image_complex,
     random_code,
     run_exhaustive,
     run_sampled,
@@ -22,6 +25,7 @@ from obstrukt import (
     verify_projection,
 )
 from obstrukt.cli import main
+from obstrukt.complexes import facets_over
 from obstrukt.errors import BadDensity, NeuronOutOfRange, NotAPermutation
 from obstrukt.suites import code_reports, sampled_codes, symmetric_group
 
@@ -194,9 +198,14 @@ class TestRunner:
             monkeypatch.setattr(codemaps, name,
                                 lambda K, _real=real, _name=name: built.update([_name]) or _real(K))
         c = NeuralCode(4, [0b0111, 0b1100, 0b1001])
+        facets_over.cache_clear()
         reports = code_reports(c, theorems=("duplicate", "projection"))
-        # one index for the domain's complex, one per image complex
-        assert built == {"code_complex": 1, "facets_over": 1 + len(reports)} and len(reports) == 5
+        # every instance reads the domain's index; the memo builds it once,
+        # and one index per image complex
+        K = code_complex(c)
+        images = {image_complex(step, K) for step in (Duplicate(1), *map(Project, range(1, 5)))}
+        assert built == {"code_complex": 1, "facets_over": 2 * len(reports)} and len(reports) == 5
+        assert facets_over.cache_info().misses == 1 + len(images)
         monkeypatch.undo()
         assert reports == [verify_duplicate(c), *(verify_projection(c, d) for d in range(1, 5))]
 
