@@ -9,9 +9,9 @@ under the elementary code maps.
 
 # CLI path: what the commands read, compute and print, all reached from cli.main.
 from .codes import Codeword, NeuralCode, NotationForm, code_to_json, parse_codeword
-from .complexes import SimplicialComplex, code_complex, complex_to_json, dual_complex, link
+from .complexes import SimplicialComplex, code_complex, complex_to_json_dict, dual_complex, link
 from .homology import Field, HomologyProfile, reduced_homology
-from .collapse import ContractibilityVerdict, Verdict, contractibility, core_homology
+from .collapse import Verdict, contractibility, core_homology
 from .mandatory import MandatoryPartition, MandatorySet, mandatory_partition, mandatory_set
 from .ideals import MonomialIdeal, alexander_dual, sr_ideal
 from .codemaps import (

@@ -4,8 +4,10 @@ Input codes come inline (``--code "123,24,2"``) or from a file whose first
 line is ``n=<int>`` followed by one codeword per line (``-`` reads stdin).
 JSON output is the machine interface and is byte-stable for fixed inputs and
 seeds; text output is for people.  Exit status: 0 success, 1 a verification
-suite found a theorem violation, 2 bad input, 141 (128 + SIGPIPE) when the
-reader of stdout has closed it.
+suite found a theorem violation, 2 bad input (an ``ObstruktError``, or an
+``--input`` file that cannot be read), 141 (128 + SIGPIPE) when the reader of
+stdout has closed it.  Any other exception is a fault, not bad input, and
+leaves ``main`` with its traceback.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .codemaps import (
     Project,
     map_code,
 )
-from .complexes import code_complex, complex_to_json, dual_complex, link
+from .complexes import code_complex, complex_to_json_dict, dual_complex, link
 from .errors import MalformedText, ObstruktError
 from .homology import Field, reduced_homology  # noqa: F401  bound for bench/test_bench.py
-from .ideals import alexander_dual, sr_ideal
+from .ideals import dual_ideal, sr_ideal
 from .mandatory import mandatory_partition, mandatory_set
 from .suites import ALL_THEOREMS, code_reports, run_exhaustive, run_sampled, sampled_codes
 
@@ -47,10 +49,6 @@ _SIGPIPE_STATUS = 141  # 128 + SIGPIPE, as a shell reports a process the signal 
 
 class _UsageError(Exception):
     """A command line that no command takes; its message follows ``error:``."""
-
-
-def _default_field() -> str:
-    return os.environ.get("OBSTRUKT_FIELD", "GF2")
 
 
 def _parse_field(name: str) -> Field:
@@ -95,11 +93,14 @@ def _code_from_inline(text: str, form: NotationForm, n: int) -> NeuralCode:
 
 
 def _code_from_file(path: str, form: NotationForm) -> NeuralCode:
-    if path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    try:
+        if path == "-":
+            lines = sys.stdin.read().splitlines()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:  # a missing or unreadable file is bad input
+        raise MalformedText(str(exc)) from exc
     if not lines or not lines[0].strip().startswith("n="):
         raise MalformedText("first line must declare the neuron count, e.g. n=4", line=1, column=1)
     try:
@@ -206,7 +207,7 @@ def _cmd_link(args: SimpleNamespace) -> int:
     K = code_complex(code)
     sigma = parse_codeword(args.sigma, form, code.n)
     L = link(K, sigma)
-    payload = json.loads(complex_to_json(L))
+    payload = complex_to_json_dict(L)
     payload["faces"] = binaries(L.face_bits, L.n)
     _emit(args, payload, ["link facets: " + " ".join(payload["facets"])])
     return 0
@@ -215,12 +216,11 @@ def _cmd_link(args: SimpleNamespace) -> int:
 def _cmd_dual(args: SimpleNamespace) -> int:
     code = _load_code(args)
     K = code_complex(code)
-    dual = dual_complex(K)
     ideal = sr_ideal(K)
     payload = {
-        "dual_complex": json.loads(complex_to_json(dual)),
+        "dual_complex": complex_to_json_dict(dual_complex(K)),
         "sr_ideal": ideal.to_lists(),
-        "dual_ideal": alexander_dual(ideal).to_lists() if not ideal.is_zero else [],
+        "dual_ideal": [] if ideal.is_zero else dual_ideal(K).to_lists(),
     }
     _emit(
         args,
@@ -350,9 +350,8 @@ class _Opt(NamedTuple):
     """One long option: its flag, how its value is read, and its default.
 
     ``convert`` is a function of the text, a tuple of the accepted choices,
-    or None for a switch, which takes no value and is True when given.  A
-    string default goes through ``convert`` only when the flag is absent; a
-    callable default is called for it first.
+    or None for a switch, which takes no value and is True when given.  The
+    default is the value itself, stored as it is when the flag is absent.
     """
 
     flag: str
@@ -383,8 +382,7 @@ def _command(run: Callable[[SimpleNamespace], int], help: str, *options: _Opt) -
 
 
 _COMMON = (
-    _Opt("--field", _parse_field, _default_field,
-         help="coefficient field, GF2 or Q (env OBSTRUKT_FIELD overrides the default GF2)"),
+    _Opt("--field", _parse_field, Field.GF2, help="coefficient field, GF2 or Q (default GF2)"),
     _Opt("--output", ("json", "text"), "json", help="output format (default json)"),
 )
 _CODE_IN = (
@@ -553,8 +551,7 @@ def _parse_command(name: str, argv: list[str], extras: list[str]) -> SimpleNames
         if opt.required:
             missing.append(opt.flag)
         else:
-            default = opt.default() if callable(opt.default) else opt.default
-            values[opt.dest] = _convert(opt, default) if isinstance(default, str) else default
+            values[opt.dest] = opt.default
     if missing:
         raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
     extras += argv[end:]
@@ -618,7 +615,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             where = f" ({where})"
         print(f"obstrukt: input error{where}: {exc}", file=sys.stderr)
         return 2
-    except (ObstruktError, OSError, ValueError) as exc:
+    except ObstruktError as exc:
         print(f"obstrukt: input error: {exc}", file=sys.stderr)
         return 2
 

@@ -336,7 +336,7 @@ def _shift_by_empty_word(q, p1, p2) -> CheckResult:
     vertex, has link K: so the image of the certified set is the target's
     minus ∅ when K is non-contractible, and their nonempty parts agree when
     K is contractible."""
-    ambient = p1.ambient_verdict.status
+    ambient = p1.ambient_verdict
     if ambient is Verdict.CONTRACTIBLE:
         return _check("cmin_nonempty_image_equal", "=", p2.n,
                       q(p1.in_masks - {0}), p2.in_masks - {0})
@@ -393,7 +393,6 @@ class Domain:
 
     def __init__(self, code: NeuralCode) -> None:
         self.code = code
-        self.n = code.n
 
     @cached_property
     def K(self) -> SimplicialComplex:

@@ -26,13 +26,12 @@ homology.  From n = 8 up nearly every ranked core is that dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import Collection, Iterable
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, dual_complex
 from .errors import VoidComplex
 from .homology import Field, HomologyProfile, reduced_homology
 
@@ -41,12 +40,6 @@ class Verdict(Enum):
     CONTRACTIBLE = "contractible"
     NON_CONTRACTIBLE = "non_contractible"
     UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class ContractibilityVerdict:
-    status: Verdict
-    field: Field
 
 
 def _highest_domination(facets: Collection[int]) -> int | None:
@@ -140,8 +133,7 @@ def _packed_profile(facets: frozenset[int], field: Field) -> HomologyProfile | N
     if k and _face_bound(facets) > 1 << k - 1:
         # The dual on [k] holds the complements of the core's non-faces,
         # 2^k - |core| faces, and H̃_i(core) ≅ H̃^(k-i-3)(dual).
-        top = (1 << k) - 1
-        dual = SimplicialComplex(k, frozenset(top ^ m for m in core.minimal_non_faces))
+        dual = dual_complex(core)
         if 2 * len(dual) < 1 << k:
             profile = reduced_homology(dual, field)
             return HomologyProfile(field, tuple(profile.dim_at(k - i - 3)
@@ -181,10 +173,10 @@ def core_homology(K: SimplicialComplex, field: Field = Field.GF2) -> HomologyPro
     return _facet_homology(K.facet_bits, field)
 
 
-def contractibility(K: SimplicialComplex, field: Field = Field.GF2) -> ContractibilityVerdict:
+def contractibility(K: SimplicialComplex, field: Field = Field.GF2) -> Verdict:
     """Contractible when K is a cone or collapses to a point, non-contractible
     when its core has nonzero homology, and Unknown otherwise: the verdict
     that ``link_profile`` certifies."""
     if K.is_void:
         raise VoidComplex("contractibility of the void complex")
-    return ContractibilityVerdict(_status(link_profile(K.facet_bits, field)), field)
+    return _status(link_profile(K.facet_bits, field))

@@ -14,7 +14,6 @@ contractible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
@@ -238,6 +237,6 @@ def dual_complex(K: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(K.n, frozenset(top ^ m for m in K.minimal_non_faces))
 
 
-def complex_to_json(K: SimplicialComplex) -> str:
-    """Render as ``{"n": int, "facets": [...]}`` with sorted binary strings."""
-    return json.dumps({"n": K.n, "facets": binaries(K.facet_bits, K.n)})
+def complex_to_json_dict(K: SimplicialComplex) -> dict:
+    """``{"n": int, "facets": [...]}`` with sorted binary strings."""
+    return {"n": K.n, "facets": binaries(K.facet_bits, K.n)}

@@ -87,6 +87,18 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.n, minimal_transversals(I.gen_bits))
 
 
+def dual_ideal(K: SimplicialComplex) -> MonomialIdeal:
+    """``alexander_dual(sr_ideal(K))`` read off the facets, with no
+    transversal pass: the ideal of K's Alexander dual complex is generated
+    by the complements of K's facets (Miller-Sturmfels, Combinatorial
+    Commutative Algebra, ch. 1).  The full simplex, whose ideal is zero,
+    gives the unit ideal, that of its void dual."""
+    if K.is_void:
+        raise VoidComplex("dual ideal of the void complex")
+    top = (1 << K.n) - 1
+    return MonomialIdeal(K.n, frozenset(top ^ f for f in K.facet_bits))
+
+
 def ideal_contains(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     """True when I ⊇ J, reading the narrower ideal zero-padded to the wider
     width: every generator of J is divisible by one of I."""

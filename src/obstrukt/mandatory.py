@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 from .codes import Codeword, NeuralCode, binaries
 from .complexes import SimplicialComplex, code_complex
-from .collapse import ContractibilityVerdict, Verdict, _status, link_profile
+from .collapse import Verdict, _status, link_profile
 from .errors import TooManyFaces, VoidComplex
 from .homology import Field, link_euler_characteristics
 from .homology import reduced_homology  # noqa: F401  bound for bench/test_bench.py
@@ -63,9 +63,9 @@ class MandatoryPartition:
     read of ``out_masks``, which refuses a complex of more than
     ``MAX_LISTED_FACES`` faces.
 
-    ``in_masks`` always holds the empty face; ``ambient_verdict`` carries
-    the contractibility status for the whole complex (the link of ∅), so
-    both readings of ∅-membership stay checkable: ``mandatory`` is the
+    ``in_masks`` always holds the empty face; ``ambient_verdict`` is the
+    contractibility verdict of the whole complex (the link of ∅), so both
+    readings of ∅-membership stay checkable: ``mandatory`` is the
     homological one.
     """
 
@@ -73,7 +73,7 @@ class MandatoryPartition:
     n: int
     in_masks: frozenset[int]
     unknown_masks: frozenset[int]
-    ambient_verdict: ContractibilityVerdict
+    ambient_verdict: Verdict
     facet_bits: frozenset[int]
     face_count: int
 
@@ -106,7 +106,7 @@ class MandatoryPartition:
         """M_H: a link has nonzero homology exactly when it is certified
         non-contractible, so these are the nonempty faces of ``in_masks``,
         plus ∅ (whose link is the complex) when the complex is."""
-        keep_empty = self.ambient_verdict.status is Verdict.NON_CONTRACTIBLE
+        keep_empty = self.ambient_verdict is Verdict.NON_CONTRACTIBLE
         return MandatorySet(self.field, self.n, self.in_masks if keep_empty else self.in_masks - {0})
 
     def to_json_dict(self) -> dict:
@@ -116,7 +116,7 @@ class MandatoryPartition:
             "cmin_in": binaries(self.in_masks, self.n),
             "cmin_out": binaries(self.out_masks, self.n),
             "cmin_unknown": binaries(self.unknown_masks, self.n),
-            "complex_verdict": self.ambient_verdict.status.value,
+            "complex_verdict": self.ambient_verdict.value,
         }
 
 
@@ -156,8 +156,8 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
             ambient = status
         elif status is not Verdict.CONTRACTIBLE:
             classes[status].add(m)
-    return MandatoryPartition(field, K.n, frozenset(cin), frozenset(unknown),
-                              ContractibilityVerdict(ambient, field), facets, face_count)
+    return MandatoryPartition(field, K.n, frozenset(cin), frozenset(unknown), ambient, facets,
+                              face_count)
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,6 @@ class ObstructionCheck:
     @property
     def missing(self) -> frozenset[Codeword]:
         return _words(self.missing_masks, self.n)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passes": self.passes,
-            "missing": binaries(self.missing_masks, self.n),
-        }
 
 
 def check_no_local_obstruction(code: NeuralCode, field: Field = Field.GF2) -> ObstructionCheck:

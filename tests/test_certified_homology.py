@@ -207,8 +207,8 @@ class TestLinkRoute:
             for K in enumerate_complexes(n):
                 if not K.is_void:
                     status = ref_contractibility(K, fld)
-                    assert mandatory_partition(K, fld).ambient_verdict.status is status, K
-                    assert contractibility(K, fld).status is status, K
+                    assert mandatory_partition(K, fld).ambient_verdict is status, K
+                    assert contractibility(K, fld) is status, K
 
 
 class TestEmptyFaceOnTheLattice:
@@ -242,7 +242,7 @@ class TestEmptyFaceOnTheLattice:
         for K, ambient in ((hollow, Verdict.NON_CONTRACTIBLE), (coned, Verdict.CONTRACTIBLE)):
             mandatory_partition.cache_clear()
             handed.clear()
-            assert mandatory_partition(K, fld).ambient_verdict.status is ambient
+            assert mandatory_partition(K, fld).ambient_verdict is ambient
             assert K.facet_bits not in handed, K
         assert handed  # the apex of the cone, whose link is RP^2
 

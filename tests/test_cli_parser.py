@@ -29,7 +29,6 @@ from obstrukt.cli import (
     _cmd_mh,
     _cmd_random,
     _cmd_verify,
-    _default_field,
     main,
     parse_args,
 )
@@ -56,9 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default=_default_field(), type=_parse_field,
-                        metavar="{GF2,Q}",
-                        help="coefficient field (env OBSTRUKT_FIELD overrides the default)")
+    common.add_argument("--field", default="GF2", type=_parse_field, metavar="{GF2,Q}",
+                        help="coefficient field (default GF2)")
     common.add_argument("--output", default="json", choices=["json", "text"])
 
     code_in = argparse.ArgumentParser(add_help=False)
@@ -367,19 +365,26 @@ EDGES = [
 
 
 @pytest.mark.parametrize("argv", CLI_TESTS + README + EDGES, ids=repr)
-def test_same_as_argparse(argv, capsys, monkeypatch):
-    monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
+def test_same_as_argparse(argv, capsys):
     check(argv, capsys)
 
 
-def test_golden_runs_same_as_argparse(capsys, monkeypatch):
-    monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
+def test_golden_runs_same_as_argparse(capsys):
     assert len(GOLDEN_RUNS) > 400
     for argv in GOLDEN_RUNS:
         check(argv, capsys)
 
 
-@pytest.mark.parametrize("env", [None, "GF2", "Q", "gf2", "bogus", ""])
+def _run(argv, capsys):
+    """The status, stdout and stderr of one ``main`` call."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    return (status, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("env", ["GF2", "Q", "gf2", "bogus", ""])
 @pytest.mark.parametrize("argv", [
     ["homology", "--n", "3", "--code", "12,13,23"],
     ["homology", "--n", "3", "--code", "12,13,23", "--field", "Q"],
@@ -389,12 +394,13 @@ def test_golden_runs_same_as_argparse(capsys, monkeypatch):
     ["link", "--n", "3", "--code", "12"],
     ["verify", "--n", "3", "--code", "12", "-h"],
 ])
-def test_field_environment_same_as_argparse(argv, env, capsys, monkeypatch):
-    if env is None:
-        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
-    else:
-        monkeypatch.setenv("OBSTRUKT_FIELD", env)
-    check(argv, capsys)
+def test_output_depends_only_on_argv(argv, env, capsys, monkeypatch):
+    """The field comes from --field alone: a variable that an earlier
+    release read for its default changes no byte and no status."""
+    monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
+    expected = _run(argv, capsys)
+    monkeypatch.setenv("OBSTRUKT_FIELD", env)
+    assert _run(argv, capsys) == expected
 
 
 
@@ -404,11 +410,10 @@ def test_field_environment_same_as_argparse(argv, env, capsys, monkeypatch):
     ["mh", "--n", "2", "--code", "1", "--output=--"],
     ["verify", "--n", "2", "--code", "1", "--samples=--"],
 ])
-def test_equals_double_dash_is_the_text_of_the_option(argv, capsys, monkeypatch):
+def test_equals_double_dash_is_the_text_of_the_option(argv, capsys):
     """The one departure from the reference: argparse reads ``--opt=--`` as an
     empty list, on which each command crashes or prints text for --output;
     here ``--`` is the option's text like any other, and is rejected."""
-    monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
     assert [] in reference(argv).values()
     capsys.readouterr()
     try:
@@ -434,8 +439,7 @@ _TOKENS = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(COMMANDS + ["bogus", "-h", "--x"]),
        rest=st.lists(_TOKENS, max_size=7))
-def test_random_command_lines_same_as_argparse(command, rest, capsys, monkeypatch):
-    monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
+def test_random_command_lines_same_as_argparse(command, rest, capsys):
     check([command, *rest], capsys)
 
 

@@ -136,7 +136,7 @@ def test_mask_link_route_matches_the_complex_route(field):
         assert _facet_homology(facets, field) == core_homology(K, field) == reduced_homology(K, field)
         status = ref_contractibility(K, field)
         assert is_single_point(strong_collapse_core(K)) == (status is Verdict.CONTRACTIBLE), K
-        assert contractibility(K, field).status is status, K
+        assert contractibility(K, field) is status, K
         contractible += status is Verdict.CONTRACTIBLE
     assert len(cases) == 373 and 0 < contractible < len(cases)
 
@@ -157,35 +157,35 @@ def test_contractibility_matches_the_face_set_reference(field):
     cases += [rp2, cone(rp2, 7), stuck]
     seen = set()
     for K in cases:
-        status = contractibility(K, field).status
+        status = contractibility(K, field)
         assert status is ref_contractibility(K, field), K
         seen.add(status)
     assert seen == set(Verdict)
-    assert contractibility(stuck, field).status is Verdict.UNKNOWN
+    assert contractibility(stuck, field) is Verdict.UNKNOWN
     rp2_status = Verdict.UNKNOWN if field is Field.RATIONAL else Verdict.NON_CONTRACTIBLE
-    assert contractibility(rp2, field).status is rp2_status
+    assert contractibility(rp2, field) is rp2_status
 
 
 class TestContractibility:
     def test_full_simplex(self):
         verdict = contractibility(full_simplex(5))
-        assert verdict.status is Verdict.CONTRACTIBLE
+        assert verdict is Verdict.CONTRACTIBLE
 
     def test_hollow_triangle(self):
         verdict = contractibility(cx(["12", "13", "23"], 3))
-        assert verdict.status is Verdict.NON_CONTRACTIBLE
+        assert verdict is Verdict.NON_CONTRACTIBLE
 
     def test_empty_face_complex(self):
         verdict = contractibility(SimplicialComplex(2, frozenset({0})))
-        assert verdict.status is Verdict.NON_CONTRACTIBLE
+        assert verdict is Verdict.NON_CONTRACTIBLE
 
     def test_certificates_are_exclusive(self):
         for K in seeded_complexes(60, seed=31, max_n=6):
             for field in BOTH:
                 verdict = contractibility(K, field)
-                if verdict.status is Verdict.CONTRACTIBLE:
+                if verdict is Verdict.CONTRACTIBLE:
                     assert reduced_homology(K, field).is_trivial
-                elif verdict.status is Verdict.NON_CONTRACTIBLE:
+                elif verdict is Verdict.NON_CONTRACTIBLE:
                     assert not is_single_point(strong_collapse_core(K))
 
     def test_cone_links_never_non_contractible(self):
@@ -199,4 +199,4 @@ class TestContractibility:
                 L = link(K, sigma)
                 for field in BOTH:
                     assert reduced_homology(L, field).is_trivial
-                    assert contractibility(L, field).status is not Verdict.NON_CONTRACTIBLE
+                    assert contractibility(L, field) is not Verdict.NON_CONTRACTIBLE

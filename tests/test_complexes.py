@@ -1,4 +1,3 @@
-import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +7,7 @@ from obstrukt import (
     NeuralCode,
     SimplicialComplex,
     code_complex,
-    complex_to_json,
+    complex_to_json_dict,
     dual_complex,
     facet_intersection,
     link,
@@ -249,8 +248,8 @@ class TestStructure:
 
     def test_json(self):
         K = code_complex(code(["24", "35", "45", "123"], 6))
-        payload = json.loads(complex_to_json(K))
-        assert payload["n"] == 6
+        payload = complex_to_json_dict(K)
+        assert list(payload) == ["n", "facets"] and payload["n"] == 6
         assert payload["facets"] == sorted(payload["facets"])
         assert set(payload["facets"]) == {"010100", "001010", "000110", "111000"}
 

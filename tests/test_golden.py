@@ -61,8 +61,7 @@ GOLDEN.update({
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_stdout_digest(name, capsys, monkeypatch):
-    monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)  # the sampled run uses the default GF2
+def test_stdout_digest(name, capsys):
     argv, digest = GOLDEN[name]
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -150,8 +149,7 @@ FORMAT_GOLDEN = {
 
 
 @pytest.mark.parametrize("runs,output", sorted(FORMAT_GOLDEN))
-def test_format_digest(runs, output, capsys, monkeypatch):
-    monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
+def test_format_digest(runs, output, capsys):
     for argv in FORMAT_RUNS[runs]:
         assert main([*argv, "--output", output]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -18,7 +19,9 @@ from obstrukt import (
 )
 from obstrukt.codemaps import AddTrivialOff, AddTrivialOn, Duplicate, Permute, Project
 from obstrukt.errors import DegenerateDualWarning, NotAPermutation, VoidComplex
-from obstrukt.ideals import invert_permutation, minimal_masks
+from obstrukt.cli import main
+from obstrukt.codes import binaries
+from obstrukt.ideals import dual_ideal, invert_permutation, minimal_masks
 
 from conftest import code, cx, enumerate_complexes, full_simplex
 
@@ -117,6 +120,53 @@ class TestAlexanderDual:
         # oracle: transversals of {1,2} and {3,4} are the four mixed pairs
         D = alexander_dual(I)
         assert D.to_lists() == [[1, 3], [1, 4], [2, 3], [2, 4]]
+
+
+def _wide_codes(count: int, seed: int) -> list[NeuralCode]:
+    """Seeded codes of a few sparse words on up to 64 neurons."""
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(count):
+        n = rng.randint(10, 64)
+        words = {sum(1 << i for i in rng.sample(range(n), rng.randint(1, 8)))
+                 for _ in range(rng.randint(1, 12))}
+        codes.append(NeuralCode(n, words))
+    return codes
+
+
+class TestDualIdeal:
+    """``dual_ideal`` reads the Alexander dual of the Stanley-Reisner ideal
+    off the facets; the transversal route is its oracle wherever that ideal
+    is nonzero."""
+
+    def test_matches_the_transversal_route_up_to_n4(self):
+        checked = 0
+        for n in range(1, 5):
+            for K in enumerate_complexes(n):
+                if K.is_void or sr_ideal(K).is_zero:
+                    continue
+                assert dual_ideal(K) == alexander_dual(sr_ideal(K)), K
+                checked += 1
+        assert checked == 189
+
+    def test_matches_the_transversal_route_on_wide_codes(self, capsys):
+        for c in _wide_codes(12, seed=2525):
+            K = code_complex(c)
+            expected = alexander_dual(sr_ideal(K))
+            assert dual_ideal(K) == expected, K
+            words = ",".join(binaries(c.masks, c.n))
+            assert main(["dual", "--n", str(c.n), "--form", "binary", "--code", words]) == 0
+            assert json.loads(capsys.readouterr().out)["dual_ideal"] == expected.to_lists()
+
+    def test_full_simplex_gives_the_unit_ideal(self, capsys):
+        # the ideal of the void dual; the CLI prints the zero ideal's [] for it
+        assert dual_ideal(full_simplex(3)).to_lists() == [[]]
+        assert main(["dual", "--n", "3", "--code", "123"]) == 0
+        assert json.loads(capsys.readouterr().out)["dual_ideal"] == []
+
+    def test_void_complex_rejected(self):
+        with pytest.raises(VoidComplex):
+            dual_ideal(SimplicialComplex(2, frozenset()))
 
 
 class TestContainment:

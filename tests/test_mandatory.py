@@ -160,9 +160,9 @@ class TestMandatoryPartition:
 
     def test_ambient_verdict_exposed(self):
         part = mandatory_partition(full_simplex(3), Field.GF2)
-        assert part.ambient_verdict.status is Verdict.CONTRACTIBLE
+        assert part.ambient_verdict is Verdict.CONTRACTIBLE
         hollow = cx(["12", "13", "23"], 3)
-        assert mandatory_partition(hollow, Field.GF2).ambient_verdict.status is Verdict.NON_CONTRACTIBLE
+        assert mandatory_partition(hollow, Field.GF2).ambient_verdict is Verdict.NON_CONTRACTIBLE
 
     def test_json_keys(self):
         payload = mandatory_partition(full_simplex(2), Field.GF2).to_json_dict()

@@ -144,8 +144,8 @@ def test_full_simplex_at_16_keeps_its_bytes(capsys):
 
 
 class Overtime(Exception):
-    """Raised into a run that outlasts its deadline; no handler in the CLI
-    catches it, as it would a TimeoutError (an OSError)."""
+    """Raised into a run that outlasts its deadline; the CLI catches only
+    the package's own errors, so it leaves ``main`` as it is."""
 
 
 @contextmanager

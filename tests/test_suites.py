@@ -131,7 +131,6 @@ class TestBitsetKeys:
         calls = []
         real = complexes.maximal_masks
         monkeypatch.setattr(complexes, "maximal_masks", lambda masks: calls.append(1) or real(masks))
-        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
         for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
             memo.cache_clear()
         assert main(["verify", "--theorem", "all", "--exhaustive", "--n", "3"]) == 0
@@ -147,7 +146,6 @@ class TestBitsetKeys:
                 return _real(*args)
 
             monkeypatch.setattr(suites, name, counting)
-        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
         argv = ["verify", "--theorem", "all", "--exhaustive", "--n", "3"]
         assert main(argv + ["--summary"] * summary) == 0
         capsys.readouterr()
@@ -439,7 +437,6 @@ class TestSplice:
             count.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
         monkeypatch.setattr(json, "dumps", counting)
         argv = ["verify", "--theorem", "all", "--exhaustive", "--n", "3"]
         assert main(argv + ["--summary"] * summary) == 0
@@ -463,7 +460,6 @@ class TestMaskRepresentation:
                 _real(self)
 
             monkeypatch.setattr(cls, "__post_init__", counting)
-        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
         mandatory_partition.cache_clear()
         reduced_homology.cache_clear()
         for seed in (11, 12, 13):
@@ -488,7 +484,6 @@ class TestMaskRepresentation:
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counting)
-        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
         for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
             memo.cache_clear()
         for seed in (11, 12, 13):
@@ -513,7 +508,6 @@ class TestMaskRepresentation:
             return _real(K, fld)
 
         monkeypatch.setattr(collapse, "reduced_homology", counting)
-        monkeypatch.delenv("OBSTRUKT_FIELD", raising=False)
         for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
             memo.cache_clear()
         for seed in (11, 12, 13):
@@ -543,7 +537,6 @@ def test_memory_stays_flat_over_a_long_sampled_suite():
     # profiles and 150 keys' encoded reports.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    env.pop("OBSTRUKT_FIELD", None)
     ran = subprocess.run([sys.executable, "-c", _CHUNKS], env=env, capture_output=True,
                          text=True, timeout=300)
     assert ran.returncode == 0, ran.stderr
