@@ -100,8 +100,8 @@ class ResolvedStep:
     out_n: int
     f: Callable[[int], int]
 
-    def image_facets(self, facets: frozenset[int]) -> frozenset[int]:
-        """Facets of the closure of the image of a complex with these facets.
+    def image(self, K: SimplicialComplex) -> SimplicialComplex:
+        """Downward closure of the image of K's faces, built from its facets.
 
         Every elementary map is monotone on masks, so the images of the facets
         generate the same closure as the images of all faces.  Every map but a
@@ -109,10 +109,10 @@ class ResolvedStep:
         there the facet images are already the facets of the image, and so is
         the image of a single facet.
         """
-        images = map(self.f, facets)
-        if isinstance(self.step, Project) and len(facets) > 1:
-            return complexes.maximal_masks(images)
-        return frozenset(images)
+        images = map(self.f, K.facet_bits)
+        if isinstance(self.step, Project) and len(K.facet_bits) > 1:
+            images = complexes.maximal_masks(images)
+        return SimplicialComplex(self.out_n, frozenset(images))
 
 
 def _identity(mask: int) -> int:
@@ -172,9 +172,8 @@ def map_code(step: ElementaryMap, code: NeuralCode) -> NeuralCode:
 
 
 def image_complex(step: ElementaryMap, K: SimplicialComplex) -> SimplicialComplex:
-    """Downward closure of the image face set (see ``ResolvedStep.image_facets``)."""
-    r = resolve_step(step, K.n)
-    return SimplicialComplex(r.out_n, r.image_facets(K.facet_bits))
+    """Downward closure of the image face set (see ``ResolvedStep.image``)."""
+    return resolve_step(step, K.n).image(K)
 
 
 class Outcome(Enum):
@@ -415,7 +414,7 @@ def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
         return VerificationReport(theorem, code, step.describe(), fld, (), (("empty_code", True),))
     K = dom.K
     f, out_n = r.f, r.out_n
-    K2 = SimplicialComplex(out_n, r.image_facets(K.facet_bits))
+    K2 = r.image(K)
 
     def q(masks: Iterable[int]) -> frozenset[int]:
         return frozenset(map(f, masks))

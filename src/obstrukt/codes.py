@@ -26,6 +26,17 @@ MAX_NEURONS = 64
 EMPTY_SYMBOL = "∅"  # ∅
 
 
+def check_width(n: int, count: str, noun: str = "", masks: Iterable[int] = ()) -> None:
+    """Refuse a width n outside 1..MAX_NEURONS, then any of ``masks`` that
+    does not fit it; ``count`` and ``noun`` name the width and a mask in the
+    messages."""
+    if not 1 <= n <= MAX_NEURONS:
+        raise NeuronOutOfRange(f"{count} count must be in 1..{MAX_NEURONS}, got {n}")
+    for m in masks:
+        if m < 0 or m >> n:
+            raise WidthMismatch(f"{noun} {m:#x} does not fit width {n}")
+
+
 class NotationForm(Enum):
     SET = "set"
     WORD = "word"
@@ -40,10 +51,7 @@ class Codeword:
     n: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_NEURONS:
-            raise NeuronOutOfRange(f"neuron count must be in 1..{MAX_NEURONS}, got {self.n}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise WidthMismatch(f"bit pattern {self.bits:#x} does not fit width {self.n}")
+        check_width(self.n, "neuron", "bit pattern", (self.bits,))
 
     @classmethod
     def empty(cls, n: int) -> "Codeword":
@@ -75,12 +83,8 @@ class NeuralCode:
     masks: frozenset[int]  # any iterable of masks is stored as a frozenset
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_NEURONS:
-            raise NeuronOutOfRange(f"neuron count must be in 1..{MAX_NEURONS}, got {self.n}")
         object.__setattr__(self, "masks", frozenset(self.masks))
-        for m in self.masks:
-            if m < 0 or m >> self.n:
-                raise WidthMismatch(f"word {m:#x} does not fit width {self.n}")
+        check_width(self.n, "neuron", "word", self.masks)
 
     @cached_property
     def words(self) -> frozenset[Codeword]:
@@ -149,8 +153,7 @@ def parse_codeword(text: str, form: NotationForm, n: int) -> Codeword:
     The empty codeword is written ``∅`` (any form), ``{}`` (set form) or a run
     of zeros (binary form).
     """
-    if not 1 <= n <= MAX_NEURONS:
-        raise NeuronOutOfRange(f"neuron count must be in 1..{MAX_NEURONS}, got {n}")
+    check_width(n, "neuron")
     if text == EMPTY_SYMBOL:
         return Codeword.empty(n)
     if form is NotationForm.SET:

@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import Collection, Iterable
 
-from .complexes import SimplicialComplex, dual_complex
+from .complexes import SimplicialComplex, dual_complex, face_bound
 from .errors import VoidComplex
 from .homology import Field, HomologyProfile, reduced_homology
 
@@ -106,13 +106,6 @@ def _is_cone(facets: Iterable[int]) -> bool:
     return reduce(and_, facets, -1) != 0
 
 
-def _face_bound(facets: Iterable[int]) -> int:
-    """Σ_F 2^|F|, at least the number of faces of the complex with these
-    facets.  A core on k vertices whose bound is at most 2^(k-1) holds at
-    most half of the 2^k subsets, so the Berge pass for its dual is not run."""
-    return sum(1 << f.bit_count() for f in facets)
-
-
 @lru_cache(maxsize=4096)
 def _packed_profile(facets: frozenset[int], field: Field) -> HomologyProfile | None:
     """``link_profile`` of a complex packed onto vertices 1..k.  Deleting a
@@ -122,7 +115,8 @@ def _packed_profile(facets: frozenset[int], field: Field) -> HomologyProfile | N
     vertex included) is contractible.  A core holding more than half of the
     2^k subsets of its k vertices is ranked on its Alexander dual, which
     holds the rest; any other core, among them every core whose
-    ``_face_bound`` is at most 2^(k-1), is ranked as it is."""
+    ``face_bound`` is at most 2^(k-1) and so holds at most half of the
+    subsets, is ranked as it is, with no Berge pass for its dual."""
     if _is_cone(facets):
         return None
     bit = _highest_domination(facets)
@@ -130,7 +124,7 @@ def _packed_profile(facets: frozenset[int], field: Field) -> HomologyProfile | N
         return _packed_profile(_packed(_delete_bit(facets, bit)), field)
     k = max(facets).bit_length()
     core = SimplicialComplex(max(1, k), facets)
-    if k and _face_bound(facets) > 1 << k - 1:
+    if k and face_bound(facets) > 1 << k - 1:
         # The dual on [k] holds the complements of the core's non-faces,
         # 2^k - |core| faces, and H̃_i(core) ≅ H̃^(k-i-3)(dual).
         dual = dual_complex(core)

@@ -2,7 +2,9 @@
 
 The antichain of maximal faces, as bit masks, is the only stored state; every
 operation works on it.  A face set is built by the pass that reads it and is
-not kept, so a complex held as a memo key holds its facets alone.  Only
+not kept, so a complex held as a memo key holds its facets alone.  Every
+face listing (``face_bits``, ``facets_over``) refuses a complex of more than
+``MAX_LISTED_FACES`` faces, counted on its facets (``face_count``).  Only
 ``minimal_non_faces`` is cached on the complex: ``sr_ideal`` and
 ``dual_complex`` share its one Berge pass.  A small module memo keeps the
 last eight ``facets_over`` indexes, which only the link laws of the
@@ -18,8 +20,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
-from .codes import MAX_NEURONS, Codeword, NeuralCode, binaries
-from .errors import FaceNotInComplex, NeuronOutOfRange, VoidComplex, WidthMismatch
+from .codes import Codeword, NeuralCode, binaries, check_width
+from .errors import FaceNotInComplex, TooManyFaces, VoidComplex, WidthMismatch
+
+# The full simplex on 20 vertices, 2^20 faces, is the largest complex whose
+# faces are listed.
+MAX_LISTED_FACES = 1 << 20
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -70,6 +76,49 @@ def minimal_transversals(edges: Iterable[int]) -> frozenset[int]:
     return frozenset(found)
 
 
+def face_bound(facets: Iterable[int]) -> int:
+    """Σ_F 2^|F|, at least the number of faces of the complex with these
+    facets."""
+    return sum(1 << f.bit_count() for f in facets)
+
+
+def link_euler_characteristics(facets: Iterable[int]) -> dict[int, int]:
+    """Reduced Euler characteristic of the link of every face that is an
+    intersection of facets, by face mask, from the facets alone; the link of
+    any other face is a cone, with χ̃ = 0.  A face σ maps to the sum of
+    (-1)^|S| over the nonempty sets S of facets that meet in σ, which is
+    χ̃(lk σ) by inclusion-exclusion over the simplices F ∖ σ covering the
+    link: it is the Möbius value μ(σ, 1̂) of the intersection lattice with a
+    top added (Rota, On the foundations of combinatorial theory I, 1964).
+    The facets are added one at a time: every set S of earlier facets, with
+    meet m, gains the set S ∪ {F}, with meet m ∩ F and the opposite sign.
+    The keys are the whole lattice, faces whose value is 0 included."""
+    chi: dict[int, int] = {}
+    get = chi.get
+    for f in facets:
+        for m, v in list(chi.items()):
+            m &= f
+            chi[m] = get(m, 0) - v
+        chi[f] = get(f, 0) - 1
+    return chi
+
+
+def face_count(facets: Iterable[int]) -> int:
+    """Number of faces of the complex with these facets, listing none: the
+    complex is the union of the simplices on its facets, so by
+    inclusion-exclusion it has -Σ_σ χ̃(lk σ)·2^|σ| faces over the facet
+    intersections σ."""
+    return -sum(chi << m.bit_count() for m, chi in link_euler_characteristics(facets).items())
+
+
+def _check_listable(facets: frozenset[int]) -> None:
+    """Refuse a complex of more than ``MAX_LISTED_FACES`` faces, counted
+    exactly only when ``face_bound`` exceeds the limit."""
+    if face_bound(facets) > MAX_LISTED_FACES and (count := face_count(facets)) > MAX_LISTED_FACES:
+        raise TooManyFaces(f"faces are listed for complexes of at most {MAX_LISTED_FACES} "
+                           f"faces; the complex has {count}")
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A simplicial complex on {1, ..., n}, given by its facets; faces and
@@ -79,12 +128,8 @@ class SimplicialComplex:
     facet_bits: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_NEURONS:
-            raise NeuronOutOfRange(f"vertex count must be in 1..{MAX_NEURONS}, got {self.n}")
         facets = self.facet_bits
-        for m in facets:
-            if m < 0 or m >> self.n:
-                raise WidthMismatch(f"facet {m:#x} does not fit width {self.n}")
+        check_width(self.n, "vertex", "facet", facets)
         for m in facets:
             for f in facets:
                 if m & ~f == 0 and m != f:
@@ -101,6 +146,7 @@ class SimplicialComplex:
 
     @property
     def face_bits(self) -> frozenset[int]:
+        _check_listable(self.facet_bits)
         faces: set[int] = set()
         for f in self.facet_bits:
             faces.update(iter_submasks(f))
@@ -190,6 +236,7 @@ def facets_over(K: SimplicialComplex) -> dict[int, list[int]]:
     are kept, so that a complex met again by a later theorem instance is
     indexed once; callers share the dict and must not change it.
     """
+    _check_listable(K.facet_bits)
     over: dict[int, list[int]] = {}
     for f in K.facet_bits:
         s = f

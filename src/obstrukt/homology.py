@@ -15,10 +15,7 @@ partition, the duplicate theorem's link check) go through
 to a point without ranks and ranks any other complex on its strong-collapse
 core, with each collapse stage decided once per relabelled copy.  A core
 on k vertices with more than 2^(k-1) faces is handed to
-``reduced_homology`` as its Alexander dual, which has fewer.  Reduced Euler
-characteristics need no ranks: ``euler_characteristic`` counts the faces,
-and ``link_euler_characteristics`` reads the links of all the facet
-intersections from one pass over the facets.
+``reduced_homology`` as its Alexander dual, which has fewer.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gcd
-from typing import Iterable
 
 from .errors import DegreeOutOfRange, VoidComplex
 from .complexes import SimplicialComplex
@@ -221,24 +217,3 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     if K.is_void:
         raise VoidComplex("Euler characteristic of the void complex")
     return sum(1 if m.bit_count() % 2 else -1 for m in K.face_bits)
-
-
-def link_euler_characteristics(facets: Iterable[int]) -> dict[int, int]:
-    """Reduced Euler characteristic of the link of every face that is an
-    intersection of facets, by face mask, from the facets alone; the link of
-    any other face is a cone, with χ̃ = 0.  A face σ maps to the sum of
-    (-1)^|S| over the nonempty sets S of facets that meet in σ, which is
-    χ̃(lk σ) by inclusion-exclusion over the simplices F ∖ σ covering the
-    link: it is the Möbius value μ(σ, 1̂) of the intersection lattice with a
-    top added (Rota, On the foundations of combinatorial theory I, 1964).
-    The facets are added one at a time: every set S of earlier facets, with
-    meet m, gains the set S ∪ {F}, with meet m ∩ F and the opposite sign.
-    The keys are the whole lattice, faces whose value is 0 included."""
-    chi: dict[int, int] = {}
-    get = chi.get
-    for f in facets:
-        for m, v in list(chi.items()):
-            m &= f
-            chi[m] = get(m, 0) - v
-        chi[f] = get(f, 0) - 1
-    return chi

@@ -12,9 +12,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from .codes import MAX_NEURONS, Codeword
+from .codes import Codeword, check_width
 from .complexes import SimplicialComplex, minimal_transversals
-from .errors import DegenerateDualWarning, NeuronOutOfRange, NotAPermutation, VoidComplex, WidthMismatch
+from .errors import DegenerateDualWarning, NotAPermutation, VoidComplex, WidthMismatch
 
 
 def minimal_masks(masks: Iterable[int]) -> frozenset[int]:
@@ -33,11 +33,7 @@ class MonomialIdeal:
     gen_bits: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_NEURONS:
-            raise NeuronOutOfRange(f"variable count must be in 1..{MAX_NEURONS}, got {self.n}")
-        for m in self.gen_bits:
-            if m < 0 or m >> self.n:
-                raise WidthMismatch(f"generator {m:#x} does not fit width {self.n}")
+        check_width(self.n, "variable", "generator", self.gen_bits)
         if minimal_masks(self.gen_bits) != self.gen_bits:
             raise ValueError("generators must form an antichain under divisibility")
 

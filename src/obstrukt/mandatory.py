@@ -7,16 +7,15 @@ definition regardless of its link.  Only a face that is an intersection of
 facets can have a link that is not a cone (Curto et al., What makes a neural
 code convex?, SIAM J. Appl. Algebra Geom. 2017), so the partition is decided
 on the lattice of facet intersections alone.  One pass over the facets,
-``homology.link_euler_characteristics``, gives that lattice and the reduced
+``complexes.link_euler_characteristics``, gives that lattice and the reduced
 Euler characteristic of each of its links: a link with χ̃ ≠ 0 has nonzero
 homology over every field.  The links of characteristic 0 are decided on
 facet masks by ``collapse.link_profile``, as the duplicate theorem's link
 check is.  The complex itself, the link of ∅, is decided in the same pass
 for ``ambient_verdict``; when ∅ is no facet intersection, the facets share
 a vertex and the complex is a cone.  Every other face has a cone for its
-link and is certified out; that class is enumerated only when it is read,
-and refused past ``MAX_LISTED_FACES`` faces, a count the same pass gives.
-Faces stay masks; the Codeword sets are views built when read.
+link and is certified out; that class is listed, under the kernel's bound,
+only when it is read.  Faces stay masks; the Codeword sets are views.
 """
 from __future__ import annotations
 
@@ -24,16 +23,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .codes import Codeword, NeuralCode, binaries
-from .complexes import SimplicialComplex, code_complex
+from .complexes import SimplicialComplex, code_complex, link_euler_characteristics
 from .collapse import Verdict, _status, link_profile
-from .errors import TooManyFaces, VoidComplex
-from .homology import Field, link_euler_characteristics
+from .errors import VoidComplex
+from .homology import Field
 from .homology import reduced_homology  # noqa: F401  bound for bench/test_bench.py
-
-
-# The full simplex on 20 vertices, 2^20 faces, is the largest complex whose
-# certified-out faces are listed.
-MAX_LISTED_FACES = 1 << 20
 
 
 def _words(masks: frozenset[int], n: int) -> frozenset[Codeword]:
@@ -56,12 +50,10 @@ class MandatorySet:
 
 @dataclass(frozen=True)
 class MandatoryPartition:
-    """Faces split by link-contractibility certificate, as masks of width n;
-    ``certified_in``, ``certified_out`` and ``unknown`` are their Codeword
-    views.  The certified-out faces are the rest of the ``face_count``
-    faces of the complex with facets ``facet_bits``, enumerated on the first
-    read of ``out_masks``, which refuses a complex of more than
-    ``MAX_LISTED_FACES`` faces.
+    """The faces of K split by link-contractibility certificate, as masks of
+    width n; ``certified_in``, ``certified_out`` and ``unknown`` are their
+    Codeword views.  ``out_masks``, the rest of ``K.face_bits``, is listed
+    on its first read.
 
     ``in_masks`` always holds the empty face; ``ambient_verdict`` is the
     contractibility verdict of the whole complex (the link of ∅), so both
@@ -70,20 +62,18 @@ class MandatoryPartition:
     """
 
     field: Field
-    n: int
+    K: SimplicialComplex
     in_masks: frozenset[int]
     unknown_masks: frozenset[int]
     ambient_verdict: Verdict
-    facet_bits: frozenset[int]
-    face_count: int
+
+    @property
+    def n(self) -> int:
+        return self.K.n
 
     @cached_property
     def out_masks(self) -> frozenset[int]:
-        if self.face_count > MAX_LISTED_FACES:
-            raise TooManyFaces(f"certified-out faces are enumerated for at most "
-                               f"{MAX_LISTED_FACES} faces; the complex has {self.face_count}")
-        faces = SimplicialComplex(self.n, self.facet_bits).face_bits
-        return faces - self.in_masks - self.unknown_masks
+        return self.K.face_bits - self.in_masks - self.unknown_masks
 
     @property
     def certified_in(self) -> frozenset[Codeword]:
@@ -136,18 +126,14 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
     """Certified three-way split of all faces by link contractibility,
     decided on the facet intersections, ∅ among them: any other face has a
     cone for its link and lands in ``out_masks``, which is enumerated on its
-    first read.  The same pass counts the faces: K is the union of the
-    simplices on its facets, so by inclusion-exclusion it has
-    -Σ_σ χ̃(lk σ)·2^|σ| faces over the facet intersections σ."""
+    first read."""
     if K.is_void:
         raise VoidComplex("mandatory partition of the void complex")
     facets = K.facet_bits
     ambient = Verdict.CONTRACTIBLE  # unless ∅ is a facet intersection, K is a cone
     cin, unknown = {0}, set()  # ∅ is mandatory by definition
     classes = {Verdict.NON_CONTRACTIBLE: cin, Verdict.UNKNOWN: unknown}
-    face_count = 0
     for m, chi in link_euler_characteristics(facets).items():
-        face_count -= chi << m.bit_count()
         if chi:
             status = Verdict.NON_CONTRACTIBLE
         else:
@@ -156,8 +142,7 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
             ambient = status
         elif status is not Verdict.CONTRACTIBLE:
             classes[status].add(m)
-    return MandatoryPartition(field, K.n, frozenset(cin), frozenset(unknown), ambient, facets,
-                              face_count)
+    return MandatoryPartition(field, K, frozenset(cin), frozenset(unknown), ambient)
 
 
 @dataclass(frozen=True)

@@ -279,7 +279,7 @@ class TestDualRanks:
             handed.clear()
             with monkeypatch.context() as m:
                 m.setattr(SimplicialComplex, "__len__", route)
-                m.setattr(collapse, "_face_bound", lambda facets: math.inf)
+                m.setattr(collapse, "face_bound", lambda facets: math.inf)
                 profile = link_profile(K.facet_bits, fld)
             k, faces = K.vertex_bits.bit_count(), len(K.face_bits)
             (core,) = handed

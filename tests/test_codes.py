@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from obstrukt import (
     Codeword,
+    MonomialIdeal,
     NeuralCode,
     NotationForm,
+    SimplicialComplex,
     code_complex,
     code_to_json,
     facets,
@@ -177,3 +179,33 @@ def test_empty_word_membership_is_preserved():
     assert Codeword.empty(2) in with_empty.words
     assert Codeword.empty(2) not in without.words
     assert len(with_empty.masks) == 2
+
+
+# Each checked constructor, its arguments for width n and one mask m, and
+# the nouns of its messages, which must read exactly as below.
+CHECKED = {
+    "Codeword": (lambda n, m: Codeword(m, n), "neuron", "bit pattern"),
+    "NeuralCode": (lambda n, m: NeuralCode(n, [m]), "neuron", "word"),
+    "SimplicialComplex": (lambda n, m: SimplicialComplex(n, frozenset({m})), "vertex", "facet"),
+    "MonomialIdeal": (lambda n, m: MonomialIdeal(n, frozenset({m})), "variable", "generator"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_width_messages(name):
+    make, count, noun = CHECKED[name]
+    for n in (0, 65):
+        with pytest.raises(NeuronOutOfRange) as info:
+            make(n, 0)
+        assert str(info.value) == f"{count} count must be in 1..64, got {n}"
+    for m, shown in ((0b1000, "0x8"), (-1, "-0x1")):
+        with pytest.raises(WidthMismatch) as info:
+            make(3, m)
+        assert str(info.value) == f"{noun} {shown} does not fit width 3"
+
+
+def test_parse_width_message():
+    for n in (0, 65):
+        with pytest.raises(NeuronOutOfRange) as info:
+            parse_codeword("∅", SET, n)
+        assert str(info.value) == f"neuron count must be in 1..64, got {n}"

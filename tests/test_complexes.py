@@ -1,9 +1,12 @@
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from obstrukt import (
     Codeword,
+    Field,
     NeuralCode,
     SimplicialComplex,
     code_complex,
@@ -11,10 +14,13 @@ from obstrukt import (
     dual_complex,
     facet_intersection,
     link,
+    mandatory_partition,
     restriction,
 )
+from obstrukt.cli import main
 from obstrukt.collapse import _delete_bit
-from obstrukt.errors import FaceNotInComplex, VoidComplex, WidthMismatch
+from obstrukt.complexes import face_bound, face_count, facets_over
+from obstrukt.errors import FaceNotInComplex, TooManyFaces, VoidComplex, WidthMismatch
 
 from conftest import (code, complexes, cone, cx, enumerate_complexes, face_words, full_simplex,
                       neural_codes, w)
@@ -263,3 +269,59 @@ class TestStructure:
     @pytest.mark.parametrize("n,count", [(1, 3), (2, 6), (3, 20), (4, 168)])
     def test_enumerate_complexes_counts(self, n, count):
         assert sum(1 for _ in enumerate_complexes(n)) == count
+
+
+def _cli_link_of_empty_face(K: SimplicialComplex) -> int:
+    """Exit status of ``link`` at ∅ on the code of K's facets, which lists
+    every face of K."""
+    words = ",".join(format(f, f"0{K.n}b")[::-1] for f in K.facet_bits)
+    return main(["link", "--n", str(K.n), "--form", "binary", "--code", words, "--sigma", "∅"])
+
+
+class TestListingBound:
+    """Every face listing goes through the kernel's bound.  With
+    ``MAX_LISTED_FACES`` at 2^10, each listing reads the simplex on 10
+    vertices and refuses the one on 11, naming its face count; a complex
+    whose Σ_F 2^|F| exceeds the bound but whose faces do not is listed."""
+
+    TOP = (1 << 10) - 1
+    # the three 9-subsets of {1, ..., 10} that miss 1, 2 and 3
+    THREE_NINES = SimplicialComplex(10, frozenset({TOP ^ 1, TOP ^ 2, TOP ^ 4}))
+
+    LISTINGS = {
+        "face_bits": lambda K: len(K.face_bits),
+        "facets_over": lambda K: len(facets_over(K)),
+        "out_masks": lambda K: len(mandatory_partition(K, Field.GF2).out_masks) + 2,
+    }
+
+    @pytest.fixture(autouse=True)
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr("obstrukt.complexes.MAX_LISTED_FACES", 1 << 10)
+        for memo in (facets_over, mandatory_partition):  # nothing read under the real bound
+            memo.cache_clear()
+        yield
+        for memo in (facets_over, mandatory_partition):
+            memo.cache_clear()
+
+    @pytest.mark.parametrize("listing", sorted(LISTINGS))
+    def test_simplex_on_10_is_listed_and_on_11_refused(self, listing):
+        read = self.LISTINGS[listing]
+        assert read(full_simplex(10)) == 1 << 10  # out_masks: all but ∅ and the facet
+        with pytest.raises(TooManyFaces, match="; the complex has 2048$"):
+            read(full_simplex(11))
+
+    def test_link_command_lists_up_to_the_bound(self, capsys):
+        assert _cli_link_of_empty_face(full_simplex(10)) == 0
+        assert len(json.loads(capsys.readouterr().out)["faces"]) == 1 << 10
+        assert _cli_link_of_empty_face(full_simplex(11)) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.rstrip().endswith("; the complex has 2048")
+
+    def test_exact_count_decides_past_the_bound(self, capsys):
+        K = self.THREE_NINES
+        assert face_bound(K.facet_bits) == 1536 and face_count(K.facet_bits) == 896
+        assert len(K.face_bits) == len(facets_over(K)) == 896
+        part = mandatory_partition(K, Field.GF2)
+        assert len(part.out_masks | part.in_masks | part.unknown_masks) == 896
+        assert _cli_link_of_empty_face(K) == 0
+        assert len(json.loads(capsys.readouterr().out)["faces"]) == 896

@@ -15,7 +15,8 @@ from obstrukt import (
     link,
     reduced_homology,
 )
-from obstrukt.homology import HomologyProfile, link_euler_characteristics, rank_fraction_free
+from obstrukt.complexes import link_euler_characteristics
+from obstrukt.homology import HomologyProfile, rank_fraction_free
 from obstrukt.errors import DegreeOutOfRange, VoidComplex
 
 from conftest import RP2_FACETS, code, cone, cx, enumerate_complexes, full_simplex, seeded_complexes

@@ -26,7 +26,7 @@ from obstrukt import (
     verify_permutation,
     verify_projection,
 )
-from obstrukt import mandatory
+from obstrukt import complexes
 from obstrukt.errors import TooManyFaces, VoidComplex
 
 from conftest import (RP2_FACETS, code, cone, cx, enumerate_complexes, full_simplex,
@@ -175,12 +175,12 @@ class TestMandatoryPartition:
         for n in range(1, 5):
             for K in enumerate_complexes(n):
                 if not K.is_void:
-                    assert mandatory_partition(K, Field.GF2).face_count == len(K.face_bits), K
+                    assert complexes.face_count(K.facet_bits) == len(K.face_bits), K
 
     def test_out_masks_are_listed_up_to_the_bound(self, monkeypatch):
         """With the bound at 2^10, the full simplex on 10 vertices is listed
         and on 11 refused; the face count of the refusal is named."""
-        monkeypatch.setattr(mandatory, "MAX_LISTED_FACES", 1 << 10)
+        monkeypatch.setattr(complexes, "MAX_LISTED_FACES", 1 << 10)
         mandatory_partition.cache_clear()  # no out_masks read under the real bound
         at = mandatory_partition(full_simplex(10), Field.GF2)
         assert len(at.out_masks) == (1 << 10) - 2  # all but ∅ and the facet
