@@ -11,9 +11,14 @@ is undecidable in general).  Faces are mapped and compared as masks.
 
 The rows with link laws (duplicate and projection) have coordinate maps,
 f(A ∖ B) = f(A) ∖ f(B), so the image of a link is read off the images of
-the complex's facets, mapped once per instance, and the image formula is
-decided on those images and the facets over the image face without building
-either link.  The homology law answers equal links without ranks.
+the complex's facets, mapped once per instance, and each law is decided on
+the facets without listing a face unless it fails.  The image formula is
+one comparison of the facet images with the image complex's facets, which
+names the faces it fails at.  The homology law is decided only on the
+facet-intersection lattices that the two partitions hold, since off them
+both links are cones; equal links, or a strong collapse of one onto the
+other, answer it without ranks.  So neither row's cost follows the 2^|F|
+faces under a facet.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Union
 
 from .codes import MAX_NEURONS, NeuralCode, binaries
-from .collapse import Verdict, _facet_homology
+from .collapse import Verdict, _facet_homology, collapses_onto
 from . import complexes  # maximal_masks stays bound in complexes alone, as bench/test_bench.py expects
-from .complexes import SimplicialComplex, code_complex, facets_over
+from .complexes import SimplicialComplex, code_complex
 from .errors import NeuronOutOfRange, NotInDomain, WidthMismatch
 from .homology import Field, reduced_homology  # noqa: F401  bound for bench/test_bench.py
 from .ideals import (MonomialIdeal, alexander_dual, invert_permutation, permutation_tuple,
@@ -80,14 +85,6 @@ class Include:
 
 
 ElementaryMap = Union[Permute, AddTrivialOn, AddTrivialOff, Duplicate, Project, Include]
-
-
-def embed_mask(mask: int, position: int) -> int:
-    """Insert an off coordinate at ``position`` (the inverse of projecting
-    that coordinate away on masks where it is off)."""
-    low = mask & ((1 << (position - 1)) - 1)
-    high = (mask >> (position - 1)) << position
-    return low | high
 
 
 @dataclass(frozen=True)
@@ -262,53 +259,113 @@ def _partial(name: str, note: str) -> CheckResult:
 
 # ---- the theorem table -------------------------------------------------------
 
+class _LinkPairs:
+    """The face pairs (σ, σ') that one instance's link laws read, σ' = q(σ),
+    each listed by one face of ``listed``: every face σ of K, or for a row
+    that lists the image, every face σ' of K2 with σ its least preimage.
+    Every map with link laws is a coordinate map: q(σ) is the union of the
+    sets q(v) over the vertices v of σ, so the largest mask that q sends
+    under m is the union of the vertices that it sends under m."""
+
+    def __init__(self, r: ResolvedStep, K: SimplicialComplex, K2: SimplicialComplex,
+                 lattices: tuple[frozenset[int], frozenset[int]], lists_image: bool) -> None:
+        self.f, self.K, self.K2, self.lattices = r.f, K, K2, lattices
+        self.lists_image = lists_image
+        self.listed, self.width = (K2, r.out_n) if lists_image else (K, r.n)
+        self.images = {F: r.f(F) for F in K.facet_bits}  # each facet mapped once
+        self._vertices = [(1 << i, r.f(1 << i)) for i in range(r.n)]
+
+    def below(self, m: int) -> int:
+        """The largest mask that q sends under m."""
+        return sum(v for v, qv in self._vertices if not qv & ~m)
+
+    def listed_under(self, targets: Iterable[int]) -> frozenset[int]:
+        """The listed faces whose σ' lies under one of ``targets``, through
+        the kernel's bounded listing."""
+        under = targets if self.lists_image else map(self.below, targets)
+        facets = self.listed.facet_bits
+        return SimplicialComplex.from_masks([g & u for u in under for g in facets],
+                                            self.width).face_bits
+
+    def holds(self, law: LinkLaw, shown: int, fld: Field) -> bool:
+        """``law`` at the pair that ``shown`` lists, on the facets over σ
+        and over σ' (none when σ' is no face of K2)."""
+        if self.lists_image:
+            s1, s2 = self.below(shown) & ~self.below(0), shown
+        else:
+            s1, s2 = shown, self.f(shown)
+        over1 = [F for F in self.K.facet_bits if not s1 & ~F]
+        over2 = [G for G in self.K2.facet_bits if not s2 & ~G]
+        return law(self.images.__getitem__, over1, over2, s1, s2, fld)
+
+
+@dataclass(frozen=True)
+class LinkLaw:
+    """A law on lk σ and lk σ' at one face pair, called as ``law(image,
+    over1, over2, s1, s2, field)`` on the facet-image lookup, the facets
+    over σ and over σ', the two faces and the field; ``suspects`` names the
+    listed faces of an instance at which it can fail, since a theorem
+    decides it everywhere else."""
+
+    holds: Callable[..., bool]
+    suspects: Callable[[_LinkPairs], Iterable[int]]
+
+    def __call__(self, *args) -> bool:
+        return self.holds(*args)
+
+
 @dataclass(frozen=True)
 class Theorem:
     """What one preservation theorem claims about a code C and its image q(C).
 
     ``mh`` relates M_H(q(C)) to q(M_H(C)): "=", or "⊆" for the target inside
     the image, whose reverse containment is then reported as an observation.
-    ``links`` are laws on link(K, σ) and link(K2, σ') for every face pair
-    that ``faces`` reads off the facets-over indexes of K and K2: it returns
-    the width of the listed faces and (listed face, σ, σ') as masks; a
-    failing pair lists its first entry.  Each law takes the image of each
-    facet of K (a lookup), the facets over σ and over σ', σ and σ', and
-    the field.  ``classes`` pairs a check name with a partition class whose
-    image must equal the target's class; ``partial`` names the check that
-    stands in when either partition has uncertified links (None compares
-    the classes regardless).  ``shift`` replaces the class comparison for a
-    map that moves the partition.  ``ideals`` are laws on the Stanley-Reisner
-    ideals of K and K2, each giving the observed and the expected generators.
+    ``links`` are laws on link(K, σ) and link(K2, σ') at the face pairs of
+    ``_LinkPairs``, each face of K, or each face of K2 when ``lists_image``;
+    a failing pair lists its face.  ``classes`` pairs a check name with a
+    partition class whose image must equal the target's class; ``partial``
+    names the check that stands in when either partition has uncertified
+    links (None compares the classes regardless).  ``shift`` replaces the
+    class comparison for a map that moves the partition.  ``ideals`` are
+    laws on the Stanley-Reisner ideals of K and K2, each giving the observed
+    and the expected generators.
     """
 
     mh: str = "="
-    faces: Callable | None = None
-    links: tuple[tuple[str, Callable], ...] = ()
+    lists_image: bool = False
+    links: tuple[tuple[str, LinkLaw], ...] = ()
     classes: tuple[tuple[str, str], ...] = ()
     partial: str | None = None
     shift: Callable | None = None
     ideals: tuple[tuple[str, Callable], ...] = ()
 
 
-def _image_faces(r: ResolvedStep, over1: dict[int, list[int]], over2: dict[int, list[int]]):
-    """Each face σ of K, listed, with its image q(σ)."""
-    f = r.f
-    return r.n, ((m, m, f(m)) for m in over1)
-
-
-def _lifted_faces(r: ResolvedStep, over1: dict[int, list[int]], over2: dict[int, list[int]]):
-    """Each face σ' of the projected complex, listed, with its zero-extension."""
-    delete = r.step.delete
-    return r.out_n, ((m2, embed_mask(m2, delete), m2) for m2 in over2)
-
-
 def _same_homology(image: Callable[[int], int], over1: list[int], over2: list[int],
                    s1: int, s2: int, fld: Field) -> bool:
     """lk σ and lk σ' have the same homology: the facets over σ and σ'
-    with σ and σ' taken away are the two links' facets."""
+    with σ and σ' taken away are the two links' facets.  Equal links, or a
+    strong collapse of lk σ' onto lk σ, answer without ranks."""
     lk1 = frozenset(map((~s1).__and__, over1))
     lk2 = frozenset(map((~s2).__and__, over2))
-    return lk1 == lk2 or _facet_homology(lk1, fld) == _facet_homology(lk2, fld)
+    return (lk1 == lk2 or collapses_onto(lk2, lk1)
+            or _facet_homology(lk1, fld) == _facet_homology(lk2, fld))
+
+
+def _lattice_faces(pairs: _LinkPairs) -> set[int]:
+    """The faces σ of K, for a row that lists K, at which the homology law
+    is decided: σ in L(K), or q(σ) in L(K2), the facet-intersection
+    lattices that the two partitions hold.  The link of a face off its
+    complex's lattice is a cone (Curto et al., What makes a neural code
+    convex?, SIAM J. Appl. Algebra Geom. 2017), so off both the two links
+    are acyclic and the law holds; a σ' that is no face of K2 has no facets
+    over it, which reads as acyclic too."""
+    lattice1, lattice2 = pairs.lattices
+    f, faces = pairs.f, set(lattice1)
+    for m2 in lattice2 - set(map(f, lattice1)):
+        s = pairs.below(m2)
+        if f(s) == m2 and any(not s & ~F for F in pairs.K.facet_bits):
+            faces.add(s)
+    return faces
 
 
 def _image_formula(image: Callable[[int], int], over1: list[int], over2: list[int],
@@ -328,6 +385,20 @@ def _image_formula(image: Callable[[int], int], over1: list[int], over2: list[in
     if images == targets:
         return True
     return targets <= images and all(i in map(i.__and__, targets) for i in images - targets)
+
+
+def _image_formula_faces(pairs: _LinkPairs) -> frozenset[int]:
+    """The listed faces at which the image formula fails, from one
+    comparison of the facet images P with the facets T of K2.  At every
+    pair a facet F holds σ exactly when q(F) holds σ' (q is an order
+    embedding on the rows that list K, and σ is the least preimage of σ' on
+    the others), so the law compares the members of P and of T over σ'.
+    It fails exactly when σ' lies under a member of T ∖ P, or under an
+    image outside T that lies under no member of T; with neither, no face
+    is listed."""
+    P, T = frozenset(pairs.images.values()), pairs.K2.facet_bits
+    blockers = (T - P) | {p for p in P - T if all(p & ~t for t in T)}
+    return pairs.listed_under(blockers) if blockers else frozenset()
 
 
 def _shift_by_empty_word(q, p1, p2) -> CheckResult:
@@ -362,6 +433,7 @@ def _dual_gains_new_variable_factor(sr1: MonomialIdeal, sr2: MonomialIdeal):
 
 _IN = ("cmin_in_image_equal", "in_masks")
 _OUT = ("cmin_out_image_equal", "out_masks")
+_IMAGE_FORMULA = LinkLaw(_image_formula, _image_formula_faces)
 
 THEOREMS: dict[str, Theorem] = {
     "permutation": Theorem(classes=(_IN, _OUT), partial="cmin_image_equal"),
@@ -372,23 +444,21 @@ THEOREMS: dict[str, Theorem] = {
                 ("dual_ideal_gens_gain_new_variable_factor", _dual_gains_new_variable_factor)),
     ),
     "duplicate": Theorem(
-        faces=_image_faces,
-        links=(("link_homology_preserved", _same_homology),
-               ("link_two_case_formula", _image_formula)),
+        links=(("link_homology_preserved", LinkLaw(_same_homology, _lattice_faces)),
+               ("link_two_case_formula", _IMAGE_FORMULA)),
         classes=(_IN,),
         partial="cmin_in_image_equal",
     ),
     "projection": Theorem(
-        mh="⊆", faces=_lifted_faces, links=(("link_image_formula", _image_formula),)
+        mh="⊆", lists_image=True, links=(("link_image_formula", _IMAGE_FORMULA),)
     ),
 }
 
 
 class Domain:
     """A map's domain code with its complex, built on first use, so that
-    every instance checked on one ``Domain`` shares it (and the memo of
-    ``facets_over`` its index).  The ``verify_*`` functions take a
-    ``Domain`` or a bare code."""
+    every instance checked on one ``Domain`` shares it.  The ``verify_*``
+    functions take a ``Domain`` or a bare code."""
 
     def __init__(self, code: NeuralCode) -> None:
         self.code = code
@@ -429,19 +499,11 @@ def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
         observations = (("mh_reverse_containment_holds", q_mh1 <= mh2),)
 
     if spec.links:
-        over1, over2 = facets_over(K), facets_over(K2)
-        width, pairs = spec.faces(r, over1, over2)
-        image = {F: f(F) for F in K.facet_bits}.__getitem__  # each facet mapped once
-        failures: list[list[int]] = [[] for _ in spec.links]
-        laws = [(law, failed) for (_, law), failed in zip(spec.links, failures)]
-        for shown, s1, s2 in pairs:
-            above1, above2 = over1[s1], over2[s2]
-            for law, failed in laws:
-                if not law(image, above1, above2, s1, s2, fld):
-                    failed.append(shown)
-        for (name, _), failed in zip(spec.links, failures):
+        pairs = _LinkPairs(r, K, K2, (p1.lattice, p2.lattice), spec.lists_image)
+        for name, law in spec.links:
+            failed = [m for m in law.suspects(pairs) if not pairs.holds(law, m, fld)]
             note = "faces listed on the left violate the relation" if failed else ""
-            checks.append(_check(name, "∀", width, failed, holds=not failed, note=note))
+            checks.append(_check(name, "∀", pairs.width, failed, holds=not failed, note=note))
 
     if spec.classes or spec.shift:
         if spec.partial and not (p1.fully_certified and p2.fully_certified):

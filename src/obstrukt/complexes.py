@@ -2,13 +2,11 @@
 
 The antichain of maximal faces, as bit masks, is the only stored state; every
 operation works on it.  A face set is built by the pass that reads it and is
-not kept, so a complex held as a memo key holds its facets alone.  Every
-face listing (``face_bits``, ``facets_over``) refuses a complex of more than
+not kept, so a complex held as a memo key holds its facets alone.  The one
+face listing, ``face_bits``, refuses a complex of more than
 ``MAX_LISTED_FACES`` faces, counted on its facets (``face_count``).  Only
 ``minimal_non_faces`` is cached on the complex: ``sr_ideal`` and
-``dual_complex`` share its one Berge pass.  A small module memo keeps the
-last eight ``facets_over`` indexes, which only the link laws of the
-duplicate and projection theorems read.  The void complex (no faces at all)
+``dual_complex`` share its one Berge pass.  The void complex (no faces at all)
 has no facets and is a first-class value, distinct from the complex whose
 only face is the empty set; the latter is the link of a facet and is not
 contractible.
@@ -17,7 +15,7 @@ contractible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .codes import Codeword, NeuralCode, binaries, check_width
@@ -225,30 +223,6 @@ def link(K: SimplicialComplex, sigma: Codeword) -> SimplicialComplex:
     """
     s, over = _facets_over(K, sigma)
     return SimplicialComplex(K.n, frozenset(f & ~s for f in over))
-
-
-@lru_cache(maxsize=8)
-def facets_over(K: SimplicialComplex) -> dict[int, list[int]]:
-    """Each face of K, as a mask, with the facets containing it.
-
-    The link of a face s has the facets F & ~s for F in ``facets_over(K)[s]``,
-    so one index serves the links of every face.  The last eight indexes
-    are kept, so that a complex met again by a later theorem instance is
-    indexed once; callers share the dict and must not change it.
-    """
-    _check_listable(K.facet_bits)
-    over: dict[int, list[int]] = {}
-    for f in K.facet_bits:
-        s = f
-        while s:  # the nonempty submasks of f
-            if s in over:
-                over[s].append(f)
-            else:
-                over[s] = [f]
-            s = (s - 1) & f
-    if K.facet_bits:
-        over[0] = list(K.facet_bits)
-    return over
 
 
 def restriction(K: SimplicialComplex, gamma: Iterable[Codeword]) -> SimplicialComplex:

@@ -15,7 +15,9 @@ check is.  The complex itself, the link of ∅, is decided in the same pass
 for ``ambient_verdict``; when ∅ is no facet intersection, the facets share
 a vertex and the complex is a cone.  Every other face has a cone for its
 link and is certified out; that class is listed, under the kernel's bound,
-only when it is read.  Faces stay masks; the Codeword sets are views.
+only when it is read.  The partition keeps the lattice, which the
+duplicate theorem's homology law reads.  Faces stay masks; the Codeword
+sets are views.
 """
 from __future__ import annotations
 
@@ -58,7 +60,8 @@ class MandatoryPartition:
     ``in_masks`` always holds the empty face; ``ambient_verdict`` is the
     contractibility verdict of the whole complex (the link of ∅), so both
     readings of ∅-membership stay checkable: ``mandatory`` is the
-    homological one.
+    homological one.  ``lattice`` holds the facet intersections, ∅ among
+    them when it is one: every other face has a cone for its link.
     """
 
     field: Field
@@ -66,6 +69,7 @@ class MandatoryPartition:
     in_masks: frozenset[int]
     unknown_masks: frozenset[int]
     ambient_verdict: Verdict
+    lattice: frozenset[int]
 
     @property
     def n(self) -> int:
@@ -133,7 +137,8 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
     ambient = Verdict.CONTRACTIBLE  # unless ∅ is a facet intersection, K is a cone
     cin, unknown = {0}, set()  # ∅ is mandatory by definition
     classes = {Verdict.NON_CONTRACTIBLE: cin, Verdict.UNKNOWN: unknown}
-    for m, chi in link_euler_characteristics(facets).items():
+    lattice = link_euler_characteristics(facets)
+    for m, chi in lattice.items():
         if chi:
             status = Verdict.NON_CONTRACTIBLE
         else:
@@ -142,7 +147,8 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
             ambient = status
         elif status is not Verdict.CONTRACTIBLE:
             classes[status].add(m)
-    return MandatoryPartition(field, K, frozenset(cin), frozenset(unknown), ambient)
+    return MandatoryPartition(field, K, frozenset(cin), frozenset(unknown), ambient,
+                              frozenset(lattice))
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,8 @@ def code_reports(
     projects away each neuron in turn (none when n = 1).  ``gammas``,
     ``source`` and ``delete`` are checked whichever theorems are chosen, before
     any instance runs.  Every instance reads the code's complex from one
-    ``Domain``, and its facets-over index from the memo of ``facets_over``.
+    ``Domain``; the duplicate and projection instances decide their link
+    laws on the facets and list no face unless a law fails.
     """
     n = code.n
     for name, neuron in (("source", source), ("delete", delete)):

@@ -1,4 +1,4 @@
-"""Shared helpers, complex builders, a reference oracle and hypothesis strategies."""
+"""Shared helpers, complex builders, reference oracles and hypothesis strategies."""
 
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ from obstrukt import (
     parse_codeword,
     reduced_homology,
 )
-from obstrukt.codes import MAX_NEURONS
+from obstrukt.codemaps import THEOREMS, Project, resolve_step
+from obstrukt.codes import MAX_NEURONS, binaries
 from obstrukt.errors import NeuronOutOfRange
 
 
@@ -108,6 +109,35 @@ def ref_contractibility(K: SimplicialComplex, field: Field) -> Verdict:
     if reduced_homology(SimplicialComplex.from_masks(faces, K.n), field).is_trivial:
         return Verdict.UNKNOWN
     return Verdict.NON_CONTRACTIBLE
+
+
+def embed_mask(mask: int, position: int) -> int:
+    """Insert an off coordinate at ``position``: the least mask that
+    projecting that coordinate away sends to ``mask``."""
+    low = mask & ((1 << (position - 1)) - 1)
+    high = (mask >> (position - 1)) << position
+    return low | high
+
+
+def ref_link_law_failures(theorem: str, K: SimplicialComplex, step, K2: SimplicialComplex,
+                          field: Field) -> dict[str, list[str]]:
+    """The failure list of each link law of a ``THEOREMS`` row, face by
+    face: every face pair of the row (each face σ of K with q(σ), or for a
+    projection each face σ' of K2 with its zero-extension), and each law
+    called on the facets over σ and over σ', an absent face having none."""
+    r = resolve_step(step, K.n)
+    image = {F: r.f(F) for F in K.facet_bits}.__getitem__
+    if isinstance(step, Project):
+        width, pairs = r.out_n, [(m2, embed_mask(m2, step.delete), m2) for m2 in K2.face_bits]
+    else:
+        width, pairs = r.n, [(m, m, r.f(m)) for m in K.face_bits]
+    failures = {}
+    for name, law in THEOREMS[theorem].links:
+        failed = [shown for shown, s1, s2 in pairs if not law(
+            image, [F for F in K.facet_bits if not s1 & ~F],
+            [G for G in K2.facet_bits if not s2 & ~G], s1, s2, field)]
+        failures[name] = binaries(failed, width)
+    return failures
 
 
 # The unique closed surface with Euler characteristic 1 on six vertices;

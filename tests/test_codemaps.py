@@ -31,13 +31,13 @@ from obstrukt import (
     verify_projection,
 )
 from obstrukt import codemaps
-from obstrukt.codemaps import THEOREMS, embed_mask, resolve_step
-from obstrukt.codes import binaries
+from obstrukt.codemaps import THEOREMS, resolve_step
 from obstrukt.complexes import maximal_masks
 from obstrukt.errors import NeuronOutOfRange, NotAPermutation, NotInDomain, WidthMismatch
 from obstrukt.suites import exhaustive_codes
 
-from conftest import code, enumerate_complexes, ref_dominated, w
+from conftest import (code, embed_mask, enumerate_complexes, ref_dominated, ref_link_law_failures,
+                      w)
 
 
 def rand_codes(seed, count, lo=1, hi=5, density=0.4, allow_empty_word=False):
@@ -376,41 +376,44 @@ class TestLinkLemmas:
                         for b in range(1 << n):
                             assert f(a & ~b) == f(a) & ~f(b), (name, step, a, b)
 
+    @staticmethod
+    def _corrupted(K2):
+        """K2 with each facet dropped in turn, then with each facet replaced
+        by its boundary, which adds facet intersections; none is void."""
+        facets = K2.facet_bits
+        for F in sorted(facets):
+            rest = facets - {F}
+            for kept in (rest, rest | {F & ~(1 << i) for i in range(K2.n) if F >> i & 1}):
+                if kept:
+                    yield SimplicialComplex.from_masks(kept, K2.n)
+
+    @pytest.mark.parametrize("fld", [Field.GF2, Field.RATIONAL])
     @pytest.mark.parametrize("theorem", ["duplicate", "projection"])
-    def test_verify_fails_the_faces_the_laws_fail(self, theorem, monkeypatch):
-        """The failure list of each link check equals the faces at which the
-        law, called directly on the facets over the two faces, answers False:
-        on every code
-        with n ≤ 3, with K2's facets-over index as built and with one facet
-        of K2 dropped from it, so that the laws fail somewhere."""
+    def test_verify_fails_the_faces_the_laws_fail(self, theorem, fld, monkeypatch):
+        """The failure list of each link check equals the face-by-face
+        reference (``ref_link_law_failures``), which calls each law on the
+        facets over every face pair: on every code with n ≤ 3 and on seeded
+        codes up to n = 8, with K2 as built and corrupted through
+        ``ResolvedStep.image``, so that the laws fail somewhere."""
         spec = THEOREMS[theorem]
-        real = codemaps.facets_over
+        codes = [c for n in range(1, 4) for c in exhaustive_codes(n) if c.masks]
+        codes += rand_codes(37, 12, lo=4, hi=8, density=0.15)
         instances = failing = 0
-        for n in range(1, 4):
-            for c in exhaustive_codes(n):
-                if not c.masks:
-                    continue
-                K = code_complex(c)
-                for step in self.ROW_STEPS[theorem](n):
-                    r = resolve_step(step, n)
-                    K2 = image_complex(step, K)
-                    for dropped in [None, *sorted(K2.facet_bits)]:
-                        over2 = {s: [g for g in over if g != dropped]
-                                 for s, over in real(K2).items()}
-                        monkeypatch.setattr(codemaps, "facets_over",
-                                            lambda L: over2 if L == K2 else real(L))
-                        report = codemaps._verify(theorem, c, step, Field.GF2)
-                        monkeypatch.setattr(codemaps, "facets_over", real)
-                        width, pairs = spec.faces(r, real(K), over2)
-                        pairs = list(pairs)
-                        for name, law in spec.links:
-                            failed = [shown for shown, s1, s2 in pairs if not law(
-                                r.f, real(K)[s1], over2[s2], s1, s2, Field.GF2)]
-                            (check,) = [ch for ch in report.checks if ch.name == name]
-                            assert check.lhs == tuple(binaries(failed, width)), (c, step, name)
-                            assert (check.outcome is Outcome.HOLDS) == (not failed)
-                            failing += bool(failed)
-                        instances += 1
+        for c in codes:
+            K = code_complex(c)
+            for step in self.ROW_STEPS[theorem](c.n):
+                K2 = image_complex(step, K)
+                for corrupt in [K2, *self._corrupted(K2)]:
+                    monkeypatch.setattr(codemaps.ResolvedStep, "image", lambda r, K: corrupt)
+                    report = codemaps._verify(theorem, c, step, fld)
+                    monkeypatch.undo()
+                    expected = ref_link_law_failures(theorem, K, step, corrupt, fld)
+                    for name, _ in spec.links:
+                        (check,) = [ch for ch in report.checks if ch.name == name]
+                        assert list(check.lhs) == expected[name], (c, step, corrupt, name)
+                        assert (check.outcome is Outcome.HOLDS) == (not expected[name])
+                        failing += bool(expected[name])
+                    instances += 1
         assert instances > 1000 and failing > 100
 
     def test_duplicate_appended_vertex_dominated(self):

@@ -16,10 +16,12 @@ from obstrukt import (
     link,
     mandatory_partition,
     restriction,
+    verify_projection,
 )
 from obstrukt.cli import main
+from obstrukt.codemaps import ResolvedStep
 from obstrukt.collapse import _delete_bit
-from obstrukt.complexes import face_bound, face_count, facets_over
+from obstrukt.complexes import face_bound, face_count
 from obstrukt.errors import FaceNotInComplex, TooManyFaces, VoidComplex, WidthMismatch
 
 from conftest import (code, complexes, cone, cx, enumerate_complexes, face_words, full_simplex,
@@ -290,18 +292,15 @@ class TestListingBound:
 
     LISTINGS = {
         "face_bits": lambda K: len(K.face_bits),
-        "facets_over": lambda K: len(facets_over(K)),
         "out_masks": lambda K: len(mandatory_partition(K, Field.GF2).out_masks) + 2,
     }
 
     @pytest.fixture(autouse=True)
     def small_bound(self, monkeypatch):
         monkeypatch.setattr("obstrukt.complexes.MAX_LISTED_FACES", 1 << 10)
-        for memo in (facets_over, mandatory_partition):  # nothing read under the real bound
-            memo.cache_clear()
+        mandatory_partition.cache_clear()  # nothing read under the real bound
         yield
-        for memo in (facets_over, mandatory_partition):
-            memo.cache_clear()
+        mandatory_partition.cache_clear()
 
     @pytest.mark.parametrize("listing", sorted(LISTINGS))
     def test_simplex_on_10_is_listed_and_on_11_refused(self, listing):
@@ -317,10 +316,28 @@ class TestListingBound:
         out, err = capsys.readouterr()
         assert not out and err.rstrip().endswith("; the complex has 2048")
 
+    def test_link_law_failures_are_listed_up_to_the_bound(self, monkeypatch):
+        """A failing image formula lists its faces through the same bound:
+        the simplex on n vertices projected onto the boundary of the
+        simplex on n - 1, every face of which fails, is listed at n = 11
+        and refused at n = 12."""
+        for n in (11, 12):
+            top = (1 << n - 1) - 1
+            boundary = SimplicialComplex(n - 1, frozenset(top ^ 1 << i for i in range(n - 1)))
+            monkeypatch.setattr(ResolvedStep, "image", lambda r, K: boundary)
+            code = NeuralCode(n, [(1 << n) - 1])
+            if n == 11:
+                (check,) = [ch for ch in verify_projection(code, 1).checks
+                            if ch.name == "link_image_formula"]
+                assert len(check.lhs) == (1 << 10) - 1
+            else:
+                with pytest.raises(TooManyFaces, match="; the complex has 2047$"):
+                    verify_projection(code, 1)
+
     def test_exact_count_decides_past_the_bound(self, capsys):
         K = self.THREE_NINES
         assert face_bound(K.facet_bits) == 1536 and face_count(K.facet_bits) == 896
-        assert len(K.face_bits) == len(facets_over(K)) == 896
+        assert len(K.face_bits) == 896
         part = mandatory_partition(K, Field.GF2)
         assert len(part.out_masks | part.in_masks | part.unknown_masks) == 896
         assert _cli_link_of_empty_face(K) == 0

@@ -1,5 +1,4 @@
 import random
-import sys
 from functools import reduce
 from operator import and_
 
@@ -334,23 +333,18 @@ def test_lattice_partition_matches_the_face_by_face_reference(field):
 
 
 def _watch_face_enumeration(monkeypatch):
-    """Record every complex whose face set is built, and every complex
-    handed to ``facets_over`` through any module that binds it."""
+    """Record every complex whose face set is built."""
     seen = []
     face_bits = SimplicialComplex.face_bits
     monkeypatch.setattr(SimplicialComplex, "face_bits",
                         property(lambda C: seen.append(C) or face_bits.fget(C)))
-    for module in list(sys.modules.values()):
-        if module and module.__name__.startswith("obstrukt") and hasattr(module, "facets_over"):
-            monkeypatch.setattr(module, "facets_over",
-                                lambda C, _real=module.facets_over: seen.append(C) or _real(C))
     return seen
 
 
 @pytest.mark.parametrize("field", BOTH)
 def test_partition_miss_enumerates_no_faces(monkeypatch, field):
-    """A miss reads the facets alone: no facets-over index and no face set,
-    of K or of anything else, once the ranks of its cores are memoised."""
+    """A miss reads the facets alone: no face set, of K or of anything
+    else, once the ranks of its cores are memoised."""
     for K in (cx(["1234", "345", "156", "26"], 6), cx(RP2_FACETS, 6), full_simplex(12)):
         expected = mandatory_partition(K, field)
         seen = _watch_face_enumeration(monkeypatch)

@@ -8,14 +8,12 @@ from pathlib import Path
 import pytest
 
 from obstrukt import (
-    Duplicate,
     Field,
     NeuralCode,
-    Project,
+    SimplicialComplex,
     code_complex,
     codemaps,
     exhaustive_codes,
-    image_complex,
     random_code,
     run_exhaustive,
     run_sampled,
@@ -25,7 +23,6 @@ from obstrukt import (
     verify_projection,
 )
 from obstrukt.cli import main
-from obstrukt.complexes import facets_over
 from obstrukt.errors import BadDensity, NeuronOutOfRange, NotAPermutation
 from obstrukt.suites import code_reports, sampled_codes, symmetric_group
 
@@ -189,21 +186,20 @@ class TestRunner:
         with pytest.raises(NotAPermutation):
             code_reports(c, theorems=("duplicate",), gammas=((1, 2, 3), (9, 9, 9)))
 
-    def test_domain_complex_and_index_built_once_per_code(self, monkeypatch):
-        built = collections.Counter()
-        for name in ("code_complex", "facets_over"):
-            real = getattr(codemaps, name)
-            monkeypatch.setattr(codemaps, name,
-                                lambda K, _real=real, _name=name: built.update([_name]) or _real(K))
+    def test_domain_complex_built_once_and_no_face_listed(self, monkeypatch):
+        """Every instance of a code reads the complex of one ``Domain``, and
+        the duplicate and projection rows decide their link laws without
+        listing the faces of any complex."""
+        built, listed = collections.Counter(), []
+        real = codemaps.code_complex
+        monkeypatch.setattr(codemaps, "code_complex",
+                            lambda c: built.update(["code_complex"]) or real(c))
+        face_bits = SimplicialComplex.face_bits
+        monkeypatch.setattr(SimplicialComplex, "face_bits",
+                            property(lambda K: listed.append(K) or face_bits.fget(K)))
         c = NeuralCode(4, [0b0111, 0b1100, 0b1001])
-        facets_over.cache_clear()
         reports = code_reports(c, theorems=("duplicate", "projection"))
-        # every instance reads the domain's index; the memo builds it once,
-        # and one index per image complex
-        K = code_complex(c)
-        images = {image_complex(step, K) for step in (Duplicate(1), *map(Project, range(1, 5)))}
-        assert built == {"code_complex": 1, "facets_over": 2 * len(reports)} and len(reports) == 5
-        assert facets_over.cache_info().misses == 1 + len(images)
+        assert built == {"code_complex": 1} and len(reports) == 5 and listed == []
         monkeypatch.undo()
         assert reports == [verify_duplicate(c), *(verify_projection(c, d) for d in range(1, 5))]
 
