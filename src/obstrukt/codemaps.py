@@ -14,11 +14,16 @@ f(A ∖ B) = f(A) ∖ f(B), so the image of a link is read off the images of
 the complex's facets, mapped once per instance, and each law is decided on
 the facets without listing a face unless it fails.  The image formula is
 one comparison of the facet images with the image complex's facets, which
-names the faces it fails at.  The homology law is decided only on the
-facet-intersection lattices that the two partitions hold, since off them
-both links are cones; equal links, or a strong collapse of one onto the
-other, answer it without ranks.  So neither row's cost follows the 2^|F|
-faces under a facet.
+names the faces it fails at.  The duplicate row's homology law follows
+from that comparison for every face at once: when the facet images are the
+image complex's facets and the map duplicates a vertex, each pair of links
+is equal or one strong collapse apart (``_lattice_faces``).  Failing that,
+it is decided only on the facet-intersection lattices that the two
+partitions hold, since off them both links are cones; equal links, or a
+strong collapse of one onto the other, answer it without ranks.  So
+neither row's cost follows the 2^|F| faces under a facet.  A permutation
+maps masks through tables of images (``ideals.mask_permuter``), built once
+per step.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Union
 
 from .codes import MAX_NEURONS, NeuralCode, binaries
@@ -35,8 +40,8 @@ from . import complexes  # maximal_masks stays bound in complexes alone, as benc
 from .complexes import SimplicialComplex, code_complex
 from .errors import NeuronOutOfRange, NotInDomain, WidthMismatch
 from .homology import Field, reduced_homology  # noqa: F401  bound for bench/test_bench.py
-from .ideals import (MonomialIdeal, alexander_dual, invert_permutation, permutation_tuple,
-                     permute_mask, sr_ideal)
+from .ideals import (MonomialIdeal, alexander_dual, invert_permutation, mask_permuter,
+                     permutation_tuple, sr_ideal)
 from .mandatory import mandatory_partition
 
 
@@ -90,7 +95,8 @@ ElementaryMap = Union[Permute, AddTrivialOn, AddTrivialOff, Duplicate, Project, 
 @dataclass(frozen=True)
 class ResolvedStep:
     """A step fixed to its incoming width n, with its action on masks
-    resolved once: a permutation inverts γ here, not once per mask."""
+    resolved once: a permutation inverts γ and builds its table of mask
+    images here, not once per mask."""
 
     step: ElementaryMap
     n: int
@@ -128,7 +134,7 @@ def resolve_step(step: ElementaryMap, n: int) -> ResolvedStep:
     out_n = n
     if isinstance(step, Permute):
         # position i of the image reads coordinate γ(i) of the argument
-        f = partial(permute_mask, gamma=invert_permutation(permutation_tuple(step.gamma, n)))
+        f = mask_permuter(invert_permutation(permutation_tuple(step.gamma, n)))
     elif isinstance(step, AddTrivialOn):
         f, out_n = (1 << n).__or__, _widened(n)
     elif isinstance(step, AddTrivialOff):
@@ -273,6 +279,7 @@ class _LinkPairs:
         self.lists_image = lists_image
         self.listed, self.width = (K2, r.out_n) if lists_image else (K, r.n)
         self.images = {F: r.f(F) for F in K.facet_bits}  # each facet mapped once
+        self.facet_images = frozenset(self.images.values())
         self._vertices = [(1 << i, r.f(1 << i)) for i in range(r.n)]
 
     def below(self, m: int) -> int:
@@ -353,12 +360,29 @@ def _same_homology(image: Callable[[int], int], over1: list[int], over2: list[in
 
 def _lattice_faces(pairs: _LinkPairs) -> set[int]:
     """The faces σ of K, for a row that lists K, at which the homology law
-    is decided: σ in L(K), or q(σ) in L(K2), the facet-intersection
-    lattices that the two partitions hold.  The link of a face off its
-    complex's lattice is a cone (Curto et al., What makes a neural code
-    convex?, SIAM J. Appl. Algebra Geom. 2017), so off both the two links
-    are acyclic and the law holds; a σ' that is no face of K2 has no facets
-    over it, which reads as acyclic too."""
+    can fail.
+
+    When the facet images are K2's facets and q is a duplicate's (it fixes
+    every vertex but the source s, whose image also holds the new vertex
+    n+1), the law holds at every pair and no face is named.  A facet F of K
+    holds σ exactly when q(F) holds σ' = q(σ), and q(F) ∖ q(σ) = q(F ∖ σ),
+    so the facets of lk σ' are the images of those of lk σ.  If s ∈ σ, no
+    facet of lk σ holds s, q fixes them all and the links are equal.
+    Otherwise n+1 lies in exactly the facets of lk σ' that hold s, so s
+    dominates n+1 there, and deleting n+1 leaves lk σ: a strong collapse,
+    which keeps the homotopy type (Barmak-Minian, Strong homotopy types,
+    nerves and collapses, DCG 2012).
+
+    Otherwise the law is decided at σ in L(K), or q(σ) in L(K2), the
+    facet-intersection lattices that the two partitions hold.  The link of
+    a face off its complex's lattice is a cone (Curto et al., What makes a
+    neural code convex?, SIAM J. Appl. Algebra Geom. 2017), so off both the
+    two links are acyclic and the law holds; a σ' that is no face of K2 has
+    no facets over it, which reads as acyclic too."""
+    moved = [(v, qv) for v, qv in pairs._vertices if qv != v]
+    if (pairs.facet_images == pairs.K2.facet_bits and len(moved) == 1
+            and moved[0][1] == moved[0][0] | 1 << len(pairs._vertices)):
+        return set()
     lattice1, lattice2 = pairs.lattices
     f, faces = pairs.f, set(lattice1)
     for m2 in lattice2 - set(map(f, lattice1)):
@@ -396,7 +420,7 @@ def _image_formula_faces(pairs: _LinkPairs) -> frozenset[int]:
     It fails exactly when σ' lies under a member of T ∖ P, or under an
     image outside T that lies under no member of T; with neither, no face
     is listed."""
-    P, T = frozenset(pairs.images.values()), pairs.K2.facet_bits
+    P, T = pairs.facet_images, pairs.K2.facet_bits
     blockers = (T - P) | {p for p in P - T if all(p & ~t for t in T)}
     return pairs.listed_under(blockers) if blockers else frozenset()
 

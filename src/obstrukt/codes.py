@@ -178,11 +178,32 @@ def format_codeword(cw: Codeword, form: NotationForm) -> str:
     return "".join(str(i) for i in cw.neurons())
 
 
+def _bit_texts() -> tuple[tuple[str, ...], ...]:
+    """Entry k of table w is the text of mask k at width w, for w = 0..8,
+    each table built from the one before by doubling: the masks using bit
+    w-1 are the earlier masks with a 1 appended."""
+    tables = [("",)]
+    for _ in range(8):
+        last = tables[-1]
+        tables.append(tuple(t + "0" for t in last) + tuple(t + "1" for t in last))
+    return tuple(tables)
+
+
+_TEXTS = _bit_texts()
+
+
 def binaries(masks: Iterable[int], n: int) -> list[str]:
     """The face-list output format: masks of width n as binary strings
-    (``Codeword.binary``), in sorted order."""
-    fmt = f"0{n}b"
-    return sorted(format(m, fmt)[::-1] for m in masks)
+    (``Codeword.binary``), in sorted order.  Each string is read from the
+    text tables: one entry up to n = 8, and past that one entry per byte of
+    the mask, joined; column i of the masks' little-endian bytes holds
+    every mask's byte i."""
+    if n <= 8:
+        return sorted(map(_TEXTS[n].__getitem__, masks))
+    k = (n + 7) // 8
+    data = b"".join([m.to_bytes(k, "little") for m in masks])
+    columns = [map(_TEXTS[min(8, n - 8 * i)].__getitem__, data[i::k]) for i in range(k)]
+    return sorted(map("".join, zip(*columns)))
 
 
 def code_to_json(code: NeuralCode) -> str:

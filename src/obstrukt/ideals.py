@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .codes import Codeword, check_width
 from .complexes import SimplicialComplex, minimal_transversals
@@ -116,18 +116,31 @@ def invert_permutation(gamma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inverse)
 
 
-def permute_mask(mask: int, gamma: tuple[int, ...]) -> int:
-    """Relabel a support through i ↦ γ(i)."""
-    out = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        out |= 1 << (gamma[low.bit_length() - 1] - 1)
-        rest ^= low
-    return out
+def mask_permuter(gamma: tuple[int, ...]) -> Callable[[int], int]:
+    """The relabelling i ↦ γ(i) of a support, read from tables of mask
+    images: one table per byte of the mask, each built by doubling (the
+    masks using bit i are the earlier masks with γ(i)'s bit OR'ed in).  Up
+    to n = 8 the one table is the map; past that the images of a mask's
+    bytes are OR'ed."""
+    tables = []
+    for start in range(0, len(gamma), 8):
+        table = [0]
+        for g in gamma[start:start + 8]:
+            table += [t | 1 << g - 1 for t in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+
+    def permute(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 255]
+            mask >>= 8
+        return out
+    return permute
 
 
 def permute_ideal(I: MonomialIdeal, gamma: Iterable[int]) -> MonomialIdeal:
     """Apply the variable relabelling x_i ↦ x_{γ(i)} to every generator."""
-    g = permutation_tuple(gamma, I.n)
-    return MonomialIdeal(I.n, frozenset(permute_mask(m, g) for m in I.gen_bits))
+    permute = mask_permuter(permutation_tuple(gamma, I.n))
+    return MonomialIdeal(I.n, frozenset(map(permute, I.gen_bits)))

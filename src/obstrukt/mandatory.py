@@ -134,19 +134,22 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
     if K.is_void:
         raise VoidComplex("mandatory partition of the void complex")
     facets = K.facet_bits
-    ambient = Verdict.CONTRACTIBLE  # unless ∅ is a facet intersection, K is a cone
-    cin, unknown = {0}, set()  # ∅ is mandatory by definition
-    classes = {Verdict.NON_CONTRACTIBLE: cin, Verdict.UNKNOWN: unknown}
     lattice = link_euler_characteristics(facets)
+    cin = {m for m, chi in lattice.items() if chi}  # χ̃ ≠ 0: nonzero homology
+    cin.add(0)  # ∅ is mandatory by definition
+    # unless ∅ is a facet intersection, K is a cone
+    ambient = Verdict.NON_CONTRACTIBLE if lattice.get(0) else Verdict.CONTRACTIBLE
+    unknown = set()
     for m, chi in lattice.items():
         if chi:
-            status = Verdict.NON_CONTRACTIBLE
-        else:
-            status = _status(link_profile([f & ~m for f in facets if not m & ~f], field))
+            continue
+        status = _status(link_profile([f & ~m for f in facets if not m & ~f], field))
         if not m:
             ambient = status
-        elif status is not Verdict.CONTRACTIBLE:
-            classes[status].add(m)
+        elif status is Verdict.NON_CONTRACTIBLE:
+            cin.add(m)
+        elif status is Verdict.UNKNOWN:
+            unknown.add(m)
     return MandatoryPartition(field, K, frozenset(cin), frozenset(unknown), ambient,
                               frozenset(lattice))
 

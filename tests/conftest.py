@@ -119,6 +119,18 @@ def embed_mask(mask: int, position: int) -> int:
     return low | high
 
 
+def permute_mask(mask: int, gamma: tuple[int, ...]) -> int:
+    """Relabel a support through i ↦ γ(i), one bit at a time: the
+    reference for ``ideals.mask_permuter``'s tables."""
+    out = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out |= 1 << (gamma[low.bit_length() - 1] - 1)
+        rest ^= low
+    return out
+
+
 def ref_link_law_failures(theorem: str, K: SimplicialComplex, step, K2: SimplicialComplex,
                           field: Field) -> dict[str, list[str]]:
     """The failure list of each link law of a ``THEOREMS`` row, face by

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -415,6 +416,67 @@ class TestLinkLemmas:
                         failing += bool(expected[name])
                     instances += 1
         assert instances > 1000 and failing > 100
+
+    @pytest.mark.parametrize("fld", [Field.GF2, Field.RATIONAL])
+    def test_duplicate_row_agrees_with_the_face_by_face_reference(self, fld):
+        """With K2 as built, the duplicate row's link checks equal the
+        face-by-face reference for every source: on every complex with
+        n ≤ 4, each given as the code of its facets (a code's checks read
+        only its complex), and on seeded codes with n = 5..8."""
+        codes = [NeuralCode(K.n, K.facet_bits)
+                 for n in range(1, 5) for K in enumerate_complexes(n) if not K.is_void]
+        codes += rand_codes(41, 12, lo=5, hi=8, density=0.15)
+        names = [name for name, _ in THEOREMS["duplicate"].links]
+        for c in codes:
+            K = code_complex(c)
+            for source in range(1, c.n + 1):
+                step = Duplicate(source)
+                report = codemaps._verify("duplicate", c, step, fld)
+                expected = ref_link_law_failures("duplicate", K, step, image_complex(step, K), fld)
+                checks = {ch.name: ch for ch in report.checks}
+                assert {name: list(checks[name].lhs) for name in names} == expected, (c, step)
+                assert all(checks[name].outcome is Outcome.HOLDS for name in names)
+
+    def test_duplicate_certificate_needs_both_checks(self):
+        """The homology law names no face when the facet images are K2's
+        facets and the step duplicates a vertex; with K2 corrupted, or with
+        a step that moves two vertices, it names the lattice faces."""
+        K = code_complex(code(["123", "24", "2"], 4))
+        lattice = mandatory_partition(K, Field.GF2).lattice
+
+        def suspects(step, K2):
+            r = resolve_step(step, K.n)
+            pairs = codemaps._LinkPairs(r, K, K2, (lattice, mandatory_partition(K2, Field.GF2)
+                                                   .lattice), False)
+            return codemaps._lattice_faces(pairs)
+
+        K2 = image_complex(Duplicate(2), K)
+        assert suspects(Duplicate(2), K2) == set()
+        for corrupt in self._corrupted(K2):
+            assert suspects(Duplicate(2), corrupt) >= lattice
+        swap = Permute((2, 1, 3, 4))
+        assert suspects(swap, image_complex(swap, K)) >= lattice
+
+    def test_sampled_duplicates_call_the_homology_law_at_no_pair(self, monkeypatch, capsys):
+        """On sampled n = 8 ops with cold memos every duplicate instance
+        passes the certificate, so the homology law is called at no face
+        pair; deciding each lattice pair instead calls it 233 times on
+        these three ops."""
+        from obstrukt import collapse
+        from obstrukt.cli import main
+
+        (name, law), rest = THEOREMS["duplicate"].links[0], THEOREMS["duplicate"].links[1:]
+        calls, rows = [], []
+        counted = codemaps.LinkLaw(lambda *args: calls.append(1) or law(*args),
+                                   lambda pairs: rows.append(1) or law.suspects(pairs))
+        monkeypatch.setitem(THEOREMS, "duplicate",
+                            dataclasses.replace(THEOREMS["duplicate"], links=((name, counted), *rest)))
+        for seed in (11, 12, 13):
+            for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
+                memo.cache_clear()
+            assert main(["verify", "--n", "8", "--samples", "1", "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        assert len(rows) >= 3 and calls == []
 
     def test_duplicate_appended_vertex_dominated(self):
         for c in rand_codes(29, 25):

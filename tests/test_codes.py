@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -115,6 +116,23 @@ class TestFormat:
         top = (1 << n) - 1
         masks = data.draw(st.frozensets(st.integers(0, top), max_size=12)) | {0, top}
         assert binaries(masks, n) == sorted(Codeword(m, n).binary() for m in masks)
+
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_face_list_tables_match_format_at_every_width(self, n):
+        """The table-read strings are byte-identical to the ``format``
+        reference: every mask up to n = 10, and past that 0, the top mask,
+        each single bit and seeded masks; a one-shot iterator reads the
+        same."""
+        top = (1 << n) - 1
+        if n <= 10:
+            masks = list(range(top + 1))
+        else:
+            rng = random.Random(n)
+            masks = [0, top, *(1 << i for i in range(n)), *(rng.getrandbits(n) for _ in range(200))]
+        reference = sorted(format(m, f"0{n}b")[::-1] for m in masks)
+        assert binaries(masks, n) == reference
+        assert binaries(iter(masks), n) == reference
 
 
 class TestFacets:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -21,9 +22,9 @@ from obstrukt.codemaps import AddTrivialOff, AddTrivialOn, Duplicate, Permute, P
 from obstrukt.errors import DegenerateDualWarning, NotAPermutation, VoidComplex
 from obstrukt.cli import main
 from obstrukt.codes import binaries
-from obstrukt.ideals import dual_ideal, invert_permutation, minimal_masks
+from obstrukt.ideals import dual_ideal, invert_permutation, mask_permuter, minimal_masks
 
-from conftest import code, cx, enumerate_complexes, full_simplex
+from conftest import code, cx, enumerate_complexes, full_simplex, permute_mask
 
 
 def ideal(n, *gens):
@@ -221,6 +222,25 @@ class TestPermutedIdeals:
             # and the forward relabelling recovers the original from the image
             back = permute_ideal(alexander_dual(sr_ideal(K2)), gamma)
             assert back == alexander_dual(sr_ideal(K))
+
+
+class TestMaskPermuter:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_the_bit_loop_over_all_of_s_n(self, n):
+        masks = range(1 << n)
+        for gamma in itertools.permutations(range(1, n + 1)):
+            permute = mask_permuter(gamma)
+            assert [permute(m) for m in masks] == [permute_mask(m, gamma) for m in masks]
+
+    def test_matches_the_bit_loop_on_seeded_wide_permutations(self):
+        rng = random.Random(28)
+        for n in range(6, 65):
+            for _ in range(3):
+                gamma = tuple(rng.sample(range(1, n + 1), n))
+                permute = mask_permuter(gamma)
+                masks = [0, (1 << n) - 1, *(1 << i for i in range(n)),
+                         *(rng.getrandbits(n) for _ in range(100))]
+                assert [permute(m) for m in masks] == [permute_mask(m, gamma) for m in masks]
 
 
 class TestMapContainments:
