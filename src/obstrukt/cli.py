@@ -309,8 +309,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         # seed, density and jobs that are not given take the suite's defaults
         given = {k: getattr(args, k) for k in ("seed", "density", "jobs")
                  if getattr(args, k) is not None}
-        emit = sys.stdout.write  # one write per line; print makes two
-        write = None if args.summary else lambda line: emit(line + "\n")
+        write = None if args.summary else sys.stdout.write  # one write per code
         if args.exhaustive:
             result = run_exhaustive(args.n, args.field, theorems=theorems, write=write, **given)
         else:

@@ -28,6 +28,7 @@ per step.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -40,7 +41,7 @@ from . import complexes  # maximal_masks stays bound in complexes alone, as benc
 from .complexes import SimplicialComplex, code_complex
 from .errors import NeuronOutOfRange, NotInDomain, WidthMismatch
 from .homology import Field, reduced_homology  # noqa: F401  bound for bench/test_bench.py
-from .ideals import (MonomialIdeal, alexander_dual, invert_permutation, mask_permuter,
+from .ideals import (alexander_dual, dual_ideal, invert_permutation, mask_permuter,
                      permutation_tuple, sr_ideal)
 from .mandatory import mandatory_partition
 
@@ -115,7 +116,7 @@ class ResolvedStep:
         images = map(self.f, K.facet_bits)
         if isinstance(self.step, Project) and len(K.facet_bits) > 1:
             images = complexes.maximal_masks(images)
-        return SimplicialComplex(self.out_n, frozenset(images))
+        return SimplicialComplex.trusted(self.out_n, frozenset(images))
 
 
 def _identity(mask: int) -> int:
@@ -185,6 +186,11 @@ class Outcome(Enum):
     PARTIAL = "partial"
 
 
+def _strings(texts: tuple[str, ...]) -> str:
+    """The JSON array of strings that need no escaping, such as binaries."""
+    return '["' + '", "'.join(texts) + '"]' if texts else "[]"
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One relation instance; lhs/rhs hold the observed sets as binary strings.
@@ -200,50 +206,50 @@ class CheckResult:
     outcome: Outcome
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "relation": self.relation,
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-            "outcome": self.outcome.value,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
+
+def _check_text(c: CheckResult) -> str:
+    """The check's JSON object.  The name is an identifier the program
+    writes and goes in quotes as it is; the relation (⊆, ⊊, ∀) and the note
+    go through ``json.dumps`` to be escaped."""
+    note = f', "note": {json.dumps(c.note)}' if c.note else ""
+    return (f'{{"name": "{c.name}", "relation": {json.dumps(c.relation)}, '
+            f'"lhs": {_strings(c.lhs)}, "rhs": {_strings(c.rhs)}, '
+            f'"outcome": "{c.outcome.value}"{note}}}')
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One theorem instance, its verdict decided once, when it is made."""
+
     theorem: str
     code: NeuralCode
     map_desc: str
     field: Field
     checks: tuple[CheckResult, ...]
     observations: tuple[tuple[str, bool], ...] = ()
+    verdict: Outcome = dataclasses.field(init=False, compare=False)
 
-    @property
-    def verdict(self) -> Outcome:
-        if any(c.outcome is Outcome.VIOLATED for c in self.checks):
-            return Outcome.VIOLATED
-        if any(c.outcome is Outcome.PARTIAL for c in self.checks):
-            return Outcome.PARTIAL
-        return Outcome.HOLDS
+    def __post_init__(self) -> None:
+        outcomes = [c.outcome for c in self.checks]
+        object.__setattr__(self, "verdict", (
+            Outcome.VIOLATED if Outcome.VIOLATED in outcomes else
+            Outcome.PARTIAL if Outcome.PARTIAL in outcomes else Outcome.HOLDS))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n": self.code.n,
-            "code": binaries(self.code.masks, self.code.n),
-            "map": self.map_desc,
-            "field": self.field.value,
-            "verdict": self.verdict.value,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "observations": {k: v for k, v in self.observations},
-        }
+    def line_halves(self) -> tuple[str, str]:
+        """The report's JSON line as the text before and after the value of
+        its ``code`` key, the one part that depends on more than the code's
+        complex.  The theorem, map, field and observation names are
+        identifiers the program writes, put in quotes as they are."""
+        checks = ", ".join([_check_text(c) for c in self.checks])
+        observed = ", ".join([f'"{k}": {"true" if v else "false"}' for k, v in self.observations])
+        return (f'{{"theorem": "{self.theorem}", "n": {self.code.n}, "code": ',
+                f', "map": "{self.map_desc}", "field": "{self.field.value}", '
+                f'"verdict": "{self.verdict.value}", "checks": [{checks}], '
+                f'"observations": {{{observed}}}}}')
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict())
+        head, tail = self.line_halves()
+        return head + json.dumps(binaries(self.code.masks, self.code.n)) + tail
 
 
 def _check(name: str, relation: str, n: int, lhs, rhs=frozenset(), holds: bool | None = None,
@@ -334,8 +340,8 @@ class Theorem:
     names the check that stands in when either partition has uncertified
     links (None compares the classes regardless).  ``shift`` replaces the
     class comparison for a map that moves the partition.  ``ideals`` are
-    laws on the Stanley-Reisner ideals of K and K2, each giving the observed
-    and the expected generators.
+    laws on the Stanley-Reisner ideals of K and K2, each called on the two
+    complexes and giving the observed and the expected generators.
     """
 
     mh: str = "="
@@ -442,17 +448,17 @@ def _shift_by_empty_word(q, p1, p2) -> CheckResult:
     return _partial("cmin_branch", "contractibility of the complex is unknown")
 
 
-def _sr_gains_one_variable(sr1: MonomialIdeal, sr2: MonomialIdeal):
-    return sr2.gen_bits, sr1.gen_bits | {1 << sr1.n}
+def _sr_gains_one_variable(K: SimplicialComplex, K2: SimplicialComplex):
+    return sr_ideal(K2).gen_bits, sr_ideal(K).gen_bits | {1 << K.n}
 
 
-def _dual_gains_new_variable_factor(sr1: MonomialIdeal, sr2: MonomialIdeal):
-    new_bit = 1 << sr1.n
-    if sr1.is_zero:
-        expected = {new_bit}
-    else:
-        expected = {g | new_bit for g in alexander_dual(sr1).gen_bits}
-    return alexander_dual(sr2).gen_bits, expected
+def _dual_gains_new_variable_factor(K: SimplicialComplex, K2: SimplicialComplex):
+    """The Alexander dual of K2's ideal, by a Berge pass, against the
+    facet complements of K (``dual_ideal``) times the new variable; the
+    full simplex, whose dual ideal is the unit ideal, gives x_{n+1}."""
+    new_bit = 1 << K.n
+    return (alexander_dual(sr_ideal(K2)).gen_bits,
+            {g | new_bit for g in dual_ideal(K).gen_bits})
 
 
 _IN = ("cmin_in_image_equal", "in_masks")
@@ -538,11 +544,9 @@ def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
             checks.extend(_check(name, "=", out_n, q(getattr(p1, cls)), getattr(p2, cls))
                           for name, cls in spec.classes)
 
-    if spec.ideals:
-        sr1, sr2 = sr_ideal(K), sr_ideal(K2)
-        for name, law in spec.ideals:
-            lhs, rhs = law(sr1, sr2)
-            checks.append(_check(name, "=", out_n, lhs, rhs))
+    for name, law in spec.ideals:
+        lhs, rhs = law(K, K2)
+        checks.append(_check(name, "=", out_n, lhs, rhs))
     return VerificationReport(theorem, code, step.describe(), fld, tuple(checks), observations)
 
 

@@ -98,7 +98,7 @@ def strong_collapse_core(K: SimplicialComplex) -> SimplicialComplex:
     K's vertex labels."""
     if K.is_void:
         raise VoidComplex("strong collapse of the void complex")
-    return SimplicialComplex(K.n, frozenset(_collapse_masks(list(K.facet_bits))))
+    return SimplicialComplex.trusted(K.n, frozenset(_collapse_masks(list(K.facet_bits))))
 
 
 def _packed(facets: Iterable[int]) -> frozenset[int]:
@@ -136,7 +136,7 @@ def _packed_profile(facets: frozenset[int], field: Field) -> HomologyProfile | N
     if bit is not None:
         return _packed_profile(_packed(_delete_bit(facets, bit)), field)
     k = max(facets).bit_length()
-    core = SimplicialComplex(max(1, k), facets)
+    core = SimplicialComplex.trusted(max(1, k), facets)
     if k and face_bound(facets) > 1 << k - 1:
         # The dual on [k] holds the complements of the core's non-faces,
         # 2^k - |core| faces, and H̃_i(core) ≅ H̃^(k-i-3)(dual).

@@ -1,7 +1,10 @@
 """Simplicial-complex kernel: each complex is stored as its facets.
 
 The antichain of maximal faces, as bit masks, is the only stored state; every
-operation works on it.  A face set is built by the pass that reads it and is
+operation works on it.  The constructor checks the width and the antichain;
+every construction of the engine, whose facets are an antichain that fits by
+how it is built, goes through ``SimplicialComplex.trusted``, which checks
+nothing.  A face set is built by the pass that reads it and is
 not kept, so a complex held as a memo key holds its facets alone.  The one
 face listing, ``face_bits``, refuses a complex of more than
 ``MAX_LISTED_FACES`` faces, counted on its facets (``face_count``).  Only
@@ -134,9 +137,24 @@ class SimplicialComplex:
                     raise ValueError(f"facet {m:#x} lies inside facet {f:#x}")
 
     @classmethod
+    def trusted(cls, n: int, facet_bits: frozenset[int]) -> "SimplicialComplex":
+        """The complex on ``facet_bits``, built with no check: the engine's
+        constructions come here, each making an antichain of masks that fit
+        width n by how it is built.  The constructor checks what comes from
+        outside."""
+        K = object.__new__(cls)
+        K.__dict__.update(n=n, facet_bits=facet_bits)
+        return K
+
+    @classmethod
     def from_masks(cls, masks: Iterable[int], n: int) -> "SimplicialComplex":
-        """Smallest complex containing the given faces (downward closure)."""
-        return cls(n, maximal_masks(masks))
+        """Smallest complex containing the given faces (downward closure).
+        The maximal masks are an antichain; the width is checked on them,
+        since a mask that does not fit lies under one of them that does
+        not."""
+        facets = maximal_masks(masks)
+        check_width(n, "vertex", "facet", facets)
+        return cls.trusted(n, facets)
 
     @property
     def is_void(self) -> bool:
@@ -196,7 +214,7 @@ def code_complex(code: NeuralCode) -> SimplicialComplex:
 
     The empty code yields the void complex.
     """
-    return SimplicialComplex.from_masks(code.masks, code.n)
+    return SimplicialComplex.trusted(code.n, maximal_masks(code.masks))
 
 
 def facets(code: NeuralCode) -> frozenset[Codeword]:
@@ -222,7 +240,7 @@ def link(K: SimplicialComplex, sigma: Codeword) -> SimplicialComplex:
     antichain because the F do.
     """
     s, over = _facets_over(K, sigma)
-    return SimplicialComplex(K.n, frozenset(f & ~s for f in over))
+    return SimplicialComplex.trusted(K.n, frozenset(f & ~s for f in over))
 
 
 def restriction(K: SimplicialComplex, gamma: Iterable[Codeword]) -> SimplicialComplex:
@@ -255,7 +273,7 @@ def dual_complex(K: SimplicialComplex) -> SimplicialComplex:
     of the full simplex is void and vice versa.
     """
     top = (1 << K.n) - 1
-    return SimplicialComplex(K.n, frozenset(top ^ m for m in K.minimal_non_faces))
+    return SimplicialComplex.trusted(K.n, frozenset(top ^ m for m in K.minimal_non_faces))
 
 
 def complex_to_json_dict(K: SimplicialComplex) -> dict:

@@ -37,6 +37,16 @@ class MonomialIdeal:
         if minimal_masks(self.gen_bits) != self.gen_bits:
             raise ValueError("generators must form an antichain under divisibility")
 
+    @classmethod
+    def trusted(cls, n: int, gen_bits: frozenset[int]) -> "MonomialIdeal":
+        """The ideal on ``gen_bits``, built with no check, as
+        ``SimplicialComplex.trusted`` builds a complex: the generators of
+        every ideal the engine makes are an antichain that fits width n by
+        how they are made."""
+        I = object.__new__(cls)
+        I.__dict__.update(n=n, gen_bits=gen_bits)
+        return I
+
     @property
     def is_zero(self) -> bool:
         return not self.gen_bits
@@ -63,7 +73,7 @@ def sr_ideal(K: SimplicialComplex) -> MonomialIdeal:
     """Stanley-Reisner ideal: generated by the minimal non-faces of K."""
     if K.is_void:
         raise VoidComplex("Stanley-Reisner ideal of the void complex")
-    return MonomialIdeal(K.n, K.minimal_non_faces)
+    return MonomialIdeal.trusted(K.n, K.minimal_non_faces)
 
 
 def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
@@ -80,7 +90,7 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
             stacklevel=2,
         )
         return I
-    return MonomialIdeal(I.n, minimal_transversals(I.gen_bits))
+    return MonomialIdeal.trusted(I.n, minimal_transversals(I.gen_bits))
 
 
 def dual_ideal(K: SimplicialComplex) -> MonomialIdeal:
@@ -92,7 +102,7 @@ def dual_ideal(K: SimplicialComplex) -> MonomialIdeal:
     if K.is_void:
         raise VoidComplex("dual ideal of the void complex")
     top = (1 << K.n) - 1
-    return MonomialIdeal(K.n, frozenset(top ^ f for f in K.facet_bits))
+    return MonomialIdeal.trusted(K.n, frozenset(top ^ f for f in K.facet_bits))
 
 
 def ideal_contains(I: MonomialIdeal, J: MonomialIdeal) -> bool:
@@ -143,4 +153,4 @@ def mask_permuter(gamma: tuple[int, ...]) -> Callable[[int], int]:
 def permute_ideal(I: MonomialIdeal, gamma: Iterable[int]) -> MonomialIdeal:
     """Apply the variable relabelling x_i ↦ x_{γ(i)} to every generator."""
     permute = mask_permuter(permutation_tuple(gamma, I.n))
-    return MonomialIdeal(I.n, frozenset(map(permute, I.gen_bits)))
+    return MonomialIdeal.trusted(I.n, frozenset(map(permute, I.gen_bits)))

@@ -7,13 +7,16 @@ code being empty), so a suite verifies each distinct complex once and counts
 its verdicts once, weighted by the codes that share it.  An exhaustive code
 is read as a bitset over the nonempty words: its facets are the words of the
 bitset with no strict superset in it, and its words are read off a per-width
-table in printed order, only when a line or a violation needs them.  Each
-complex's reports are JSON-encoded once, cut around their ``code`` value,
-and a code's lines are spliced from those halves and its own encoded words;
-a code gets a copy of a report dict only to record a violation.  Codes are
-read in windows (one code serially, 64 per worker with a pool); a window's
-new complexes are verified, then its lines stream out in instance order.
-Output is deterministic for fixed inputs.
+table in printed order, only when a line or a violation needs them.  A
+complex's reports are rendered once, as the text of each line before and
+after its ``code`` value (``VerificationReport.line_halves``), and only when
+lines are written or the report is violated.  The complex keeps the text
+between the code slots of all its lines, and a code's lines are that text
+joined by its own encoded words, written in one call; a violated report is
+decoded from its line with the code spliced in.
+Codes are read in windows (one code serially, 64 per worker with a pool); a
+window's new complexes are verified, then its lines stream out in instance
+order.  Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import contextlib
 import functools
 import itertools
 import json
-import math
 import multiprocessing
 import os
 import random
@@ -161,23 +163,25 @@ class SuiteResult:
         }
 
 
-def _run_one(key: tuple) -> list[dict]:
+def _run_one(key: tuple, lines: bool = True) -> list[tuple[str, tuple[str, str] | None]]:
+    """Each report of a key's instances as its verdict and the text of its
+    line before and after the code, rendered only when ``lines`` asks for
+    every line or the report is violated."""
     n, facets, fld, theorems, gammas = key
     code = NeuralCode(n, facets)
-    reports = code_reports(code, fld, theorems=theorems, gammas=gammas)
-    return [r.to_json_dict() for r in reports]
+    return [(r.verdict.value, r.line_halves() if lines or r.verdict is Outcome.VIOLATED else None)
+            for r in code_reports(code, fld, theorems=theorems, gammas=gammas)]
 
 
-def _split(d: dict) -> tuple[str, str]:
-    """The JSON line of ``d`` cut around its ``code`` value, so that
-    ``head + json.dumps(c) + tail == json.dumps(dict(d, code=c))``.
-
-    ``"code"`` keeps its place in ``d``, or comes last when ``d`` has none.
-    NaN marks the cut: reports hold no floats, and inside a JSON string the
-    quotes of ``"code": NaN`` would be escaped.
-    """
-    head, _, tail = json.dumps(dict(d, code=math.nan)).partition('"code": NaN')
-    return head + '"code": ', tail
+def _segments(halves: list[tuple[str, str]]) -> list[str]:
+    """The text of a key's lines around their code slots, newlines included,
+    so that a code's lines are ``code_json.join(segments)``; none when the
+    key has no instances."""
+    segments, tail = [], ""
+    for head, after in halves:
+        segments.append(tail + head)
+        tail = after + "\n"
+    return segments + [tail] if segments else []
 
 
 def run_suite(
@@ -195,8 +199,9 @@ def run_suite(
     an integer draws that many seeded permutations per code instead.  Codes
     that share a task key (their complex and the maps to check) are verified
     once, on the code made of the complex's facets, and verdicts are counted
-    once per key, weighted by its codes.  ``write`` receives each instance's
-    JSON line in instance order; with ``write=None`` nothing is encoded.
+    once per key, weighted by its codes.  ``write`` receives each code's
+    JSON lines, newline-terminated, as one string per code, in instance
+    order; with ``write=None`` no line is written.
     Codes are keyed by ``_keyed`` and run by ``_run``, which
     ``run_exhaustive`` shares.  ``jobs`` is capped at the CPU count; output
     does not depend on it.
@@ -210,20 +215,23 @@ def _run(
     write: Callable[[str], None] | None,
 ) -> SuiteResult:
     """The suite over (words, key) pairs in instance order, where ``words()``
-    gives a code's sorted binaries and is called only for a written line or
+    gives a code's sorted binaries and is called only for written lines or
     a violation.
 
-    A key's reports are encoded once, as the halves of each line around its
-    ``code`` value; a code's line is the halves with the code's binaries,
-    encoded once per code, spliced in.  Codes are read in windows, one at a
-    time serially and ``_WINDOW * jobs`` with a pool: the window's unseen
-    keys are verified, then its lines are written, so nothing is kept per
-    code.  Once more than ``_MAX_KEYS`` keys are kept, their weighted
-    verdicts go into the tally and they are dropped.
+    A key keeps the text of its lines between their ``code`` values
+    (``_segments``); a code's lines are that text joined by the code's
+    binaries, encoded once per code, and go to ``write`` in one call.  A
+    violated report is decoded from its line with the code spliced in.
+    Codes are read in windows, one at a time serially and ``_WINDOW * jobs``
+    with a pool: the window's unseen keys are verified, then its lines are
+    written, so nothing is kept per code.  Once more than ``_MAX_KEYS`` keys
+    are kept, their weighted verdicts go into the tally and they are
+    dropped.
     """
     jobs = min(jobs, os.cpu_count() or 1)
-    # key -> (each report's line halves, [] when nothing is written; verdicts; violated reports)
-    verified: dict[tuple, tuple[list[tuple[str, str]], list[str], list[dict]]] = {}
+    # key -> (its lines' text around the code slots, [] when nothing is
+    # written; verdicts; each violated report's line halves)
+    verified: dict[tuple, tuple[list[str], list[str], list[tuple[str, str]]]] = {}
     weights: collections.Counter[tuple] = collections.Counter()
     tally: collections.Counter[str] = collections.Counter()
 
@@ -234,6 +242,7 @@ def _run(
         verified.clear()
         weights.clear()
 
+    run_one = functools.partial(_run_one, lines=write is not None)
     result = SuiteResult()
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         mapper = map if pool is None else functools.partial(pool.imap, chunksize=1)
@@ -243,22 +252,19 @@ def _run(
                 fold()
             fresh = {key: None for _, key in window if key not in verified}
             if fresh:
-                for key, reports in zip(fresh, mapper(_run_one, fresh)):
-                    verified[key] = ([_split(d) for d in reports] if write is not None else [],
-                                     [d["verdict"] for d in reports],
-                                     [d for d in reports if d["verdict"] == _VIOLATED])
+                for key, reports in zip(fresh, mapper(run_one, fresh)):
+                    verified[key] = (_segments([h for _, h in reports]) if write is not None else [],
+                                     [verdict for verdict, _ in reports],
+                                     [h for verdict, h in reports if verdict == _VIOLATED])
             for words, key in window:
-                halves, _, violated = verified[key]
+                segments, _, violated = verified[key]
                 weights[key] += 1
-                if not (violated or halves):
+                if not (violated or segments):
                     continue
-                binaries = words()
-                if violated:
-                    result.violations.extend(dict(d, code=binaries) for d in violated)
-                if halves:
-                    code = json.dumps(binaries)
-                    for head, tail in halves:
-                        write(head + code + tail)
+                code = json.dumps(words())
+                result.violations.extend(json.loads(head + code + tail) for head, tail in violated)
+                if segments:
+                    write(code.join(segments))
     fold()
     result.instances = sum(tally.values())
     result.holds, result.partial, result.violated = tally[_HOLDS], tally[_PARTIAL], tally[_VIOLATED]

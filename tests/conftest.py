@@ -152,6 +152,35 @@ def ref_link_law_failures(theorem: str, K: SimplicialComplex, step, K2: Simplici
     return failures
 
 
+def report_dict(report) -> dict:
+    """The JSON object of a ``VerificationReport``'s line, built field by
+    field from the report's data and sharing no code with its text: the
+    reference that ``json.dumps`` of must give the bytes of the line.  The
+    verdict is read off the checks and the code printed one word at a
+    time."""
+    outcomes = [c.outcome.value for c in report.checks]
+    verdict = next((v for v in ("violated", "partial") if v in outcomes), "holds")
+    checks = []
+    for c in report.checks:
+        check = {"name": c.name, "relation": c.relation, "lhs": list(c.lhs),
+                 "rhs": list(c.rhs), "outcome": c.outcome.value}
+        if c.note:
+            check["note"] = c.note
+        checks.append(check)
+    n = report.code.n
+    return {
+        "theorem": report.theorem,
+        "n": n,
+        "code": sorted("".join("1" if m >> i & 1 else "0" for i in range(n))
+                       for m in report.code.masks),
+        "map": report.map_desc,
+        "field": report.field.value,
+        "verdict": verdict,
+        "checks": checks,
+        "observations": {k: v for k, v in report.observations},
+    }
+
+
 # The unique closed surface with Euler characteristic 1 on six vertices;
 # structural properties are asserted in the tests that use it.
 RP2_FACETS = ["123", "124", "135", "146", "156", "236", "245", "256", "345", "346"]

@@ -460,19 +460,21 @@ class TestSummaryCounts:
         written = []
         lines = run_exhaustive(n, fld, write=written.append)
         assert summary.to_json_dict() == lines.to_json_dict()
-        verdicts = collections.Counter(json.loads(line)["verdict"] for line in written)
+        assert all(block.endswith("\n") for block in written)
+        verdicts = collections.Counter(json.loads(line)["verdict"]
+                                       for line in "".join(written).splitlines())
         assert (summary.holds, summary.partial, summary.violated) == (
             verdicts["holds"], verdicts["partial"], verdicts["violated"])
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_violations_in_instance_order(self, monkeypatch, jobs):
-        def fake(task):
+        def fake(task, lines):
             _, facets, *_ = task
-            out = [{"theorem": "x", "code": [], "verdict": "holds"}]
+            out = [("holds", ('{"theorem": "x", "code": ', ', "verdict": "holds"}'))]
             if len(facets) == 2:
-                out.append({"theorem": "y", "code": [], "verdict": "violated"})
+                out.append(("violated", ('{"theorem": "y", "code": ', ', "verdict": "violated"}')))
             if len(facets) == 3:
-                out.append({"theorem": "z", "code": [], "verdict": "partial"})
+                out.append(("partial", ('{"theorem": "z", "code": ', ', "verdict": "partial"}')))
             return out
 
         class InProcessPool:
@@ -509,7 +511,7 @@ class TestSummaryCounts:
         written = []
         lines = run_exhaustive(3, jobs=jobs, write=written.append)
         assert summary.to_json_dict() == lines.to_json_dict()
-        assert len(written) == summary.instances
+        assert len("".join(written).splitlines()) == summary.instances
 
 
 def test_duplicate_code_counts_once_per_code():
@@ -529,7 +531,7 @@ def test_serial_suite_verifies_each_key_when_first_met(monkeypatch):
 
     seen = []
     real = suites._run_one
-    monkeypatch.setattr(suites, "_run_one", lambda task: seen.append(len(drawn)) or real(task))
+    monkeypatch.setattr(suites, "_run_one", lambda task, lines: seen.append(len(drawn)) or real(task, lines))
     result = suites.run_suite(codes())
     assert seen[0] == 1 and seen == sorted(set(seen)) and len(seen) == 6
     assert result.to_json_dict() == run_exhaustive(2).to_json_dict()

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -340,13 +341,19 @@ class TestLinkLemmas:
         for warm in [K] + images:
             mandatory_partition(warm, Field.GF2)
         built = []
-        original = SimplicialComplex.__post_init__
+        checked, trusted = SimplicialComplex.__post_init__, SimplicialComplex.trusted.__func__
 
         def counting(self):
             built.append(self)
-            original(self)
+            checked(self)
 
+        def counting_trusted(cls, n, facets):
+            built.append(trusted(cls, n, facets))
+            return built[-1]
+
+        # every construction, checked or trusted, is counted once
         monkeypatch.setattr(SimplicialComplex, "__post_init__", counting)
+        monkeypatch.setattr(SimplicialComplex, "trusted", classmethod(counting_trusted))
         report = verify_projection(c, 5)
         assert built == [K, images[4]]
         laws = [ch for ch in report.checks if ch.name == "link_image_formula"]
@@ -619,7 +626,11 @@ class TestVerifyAddTrivialOn:
 
 class TestVerifyAddTrivialOff:
     def test_single_facet(self):
-        assert verify_add_trivial_off(code(["12"], 2)).verdict is Outcome.HOLDS
+        report = verify_add_trivial_off(code(["12"], 2))
+        assert report.verdict is Outcome.HOLDS
+        # the full simplex has the unit dual ideal, so its image's is <x_3>
+        (law,) = [c for c in report.checks if c.name == "dual_ideal_gens_gain_new_variable_factor"]
+        assert law.lhs == law.rhs == ("001",)
 
     def test_pendant_code(self):
         assert verify_add_trivial_off(code(["123", "24", "2"], 4)).verdict is Outcome.HOLDS
@@ -668,7 +679,7 @@ class TestVerifyProjection:
 class TestReportShape:
     def test_json_line_fields(self):
         report = verify_projection(code(["123", "24", "2"], 4), 4)
-        payload = report.to_json_dict()
+        payload = json.loads(report.to_json_line())
         assert payload["theorem"] == "projection"
         assert payload["map"] == "project(4)"
         assert payload["verdict"] == "holds"

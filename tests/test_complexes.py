@@ -1,5 +1,6 @@
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,11 +19,15 @@ from obstrukt import (
     restriction,
     verify_projection,
 )
+from obstrukt import collapse, homology
 from obstrukt.cli import main
 from obstrukt.codemaps import ResolvedStep
+from obstrukt.codes import binaries
 from obstrukt.collapse import _delete_bit
 from obstrukt.complexes import face_bound, face_count
 from obstrukt.errors import FaceNotInComplex, TooManyFaces, VoidComplex, WidthMismatch
+from obstrukt.ideals import MonomialIdeal
+from obstrukt.suites import run_exhaustive
 
 from conftest import (code, complexes, cone, cx, enumerate_complexes, face_words, full_simplex,
                       neural_codes, w)
@@ -342,3 +347,69 @@ class TestListingBound:
         assert len(part.out_masks | part.in_masks | part.unknown_masks) == 896
         assert _cli_link_of_empty_face(K) == 0
         assert len(json.loads(capsys.readouterr().out)["faces"]) == 896
+
+
+class TestTrustedConstructions:
+    """Every complex and ideal the engine builds with no check passes the
+    constructor's checks: with ``trusted`` made to validate, whole suites
+    and commands run and nothing is rejected."""
+
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        seen = []
+
+        def checked(cls, n, members):
+            seen.append(cls)
+            return cls(n, members)
+
+        for cls in (SimplicialComplex, MonomialIdeal):
+            monkeypatch.setattr(cls, "trusted", classmethod(checked))
+        for memo in (mandatory_partition, collapse._packed_profile, homology.reduced_homology):
+            memo.cache_clear()
+        yield seen
+        for memo in (mandatory_partition, collapse._packed_profile, homology.reduced_homology):
+            memo.cache_clear()
+
+    @staticmethod
+    def wide_codes(seed: int) -> list[NeuralCode]:
+        rng = random.Random(seed)
+        return [NeuralCode(n, [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                               for _ in range(words)])
+                for n, words in ((10, 12), (16, 9), (24, 8), (40, 6), (64, 5))]
+
+    @pytest.mark.parametrize("fld", [Field.GF2, Field.RATIONAL])
+    def test_exhaustive_suites(self, validated, fld):
+        for n in (1, 2, 3):
+            assert run_exhaustive(n, fld).ok
+        assert {SimplicialComplex, MonomialIdeal} <= set(validated)
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_sampled_suites(self, validated, capsys, n):
+        assert main(["verify", "--n", str(n), "--samples", "2", "--seed", str(n)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 * (5 + n) + 1
+        assert SimplicialComplex in validated
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_commands_on_wide_codes(self, validated, capsys, seed):
+        for c in self.wide_codes(seed):
+            words = ",".join(binaries(c.masks, c.n))
+            top = max(c.masks, key=int.bit_count)
+            sigma = binaries([top & -top], c.n)[0]
+            for argv in (["analyze"], ["dual"], ["link", "--sigma", sigma]):
+                argv += ["--n", str(c.n), "--form", "binary", "--code", words]
+                assert main(argv) == 0, argv
+                json.loads(capsys.readouterr().out)
+        assert {SimplicialComplex, MonomialIdeal} <= set(validated)
+
+    def test_a_projection_image_left_unreduced_is_rejected(self, validated):
+        # the image of the facets 110 and 011 without the fourth neuron
+        # holds 11 inside 11, and 10 inside 11 once 0110 and 1000 are mapped
+        def unreduced(r, K):
+            return SimplicialComplex.trusted(r.out_n, frozenset(map(r.f, K.facet_bits)))
+
+        c = NeuralCode(4, [0b0011, 0b1001, 0b0100])
+        assert verify_projection(c, 4).verdict.value == "holds"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ResolvedStep, "image", unreduced)
+            with pytest.raises(ValueError, match="lies inside"):
+                verify_projection(c, 4)

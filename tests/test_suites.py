@@ -1,6 +1,8 @@
 import collections
+import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -23,8 +25,12 @@ from obstrukt import (
     verify_projection,
 )
 from obstrukt.cli import main
+from obstrukt.codemaps import CheckResult, Outcome, VerificationReport
+from obstrukt.codes import binaries
 from obstrukt.errors import BadDensity, NeuronOutOfRange, NotAPermutation
 from obstrukt.suites import code_reports, sampled_codes, symmetric_group
+
+from conftest import report_dict
 
 
 class TestRandomCodes:
@@ -226,11 +232,11 @@ class TestRunner:
             run_suite([wide])
 
     def test_violation_accounting(self, monkeypatch):
-        def fake(task):
+        def fake(task, lines):
             _, facets, *_ = task
             if facets == (0b01,):
-                return [{"verdict": "violated", "theorem": "x"}]
-            return [{"verdict": "holds"}, {"verdict": "partial"}]
+                return [("violated", ('{"verdict": "violated", "theorem": "x", "code": ', "}"))]
+            return [("holds", None), ("partial", None)]
 
         monkeypatch.setattr(suites, "_run_one", fake)
         codes = [NeuralCode(2, [0b01]), NeuralCode(2, [0b11])]
@@ -256,13 +262,19 @@ class InProcessPool:
         return map(fn, tasks)
 
 
-def per_code_lines(n: int, fld: Field) -> list[str]:
-    """The ungrouped suite: every check run on every code, in instance order."""
-    return [
-        json.dumps(r.to_json_dict())
-        for code in exhaustive_codes(n)
-        for r in code_reports(code, fld)
-    ]
+def per_code_blocks(n: int, fld: Field) -> list[str]:
+    """The ungrouped suite: every check run on every code, in instance
+    order, each code's lines encoded from the reference dict and joined into
+    the one block that is written for it."""
+    blocks = ("".join(json.dumps(report_dict(r)) + "\n" for r in code_reports(code, fld))
+              for code in exhaustive_codes(n))
+    return [block for block in blocks if block]
+
+
+def lines_of(blocks: list[str]) -> list[str]:
+    """The lines of written blocks, each block a whole number of lines."""
+    assert all(block.endswith("\n") for block in blocks)
+    return "".join(blocks).splitlines()
 
 
 class TestGrouping:
@@ -270,14 +282,14 @@ class TestGrouping:
 
     @pytest.mark.parametrize("fld", [Field.GF2, Field.RATIONAL])
     def test_grouped_lines_match_per_code_n3(self, fld):
-        lines = []
-        run_exhaustive(3, fld, write=lines.append)
-        assert lines == per_code_lines(3, fld)
+        blocks = []
+        run_exhaustive(3, fld, write=blocks.append)
+        assert blocks == per_code_blocks(3, fld) and len(blocks) == 256
 
     def test_grouped_pool_matches_per_code_n2(self):
-        lines = []
-        run_exhaustive(2, Field.GF2, jobs=2, write=lines.append)
-        assert lines == per_code_lines(2, Field.GF2)
+        blocks = []
+        run_exhaustive(2, Field.GF2, jobs=2, write=blocks.append)
+        assert blocks == per_code_blocks(2, Field.GF2)
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_report_cache_cap_changes_nothing(self, monkeypatch, sampled):
@@ -290,7 +302,8 @@ class TestGrouping:
         lines, capped, calls = [], [], []
         result = run(lines.append)
         real = suites._run_one
-        monkeypatch.setattr(suites, "_run_one", lambda key: calls.append(key) or real(key))
+        monkeypatch.setattr(suites, "_run_one",
+                            lambda key, lines: calls.append(key) or real(key, lines))
         monkeypatch.setattr(suites, "_MAX_KEYS", 1)
         assert run(capped.append) == result
         assert capped == lines
@@ -303,9 +316,9 @@ class TestGrouping:
         calls = []
         real = suites._run_one
 
-        def counting(task):
+        def counting(task, lines):
             calls.append(task)
-            return real(task)
+            return real(task, lines)
 
         monkeypatch.setattr(suites, "_run_one", counting)
         result = run_exhaustive(n)
@@ -323,10 +336,10 @@ class TestGrouping:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(suites.multiprocessing, "Pool", RecordingPool)
-        lines = []
-        run_exhaustive(3, jobs=2, write=lines.append)
+        blocks = []
+        run_exhaustive(3, jobs=2, write=blocks.append)
         assert len(mapped) == len(set(mapped)) == 20
-        assert lines == per_code_lines(3, Field.GF2)
+        assert blocks == per_code_blocks(3, Field.GF2)
 
     def test_pool_lines_stream_window_by_window(self, monkeypatch):
         # the first window's lines are written before the last distinct key is mapped
@@ -375,9 +388,9 @@ class TestGrouping:
         written, verified_after = [], []
         real = suites._run_one
 
-        def recording(task):
+        def recording(task, lines):
             verified_after.append(len(written))
-            return real(task)
+            return real(task, lines)
 
         monkeypatch.setattr(suites, "_run_one", recording)
         run_exhaustive(2, write=written.append)
@@ -386,7 +399,7 @@ class TestGrouping:
     def test_empty_code_and_empty_word_stay_apart(self):
         written = []
         run_exhaustive(2, write=written.append)
-        lines = [json.loads(line) for line in written]
+        lines = [json.loads(line) for line in lines_of(written)]
         empty_code = [d for d in lines if d["code"] == []]
         empty_word = [d for d in lines if d["code"] == ["00"]]
         assert len(empty_code) == len(empty_word) == 7
@@ -396,37 +409,72 @@ class TestGrouping:
             assert "empty_code" not in d["observations"] and d["checks"]
 
 
-class TestSplice:
-    """A code's line is spliced from its key's encoded halves and its words."""
+def _encoded(report: VerificationReport) -> str:
+    """The report's line as a suite splices it: head, the code, tail."""
+    head, tail = report.line_halves()
+    line = head + json.dumps(binaries(report.code.masks, report.code.n)) + tail
+    assert line == report.to_json_line()
+    return line
 
-    REPORT = {"theorem": "projection", "n": 3, "code": ["001"], "verdict": "holds",
-              "checks": [{"name": "mh_containment", "relation": "⊆", "lhs": [], "rhs": []},
-                         {"name": "cmin_image_strictly_below", "relation": "⊊"},
-                         {"name": "link_image_formula", "relation": "∀"}],
-              "observations": {"mh_reverse_containment_holds": True}}
 
-    @pytest.mark.parametrize("keys", [
-        ["code", "theorem", "checks"],      # first
-        ["theorem", "code", "checks"],      # middle
-        ["theorem", "checks", "code"],      # last
-        ["theorem", "checks", "verdict"],   # absent: appended last
-        [],                                 # nothing but the appended code
-        list(REPORT),
+class TestLineEncoding:
+    """A report's line, spliced from its head, its code and its tail, is
+    ``json.dumps`` of the reference dict (``report_dict``)."""
+
+    RELATIONS = (("=", ""), ("⊆", ""), ("⊊", "image must equal the target minus the empty word"),
+                 ("∀", "faces listed on the left violate the relation"))
+
+    @pytest.mark.parametrize("outcomes", [
+        (), (Outcome.HOLDS,), (Outcome.HOLDS, Outcome.PARTIAL),
+        (Outcome.PARTIAL, Outcome.VIOLATED, Outcome.HOLDS), (Outcome.VIOLATED, Outcome.PARTIAL),
+        (Outcome.HOLDS, Outcome.HOLDS, Outcome.PARTIAL, Outcome.VIOLATED),
     ])
-    @pytest.mark.parametrize("code", [[], ["000"], ["100", "011", "111"]])
-    def test_splice_gives_the_bytes_of_a_fresh_encoding(self, keys, code):
-        d = {k: self.REPORT[k] for k in keys}
-        head, tail = suites._split(d)
-        assert head + json.dumps(code) + tail == json.dumps(dict(d, code=code))
+    @pytest.mark.parametrize("observations", [
+        (), (("mh_reverse_containment_holds", True),), (("mh_reverse_containment_holds", False),),
+        (("empty_code", True),),
+    ])
+    @pytest.mark.parametrize("masks", [[], [0], [0b001, 0b110, 0b111]])
+    def test_hand_built_reports(self, outcomes, observations, masks):
+        checks = [CheckResult(f"check_{i}", relation, ("010",) * i, ("010", "110")[:i], outcome,
+                              note) for i, (outcome, (relation, note))
+                  in enumerate(zip(outcomes, self.RELATIONS * 2))]
+        report = VerificationReport("projection", NeuralCode(3, masks), "project(2)", Field.GF2,
+                                    tuple(checks), observations)
+        line = _encoded(report)
+        assert line == json.dumps(report_dict(report))
+        assert json.loads(line)["code"] == {0: [], 1: ["000"], 3: ["011", "100", "111"]}[len(masks)]
+        assert line.isascii()
+        for relation, _ in self.RELATIONS[:len(outcomes)]:
+            assert json.dumps(relation) in line
 
-    def test_relations_stay_escaped(self):
-        head, tail = suites._split(self.REPORT)
-        assert (head + tail).isascii()
-        assert "\\u2286" in head + tail and "\\u228a" in head + tail
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_every_width(self, n):
+        rng = random.Random(n)
+        masks = {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(5))}
+        faces = tuple(binaries(list(masks)[:3], n))
+        checks = (CheckResult("mh_image_equal", "=", faces, faces, Outcome.HOLDS),
+                  CheckResult("link_two_case_formula", "∀", faces[:1], (), Outcome.VIOLATED,
+                              "faces listed on the left violate the relation"))
+        fld = (Field.GF2, Field.RATIONAL)[n % 2]
+        report = VerificationReport("duplicate", NeuralCode(n, masks), "duplicate(1)", fld, checks)
+        assert _encoded(report) == json.dumps(report_dict(report))
 
-    @pytest.mark.parametrize("summary,calls", [(False, 20 * 12 + 256 + 1), (True, 1)])
-    def test_json_encoding_calls(self, monkeypatch, capsys, summary, calls):
-        # 20 complexes of 12 instances each over 256 codes, plus the summary line
+    @pytest.mark.parametrize("fld", [Field.GF2, Field.RATIONAL])
+    def test_engine_reports(self, fld):
+        codes = [*exhaustive_codes(2), *sampled_codes(5, 6, 3), NeuralCode(9, [0b110000011, 0b1])]
+        reports = [r for c in codes for r in code_reports(c, fld, gammas=[tuple(range(c.n, 0, -1))])]
+        assert len(reports) > 100
+        for r in reports:
+            assert _encoded(r) == json.dumps(report_dict(r))
+
+
+class TestSplice:
+    """A code's lines are spliced from its key's encoded text and its words."""
+
+    def test_json_encoding_calls(self, monkeypatch, capsys):
+        # written lines encode the reports of the 20 complexes once each,
+        # each of the 256 codes' words once and the summary line; a summary
+        # encodes its own line alone
         real, count = json.dumps, []
 
         def counting(*args, **kwargs):
@@ -434,10 +482,39 @@ class TestSplice:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(json, "dumps", counting)
+        keys = {key for _, key in suites._exhaustive_keyed(3, Field.GF2, suites.ALL_THEOREMS)}
+        for key in keys:
+            suites._run_one(key)
+        per_keys = len(count)
+        assert len(keys) == 20 and per_keys > 0
         argv = ["verify", "--theorem", "all", "--exhaustive", "--n", "3"]
-        assert main(argv + ["--summary"] * summary) == 0
-        capsys.readouterr()
-        assert 0 < len(count) <= calls
+        for summary, calls in ((False, per_keys + 256 + 1), (True, 1)):
+            count.clear()
+            assert main(argv + ["--summary"] * summary) == 0
+            capsys.readouterr()
+            assert len(count) == calls
+
+    def test_a_summary_renders_violated_reports_alone(self, monkeypatch):
+        # each complex's first report is made violated; a summary renders
+        # the six lines and no other, and decodes them as the 16 written
+        # lines read
+        real_reports, real_halves, rendered = suites.code_reports, VerificationReport.line_halves, []
+
+        def first_violated(*args, **kwargs):
+            first, *rest = real_reports(*args, **kwargs)
+            wrong = CheckResult("mh_image_equal", "=", ("01",), (), Outcome.VIOLATED)
+            return [dataclasses.replace(first, checks=(wrong,)), *rest]
+
+        monkeypatch.setattr(suites, "code_reports", first_violated)
+        monkeypatch.setattr(VerificationReport, "line_halves",
+                            lambda self: rendered.append(self.verdict) or real_halves(self))
+        summary = run_exhaustive(2)
+        assert rendered == [Outcome.VIOLATED] * 6
+        written = []
+        lines = run_exhaustive(2, write=written.append)
+        assert summary.to_json_dict() == lines.to_json_dict()
+        violated = [json.loads(line) for line in lines_of(written) if '"verdict": "violated"' in line]
+        assert summary.violations == violated and len(violated) == 16
 
 
 class TestMaskRepresentation:
