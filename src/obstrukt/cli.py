@@ -235,9 +235,11 @@ def _cmd_dual(args: SimpleNamespace) -> int:
 
 
 def _stray(args: SimpleNamespace, names) -> str:
-    """Those of the named flags that were given, spelled as on the command line."""
+    """Those of the named flags that were given, spelled as on the command
+    line.  A flag left out reads None, or False for a switch; a value of 0
+    or 0.0 is given, though it compares equal to False."""
     return ", ".join(f"--{name.replace('_', '-')}" for name in names
-                     if getattr(args, name) not in (None, False))
+                     if (value := getattr(args, name)) is not None and value is not False)
 
 
 def _cmd_map(args: SimpleNamespace) -> int:

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .codes import MAX_NEURONS, NeuralCode, binaries
 from .collapse import Verdict, _facet_homology, collapses_onto
@@ -48,6 +48,8 @@ from .mandatory import mandatory_partition
 
 @dataclass(frozen=True)
 class Permute:
+    """Permute the neurons: position i of the image reads neuron γ(i)."""
+
     gamma: tuple[int, ...]
 
     def describe(self) -> str:
@@ -56,18 +58,24 @@ class Permute:
 
 @dataclass(frozen=True)
 class AddTrivialOn:
+    """Append neuron n+1, on in every word."""
+
     def describe(self) -> str:
         return "add_trivial_on"
 
 
 @dataclass(frozen=True)
 class AddTrivialOff:
+    """Append neuron n+1, off in every word."""
+
     def describe(self) -> str:
         return "add_trivial_off"
 
 
 @dataclass(frozen=True)
 class Duplicate:
+    """Append neuron n+1 as a copy of neuron ``source``."""
+
     source: int = 1
 
     def describe(self) -> str:
@@ -76,6 +84,8 @@ class Duplicate:
 
 @dataclass(frozen=True)
 class Project:
+    """Delete neuron ``delete``; the neurons above it move down by one."""
+
     delete: int
 
     def describe(self) -> str:
@@ -84,6 +94,9 @@ class Project:
 
 @dataclass(frozen=True)
 class Include:
+    """Include the code in ``target``, a code on the same neurons that holds
+    its words."""
+
     target: NeuralCode
 
     def describe(self) -> str:
@@ -93,8 +106,7 @@ class Include:
 ElementaryMap = Union[Permute, AddTrivialOn, AddTrivialOff, Duplicate, Project, Include]
 
 
-@dataclass(frozen=True)
-class ResolvedStep:
+class ResolvedStep(NamedTuple):
     """A step fixed to its incoming width n, with its action on masks
     resolved once: a permutation inverts γ and builds its table of mask
     images here, not once per mask."""
@@ -312,8 +324,7 @@ class _LinkPairs:
         return law(self.images.__getitem__, over1, over2, s1, s2, fld)
 
 
-@dataclass(frozen=True)
-class LinkLaw:
+class LinkLaw(NamedTuple):
     """A law on lk σ and lk σ' at one face pair, called as ``law(image,
     over1, over2, s1, s2, field)`` on the facet-image lookup, the facets
     over σ and over σ', the two faces and the field; ``suspects`` names the
@@ -327,8 +338,7 @@ class LinkLaw:
         return self.holds(*args)
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """What one preservation theorem claims about a code C and its image q(C).
 
     ``mh`` relates M_H(q(C)) to q(M_H(C)): "=", or "⊆" for the target inside

@@ -43,7 +43,7 @@ class NotationForm(Enum):
     BINARY = "binary"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Codeword:
     """A subset of {1, ..., n}; ``bits`` holds bit i-1 for neuron i."""
 
@@ -70,7 +70,7 @@ class Codeword:
         return f"Codeword({self.binary()!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class NeuralCode:
     """A finite set of codewords on a declared neuron count, stored as the
     words' masks; ``words`` is their Codeword view, built when read.

@@ -120,7 +120,7 @@ def _check_listable(facets: frozenset[int]) -> None:
                            f"faces; the complex has {count}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SimplicialComplex:
     """A simplicial complex on {1, ..., n}, given by its facets; faces and
     vertices are derived on each read, and only ``minimal_non_faces`` is kept."""

@@ -25,7 +25,7 @@ def minimal_masks(masks: Iterable[int]) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class MonomialIdeal:
     """Ideal generated by square-free monomials; ``gen_bits`` is an antichain."""
 

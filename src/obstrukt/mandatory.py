@@ -38,6 +38,9 @@ def _words(masks: frozenset[int], n: int) -> frozenset[Codeword]:
 
 @dataclass(frozen=True)
 class MandatorySet:
+    """The homologically mandatory faces M_H(Δ) over ``field``, as masks of
+    width n; ``faces`` is their Codeword view."""
+
     field: Field
     n: int
     masks: frozenset[int]

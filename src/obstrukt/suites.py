@@ -16,7 +16,10 @@ joined by its own encoded words, written in one call; a violated report is
 decoded from its line with the code spliced in.
 Codes are read in windows (one code serially, 64 per worker with a pool); a
 window's new complexes are verified, then its lines stream out in instance
-order.  Output is deterministic for fixed inputs.
+order.  Output is deterministic for fixed inputs.  ``multiprocessing`` (and
+``pickle`` with it) is imported only when a run starts a pool, with more
+than one job after the CPU cap, so importing this module and running
+serially never load either.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import contextlib
 import functools
 import itertools
 import json
-import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field
@@ -143,6 +145,9 @@ def code_reports(
 
 @dataclass
 class SuiteResult:
+    """A suite's verdict tally over every instance, and the JSON object of
+    each violated report."""
+
     instances: int = 0
     holds: int = 0
     partial: int = 0
@@ -244,6 +249,8 @@ def _run(
 
     run_one = functools.partial(_run_one, lines=write is not None)
     result = SuiteResult()
+    if jobs > 1:
+        import multiprocessing  # a serial run never loads it, nor pickle with it
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         mapper = map if pool is None else functools.partial(pool.imap, chunksize=1)
         size = 1 if pool is None else _WINDOW * jobs

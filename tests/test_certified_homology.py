@@ -10,6 +10,7 @@ tallies.
 import collections
 import json
 import math
+import multiprocessing
 import random
 
 import pytest
@@ -491,7 +492,7 @@ class TestSummaryCounts:
                 return map(fn, tasks)
 
         monkeypatch.setattr(suites, "_run_one", fake)
-        monkeypatch.setattr(suites.multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
         reference = []
         counts = [0, 0, 0]
         for code in exhaustive_codes(3):

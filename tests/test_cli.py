@@ -53,6 +53,7 @@ class TestInputs:
     @pytest.mark.parametrize("command", [["mh"], ["verify", "--theorem", "duplicate"]])
     @pytest.mark.parametrize("extra,named", [
         (["--n", "5"], "--n"), (["--code", "12", "--n", "4"], "--code, --n"),
+        (["--n", "0"], "--n"),  # 0 is given, though it equals False
     ])
     def test_file_input_takes_no_inline_code_flags(self, tmp_path, capsys, command, extra, named):
         path = tmp_path / "code.txt"
@@ -238,6 +239,9 @@ class TestMap:
         ("duplicate", ["--gamma", "2,1"], ["--gamma"]),
         ("project", ["--delete", "1", "--target-n", "2"], ["--target-n"]),
         ("include", ["--target", "12", "--target-n", "2", "--delete", "1"], ["--delete"]),
+        # 0 is given, though it equals False
+        ("add-on", ["--source", "0"], ["--source"]),
+        ("add-off", ["--delete", "0", "--target-n", "0"], ["--delete", "--target-n"]),
     ])
     def test_rejects_flags_its_op_ignores(self, capsys, op, extra, flags):
         start = time.perf_counter()
@@ -348,6 +352,12 @@ class TestVerify:
         (["--exhaustive", "--n", "2", "--input", "codes.txt"], ["--input"]),
         (["--exhaustive", "--n", "2", "--summary", "--seed", "5"], ["--seed"]),
         (["--exhaustive", "--n", "2", "--summary", "--density", "7"], ["--density"]),
+        # 0 and 0.0 are given, though they equal False
+        (["--theorem", "all", "--exhaustive", "--n", "2", "--seed", "0", "--summary"], ["--seed"]),
+        (["--exhaustive", "--n", "2", "--summary", "--density", "0"], ["--density"]),
+        (["--exhaustive", "--n", "2", "--summary", "--density", "0.0"], ["--density"]),
+        (["--exhaustive", "--n", "2", "--summary", "--source", "0"], ["--source"]),
+        (["--n", "3", "--samples", "2", "--delete", "0"], ["--delete"]),
         (["--n", "3", "--samples", "2", "--jobs", "-5"], ["--jobs"]),
         (["--n", "3", "--samples", "2", "--jobs", "0"], ["--jobs"]),
         (["--n", "3", "--samples", "1", "--output", "text"], ["--output"]),
@@ -363,6 +373,8 @@ class TestVerify:
         ("--summary", []), ("--seed", ["5"]), ("--density", ["0.5"]), ("--jobs", ["2"]),
         ("--source", ["9", "--theorem", "permutation"]),
         ("--delete", ["9", "--theorem", "permutation"]),
+        # 0 and 0.0 are given, though they equal False
+        ("--seed", ["0"]), ("--density", ["0"]), ("--density", ["0.0"]),
     ])
     def test_single_code_rejects_what_it_would_ignore(self, capsys, flag, extra):
         start = time.perf_counter()

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -477,7 +476,7 @@ class TestLinkLemmas:
         counted = codemaps.LinkLaw(lambda *args: calls.append(1) or law(*args),
                                    lambda pairs: rows.append(1) or law.suspects(pairs))
         monkeypatch.setitem(THEOREMS, "duplicate",
-                            dataclasses.replace(THEOREMS["duplicate"], links=((name, counted), *rest)))
+                            THEOREMS["duplicate"]._replace(links=((name, counted), *rest)))
         for seed in (11, 12, 13):
             for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
                 memo.cache_clear()

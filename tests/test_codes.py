@@ -186,6 +186,7 @@ def test_code_stores_masks_and_views_words():
     assert c == NeuralCode(3, {0, 0b011}) and hash(c) == hash(NeuralCode(3, {0, 0b011}))
     assert c.words == frozenset({Codeword.empty(3), Codeword(0b011, 3)})
     assert repr(c) == "NeuralCode(n=3, {000,110})"
+    assert repr(NeuralCode(2, [])) == "NeuralCode(n=2, {})"
     for bad in (0b1000, -1):
         with pytest.raises(WidthMismatch):
             NeuralCode(3, [bad])

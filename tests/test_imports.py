@@ -1,11 +1,17 @@
-"""Every module of the package, and every test file, uses every name it imports.
+"""Every module of the package, and every test file, uses every name it
+imports, and importing the command line loads no module that only a worker
+pool needs.
 
-The package's ``__init__.py`` is left out: it imports names to re-export
-them.  An import statement marked ``# noqa: F401`` is left out too; those
-bindings are kept on purpose for callers that reach into the module.
+The package's ``__init__.py`` is left out of the unused-import check: it
+imports names to re-export them.  An import statement marked
+``# noqa: F401`` is left out too; those bindings are kept on purpose for
+callers that reach into the module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +72,13 @@ def test_noqa_and_string_annotations_keep_a_binding():
     assert unused_imports("from os import (\n    path,  # noqa: F401\n)\n") == []
     assert unused_imports("from os import PathLike\ndef f() -> 'PathLike': ...\n") == []
     assert unused_imports("from os import sep\nx = {'sep': 1}\n") == ["line 1: sep"]
+
+
+def test_cli_import_leaves_the_pool_modules_unloaded():
+    # every command imports obstrukt.cli before it computes; multiprocessing
+    # and pickle load only when a suite starts a pool (--jobs above 1)
+    probe = "import sys, obstrukt.cli; print(sorted({'multiprocessing', 'pickle'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -335,7 +336,7 @@ class TestGrouping:
                 return map(fn, tasks)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(suites.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         blocks = []
         run_exhaustive(3, jobs=2, write=blocks.append)
         assert len(mapped) == len(set(mapped)) == 20
@@ -352,7 +353,7 @@ class TestGrouping:
                     yield fn(task)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(suites.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         run_exhaustive(3, jobs=2, write=written.append)
         assert len(mapped_after) == 20
         assert mapped_after[0] == 0 and mapped_after[-1] > 0
@@ -374,7 +375,7 @@ class TestGrouping:
             def __init__(self, jobs):
                 asked.append(jobs)
 
-        monkeypatch.setattr(suites.multiprocessing, "Pool", CountingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
         cpus = os.cpu_count() or 1
         expected = run_sampled(3, 5, seed=2)
         assert run_sampled(3, 5, seed=2, jobs=10_000).to_json_dict() == expected.to_json_dict()
