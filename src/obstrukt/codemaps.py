@@ -28,14 +28,12 @@ per step.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .codes import MAX_NEURONS, NeuralCode, binaries
+from .codes import MAX_NEURONS, NeuralCode, _Record, binaries
 from .collapse import Verdict, _facet_homology, collapses_onto
 from . import complexes  # maximal_masks stays bound in complexes alone, as bench/test_bench.py expects
 from .complexes import SimplicialComplex, code_complex
@@ -46,58 +44,64 @@ from .ideals import (alexander_dual, dual_ideal, invert_permutation, mask_permut
 from .mandatory import mandatory_partition
 
 
-@dataclass(frozen=True)
-class Permute:
+class Permute(_Record):
     """Permute the neurons: position i of the image reads neuron γ(i)."""
 
-    gamma: tuple[int, ...]
+    _fields = ("gamma",)
+
+    def __init__(self, gamma: tuple[int, ...]) -> None:
+        self.__dict__["gamma"] = gamma
 
     def describe(self) -> str:
         return "permute(" + ",".join(str(g) for g in self.gamma) + ")"
 
 
-@dataclass(frozen=True)
-class AddTrivialOn:
+class AddTrivialOn(_Record):
     """Append neuron n+1, on in every word."""
 
     def describe(self) -> str:
         return "add_trivial_on"
 
 
-@dataclass(frozen=True)
-class AddTrivialOff:
+class AddTrivialOff(_Record):
     """Append neuron n+1, off in every word."""
 
     def describe(self) -> str:
         return "add_trivial_off"
 
 
-@dataclass(frozen=True)
-class Duplicate:
+class Duplicate(_Record):
     """Append neuron n+1 as a copy of neuron ``source``."""
 
-    source: int = 1
+    _fields = ("source",)
+
+    def __init__(self, source: int = 1) -> None:
+        self.__dict__["source"] = source
 
     def describe(self) -> str:
         return f"duplicate({self.source})"
 
 
-@dataclass(frozen=True)
-class Project:
+class Project(_Record):
     """Delete neuron ``delete``; the neurons above it move down by one."""
 
-    delete: int
+    _fields = ("delete",)
+
+    def __init__(self, delete: int) -> None:
+        self.__dict__["delete"] = delete
 
     def describe(self) -> str:
         return f"project({self.delete})"
 
 
-@dataclass(frozen=True)
-class Include:
+class Include(_Record):
     """Include the code in ``target``, a code on the same neurons that holds
     its words."""
 
-    target: NeuralCode
+    _fields = ("target",)
+
+    def __init__(self, target: NeuralCode) -> None:
+        self.__dict__["target"] = target
 
     def describe(self) -> str:
         return f"include(into {len(self.target.masks)} words)"
@@ -203,20 +207,24 @@ def _strings(texts: tuple[str, ...]) -> str:
     return '["' + '", "'.join(texts) + '"]' if texts else "[]"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """One relation instance; lhs/rhs hold the observed sets as binary strings.
 
     For per-face aggregate checks, lhs lists the faces where the relation
     failed and rhs stays empty.
     """
 
-    name: str
-    relation: str
-    lhs: tuple[str, ...]
-    rhs: tuple[str, ...]
-    outcome: Outcome
-    note: str = ""
+    _fields = ("name", "relation", "lhs", "rhs", "outcome", "note")
+
+    def __init__(self, name: str, relation: str, lhs: tuple[str, ...], rhs: tuple[str, ...],
+                 outcome: Outcome, note: str = "") -> None:
+        d = self.__dict__
+        d["name"] = name
+        d["relation"] = relation
+        d["lhs"] = lhs
+        d["rhs"] = rhs
+        d["outcome"] = outcome
+        d["note"] = note
 
 
 def _check_text(c: CheckResult) -> str:
@@ -229,23 +237,26 @@ def _check_text(c: CheckResult) -> str:
             f'"outcome": "{c.outcome.value}"{note}}}')
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """One theorem instance, its verdict decided once, when it is made."""
+class VerificationReport(_Record):
+    """One theorem instance, its verdict decided once, when it is made;
+    equality and hashing read every field but the verdict."""
 
-    theorem: str
-    code: NeuralCode
-    map_desc: str
-    field: Field
-    checks: tuple[CheckResult, ...]
-    observations: tuple[tuple[str, bool], ...] = ()
-    verdict: Outcome = dataclasses.field(init=False, compare=False)
+    _fields = ("theorem", "code", "map_desc", "field", "checks", "observations", "verdict")
+    _compared = _fields[:-1]
 
-    def __post_init__(self) -> None:
-        outcomes = [c.outcome for c in self.checks]
-        object.__setattr__(self, "verdict", (
-            Outcome.VIOLATED if Outcome.VIOLATED in outcomes else
-            Outcome.PARTIAL if Outcome.PARTIAL in outcomes else Outcome.HOLDS))
+    def __init__(self, theorem: str, code: NeuralCode, map_desc: str, field: Field,
+                 checks: tuple[CheckResult, ...],
+                 observations: tuple[tuple[str, bool], ...] = ()) -> None:
+        outcomes = [c.outcome for c in checks]
+        d = self.__dict__
+        d["theorem"] = theorem
+        d["code"] = code
+        d["map_desc"] = map_desc
+        d["field"] = field
+        d["checks"] = checks
+        d["observations"] = observations
+        d["verdict"] = (Outcome.VIOLATED if Outcome.VIOLATED in outcomes else
+                        Outcome.PARTIAL if Outcome.PARTIAL in outcomes else Outcome.HOLDS)
 
     def line_halves(self) -> tuple[str, str]:
         """The report's JSON line as the text before and after the value of

@@ -5,15 +5,20 @@ is set exactly when neuron i fires.  A neural code stores its words as these
 masks; ``Codeword`` is the type that text is parsed into and printed from.
 Three text notations are supported (set, word, binary) and round-trip
 exactly.  All values are immutable.
+
+``_Record`` is the base of the package's record classes: the methods a
+frozen dataclass would generate, written once, so that defining a record
+runs no code generation and importing the package loads neither
+``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .errors import (
     MalformedText,
@@ -37,21 +42,78 @@ def check_width(n: int, count: str, noun: str = "", masks: Iterable[int] = ()) -
             raise WidthMismatch(f"{noun} {m:#x} does not fit width {n}")
 
 
+def _field_tuple(names: tuple[str, ...]) -> Callable[[object], tuple]:
+    """The function from a record to the tuple of its fields ``names``; a
+    record of one field or none compares and hashes a tuple too, as a
+    dataclass does."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return lambda record: (get(record),)
+    return lambda record: ()
+
+
+class _Record:
+    """Base of the record classes: equality by type and value, hashing, the
+    dataclass-format repr ``Name(field=value, ...)`` and refused assignment.
+
+    A subclass names its fields in ``_fields``, in the order of its repr,
+    and its own ``__init__`` stores them in the instance ``__dict__``, so
+    ``cached_property``, pickling and copying work on it.  ``_compared``
+    names the fields that equality and hashing read when not all of them.
+    The one per-class value, the getter ``_key``, is set when the class is
+    defined; it is read from the class, where a function is not bound as a
+    method.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] | None = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = _field_tuple(cls._fields if cls._compared is None else cls._compared)
+
+    def __eq__(self, other: object) -> bool:
+        cls = self.__class__
+        if other.__class__ is cls:
+            return cls._key(self) == cls._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__class__._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # loaded on this error path alone
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class NotationForm(Enum):
     SET = "set"
     WORD = "word"
     BINARY = "binary"
 
 
-@dataclass(frozen=True, repr=False)
-class Codeword:
+class Codeword(_Record):
     """A subset of {1, ..., n}; ``bits`` holds bit i-1 for neuron i."""
 
-    bits: int
-    n: int
+    _fields = ("bits", "n")
 
-    def __post_init__(self) -> None:
-        check_width(self.n, "neuron", "bit pattern", (self.bits,))
+    def __init__(self, bits: int, n: int) -> None:
+        check_width(n, "neuron", "bit pattern", (bits,))
+        d = self.__dict__
+        d["bits"] = bits
+        d["n"] = n
 
     @classmethod
     def empty(cls, n: int) -> "Codeword":
@@ -70,8 +132,7 @@ class Codeword:
         return f"Codeword({self.binary()!r})"
 
 
-@dataclass(frozen=True, repr=False)
-class NeuralCode:
+class NeuralCode(_Record):
     """A finite set of codewords on a declared neuron count, stored as the
     words' masks; ``words`` is their Codeword view, built when read.
 
@@ -79,12 +140,14 @@ class NeuralCode:
     verbatim from the input.
     """
 
-    n: int
-    masks: frozenset[int]  # any iterable of masks is stored as a frozenset
+    _fields = ("n", "masks")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "masks", frozenset(self.masks))
-        check_width(self.n, "neuron", "word", self.masks)
+    def __init__(self, n: int, masks: Iterable[int]) -> None:
+        masks = frozenset(masks)
+        check_width(n, "neuron", "word", masks)
+        d = self.__dict__
+        d["n"] = n
+        d["masks"] = masks
 
     @cached_property
     def words(self) -> frozenset[Codeword]:

@@ -17,11 +17,10 @@ contractible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .codes import Codeword, NeuralCode, binaries, check_width
+from .codes import Codeword, NeuralCode, _Record, binaries, check_width
 from .errors import FaceNotInComplex, TooManyFaces, VoidComplex, WidthMismatch
 
 # The full simplex on 20 vertices, 2^20 faces, is the largest complex whose
@@ -120,21 +119,21 @@ def _check_listable(facets: frozenset[int]) -> None:
                            f"faces; the complex has {count}")
 
 
-@dataclass(frozen=True, repr=False)
-class SimplicialComplex:
+class SimplicialComplex(_Record):
     """A simplicial complex on {1, ..., n}, given by its facets; faces and
     vertices are derived on each read, and only ``minimal_non_faces`` is kept."""
 
-    n: int
-    facet_bits: frozenset[int]
+    _fields = ("n", "facet_bits")
 
-    def __post_init__(self) -> None:
-        facets = self.facet_bits
-        check_width(self.n, "vertex", "facet", facets)
-        for m in facets:
-            for f in facets:
+    def __init__(self, n: int, facet_bits: frozenset[int]) -> None:
+        check_width(n, "vertex", "facet", facet_bits)
+        for m in facet_bits:
+            for f in facet_bits:
                 if m & ~f == 0 and m != f:
                     raise ValueError(f"facet {m:#x} lies inside facet {f:#x}")
+        d = self.__dict__
+        d["n"] = n
+        d["facet_bits"] = facet_bits
 
     @classmethod
     def trusted(cls, n: int, facet_bits: frozenset[int]) -> "SimplicialComplex":
@@ -143,7 +142,9 @@ class SimplicialComplex:
         width n by how it is built.  The constructor checks what comes from
         outside."""
         K = object.__new__(cls)
-        K.__dict__.update(n=n, facet_bits=facet_bits)
+        d = K.__dict__
+        d["n"] = n
+        d["facet_bits"] = facet_bits
         return K
 
     @classmethod

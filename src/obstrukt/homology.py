@@ -20,11 +20,11 @@ on k vertices with more than 2^(k-1) faces is handed to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gcd
 
+from .codes import _Record
 from .errors import DegreeOutOfRange, VoidComplex
 from .complexes import SimplicialComplex
 
@@ -34,8 +34,7 @@ class Field(Enum):
     RATIONAL = "Q"
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(_Record):
     """Reduced Betti numbers by degree, starting at degree -1.
 
     Trailing zeros are stripped on construction, so profiles of complexes of
@@ -43,14 +42,14 @@ class HomologyProfile:
     degree.
     """
 
-    field: Field
-    betti: tuple[int, ...]
+    _fields = ("field", "betti")
 
-    def __post_init__(self) -> None:
-        betti = self.betti
+    def __init__(self, field: Field, betti: tuple[int, ...]) -> None:
         while betti and not betti[-1]:
             betti = betti[:-1]
-        object.__setattr__(self, "betti", betti)
+        d = self.__dict__
+        d["field"] = field
+        d["betti"] = betti
 
     def dim_at(self, degree: int) -> int:
         idx = degree + 1

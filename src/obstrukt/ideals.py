@@ -9,10 +9,9 @@ relabelling and zero-padding.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .codes import Codeword, check_width
+from .codes import Codeword, _Record, check_width
 from .complexes import SimplicialComplex, minimal_transversals
 from .errors import DegenerateDualWarning, NotAPermutation, VoidComplex, WidthMismatch
 
@@ -25,17 +24,18 @@ def minimal_masks(masks: Iterable[int]) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True, repr=False)
-class MonomialIdeal:
+class MonomialIdeal(_Record):
     """Ideal generated by square-free monomials; ``gen_bits`` is an antichain."""
 
-    n: int
-    gen_bits: frozenset[int]
+    _fields = ("n", "gen_bits")
 
-    def __post_init__(self) -> None:
-        check_width(self.n, "variable", "generator", self.gen_bits)
-        if minimal_masks(self.gen_bits) != self.gen_bits:
+    def __init__(self, n: int, gen_bits: frozenset[int]) -> None:
+        check_width(n, "variable", "generator", gen_bits)
+        if minimal_masks(gen_bits) != gen_bits:
             raise ValueError("generators must form an antichain under divisibility")
+        d = self.__dict__
+        d["n"] = n
+        d["gen_bits"] = gen_bits
 
     @classmethod
     def trusted(cls, n: int, gen_bits: frozenset[int]) -> "MonomialIdeal":
@@ -44,7 +44,9 @@ class MonomialIdeal:
         every ideal the engine makes are an antichain that fits width n by
         how they are made."""
         I = object.__new__(cls)
-        I.__dict__.update(n=n, gen_bits=gen_bits)
+        d = I.__dict__
+        d["n"] = n
+        d["gen_bits"] = gen_bits
         return I
 
     @property
@@ -63,9 +65,8 @@ class MonomialIdeal:
     def __repr__(self) -> str:
         if self.is_zero:
             return f"MonomialIdeal(n={self.n}, zero)"
-        gens = ", ".join(
-            "x" + "*x".join(str(i) for i in g) for g in self.to_lists()
-        )
+        # the generator of empty support is the unit monomial, written 1
+        gens = ", ".join("*".join(f"x{i}" for i in g) or "1" for g in self.to_lists())
         return f"MonomialIdeal(n={self.n}, <{gens}>)"
 
 

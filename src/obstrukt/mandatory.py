@@ -21,10 +21,9 @@ sets are views.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .codes import Codeword, NeuralCode, binaries
+from .codes import Codeword, NeuralCode, _Record, binaries
 from .complexes import SimplicialComplex, code_complex, link_euler_characteristics
 from .collapse import Verdict, _status, link_profile
 from .errors import VoidComplex
@@ -36,14 +35,17 @@ def _words(masks: frozenset[int], n: int) -> frozenset[Codeword]:
     return frozenset(Codeword(m, n) for m in masks)
 
 
-@dataclass(frozen=True)
-class MandatorySet:
+class MandatorySet(_Record):
     """The homologically mandatory faces M_H(Δ) over ``field``, as masks of
     width n; ``faces`` is their Codeword view."""
 
-    field: Field
-    n: int
-    masks: frozenset[int]
+    _fields = ("field", "n", "masks")
+
+    def __init__(self, field: Field, n: int, masks: frozenset[int]) -> None:
+        d = self.__dict__
+        d["field"] = field
+        d["n"] = n
+        d["masks"] = masks
 
     @cached_property
     def faces(self) -> frozenset[Codeword]:
@@ -53,8 +55,7 @@ class MandatorySet:
         return binaries(self.masks, self.n)
 
 
-@dataclass(frozen=True)
-class MandatoryPartition:
+class MandatoryPartition(_Record):
     """The faces of K split by link-contractibility certificate, as masks of
     width n; ``certified_in``, ``certified_out`` and ``unknown`` are their
     Codeword views.  ``out_masks``, the rest of ``K.face_bits``, is listed
@@ -67,12 +68,18 @@ class MandatoryPartition:
     them when it is one: every other face has a cone for its link.
     """
 
-    field: Field
-    K: SimplicialComplex
-    in_masks: frozenset[int]
-    unknown_masks: frozenset[int]
-    ambient_verdict: Verdict
-    lattice: frozenset[int]
+    _fields = ("field", "K", "in_masks", "unknown_masks", "ambient_verdict", "lattice")
+
+    def __init__(self, field: Field, K: SimplicialComplex, in_masks: frozenset[int],
+                 unknown_masks: frozenset[int], ambient_verdict: Verdict,
+                 lattice: frozenset[int]) -> None:
+        d = self.__dict__
+        d["field"] = field
+        d["K"] = K
+        d["in_masks"] = in_masks
+        d["unknown_masks"] = unknown_masks
+        d["ambient_verdict"] = ambient_verdict
+        d["lattice"] = lattice
 
     @property
     def n(self) -> int:
@@ -157,14 +164,17 @@ def mandatory_partition(K: SimplicialComplex, field: Field) -> MandatoryPartitio
                               frozenset(lattice))
 
 
-@dataclass(frozen=True)
-class ObstructionCheck:
+class ObstructionCheck(_Record):
     """The mandatory faces a code lacks, as masks of width n; ``missing``
     is their Codeword view."""
 
-    passes: bool
-    missing_masks: frozenset[int]
-    n: int
+    _fields = ("passes", "missing_masks", "n")
+
+    def __init__(self, passes: bool, missing_masks: frozenset[int], n: int) -> None:
+        d = self.__dict__
+        d["passes"] = passes
+        d["missing_masks"] = missing_masks
+        d["n"] = n
 
     @property
     def missing(self) -> frozenset[Codeword]:

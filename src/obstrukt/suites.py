@@ -31,10 +31,9 @@ import itertools
 import json
 import os
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .codes import NeuralCode, binaries
+from .codes import NeuralCode, _Record, binaries
 from .codemaps import (
     THEOREMS,
     Domain,
@@ -143,16 +142,23 @@ def code_reports(
     return [r for theorem in THEOREMS if theorem in theorems for r in instances[theorem]()]
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(_Record):
     """A suite's verdict tally over every instance, and the JSON object of
-    each violated report."""
+    each violated report.  Unlike the value types it is mutable, and so
+    unhashable."""
 
-    instances: int = 0
-    holds: int = 0
-    partial: int = 0
-    violated: int = 0
-    violations: list[dict] = field(default_factory=list)
+    _fields = ("instances", "holds", "partial", "violated", "violations")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, instances: int = 0, holds: int = 0, partial: int = 0, violated: int = 0,
+                 violations: list[dict] | None = None) -> None:
+        self.instances = instances
+        self.holds = holds
+        self.partial = partial
+        self.violated = violated
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

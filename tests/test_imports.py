@@ -1,6 +1,6 @@
 """Every module of the package, and every test file, uses every name it
 imports, and importing the command line loads no module that only a worker
-pool needs.
+pool needs, and none that code generation needs.
 
 The package's ``__init__.py`` is left out of the unused-import check: it
 imports names to re-export them.  An import statement marked
@@ -74,11 +74,23 @@ def test_noqa_and_string_annotations_keep_a_binding():
     assert unused_imports("from os import sep\nx = {'sep': 1}\n") == ["line 1: sep"]
 
 
-def test_cli_import_leaves_the_pool_modules_unloaded():
-    # every command imports obstrukt.cli before it computes; multiprocessing
-    # and pickle load only when a suite starts a pool (--jobs above 1)
-    probe = "import sys, obstrukt.cli; print(sorted({'multiprocessing', 'pickle'} & set(sys.modules)))"
+def _loaded_by_cli_import(modules: set[str]) -> list[str]:
+    """Those of ``modules`` that a fresh interpreter holds after ``import
+    obstrukt.cli``."""
+    probe = f"import sys, obstrukt.cli; print(sorted(set({sorted(modules)!r}) & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
-    assert out == "[]\n"
+    return ast.literal_eval(out)
+
+
+def test_cli_import_leaves_the_pool_modules_unloaded():
+    # every command imports obstrukt.cli before it computes; multiprocessing
+    # and pickle load only when a suite starts a pool (--jobs above 1)
+    assert _loaded_by_cli_import({"multiprocessing", "pickle"}) == []
+
+
+def test_cli_import_leaves_the_code_generation_modules_unloaded():
+    # the record classes are plain classes: dataclasses, and the inspect,
+    # ast, dis and tokenize it brings, load only to raise FrozenInstanceError
+    assert _loaded_by_cli_import({"dataclasses", "inspect", "ast", "dis", "tokenize"}) == []

@@ -1,18 +1,23 @@
 """The package's record classes: equality by type and value, hashing and
-immutability of the value types, and the reprs that the value types write
-themselves (``NeuralCode``'s is checked in ``test_codes.py``).
+immutability of the value types, the reprs that the value types write
+themselves (``NeuralCode``'s is checked in ``test_codes.py``), and their
+round trips through ``pickle`` and ``copy``.  The value types are not
+dataclasses: each names its fields in the tuple ``_fields``.
 
 The three internal records of ``codemaps`` (``ResolvedStep``, ``LinkLaw``
 and ``Theorem``) are named tuples: they compare by value, as tuples do.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
 from obstrukt import (
     AddTrivialOff,
     AddTrivialOn,
+    CheckResult,
     Codeword,
     Duplicate,
     Field,
@@ -20,15 +25,23 @@ from obstrukt import (
     MandatorySet,
     MonomialIdeal,
     NeuralCode,
+    Outcome,
     Permute,
     Project,
     SimplicialComplex,
     SuiteResult,
+    VerificationReport,
+    check_no_local_obstruction,
     code_complex,
+    mandatory_partition,
     mandatory_set,
+    reduced_homology,
+    run_exhaustive,
     sr_ideal,
+    verify_permutation,
 )
 from obstrukt.codemaps import THEOREMS, LinkLaw, ResolvedStep, Theorem, resolve_step
+from obstrukt.ideals import dual_ideal
 
 K = SimplicialComplex(3, frozenset({0b011, 0b100}))
 
@@ -62,7 +75,7 @@ def test_value_types_differ_from_every_other_type(name):
     for other, make in VALUES.items():
         if other != name:
             assert a != make() and make() != a
-    assert a != tuple(getattr(a, f.name) for f in dataclasses.fields(a))
+    assert a != tuple(getattr(a, f) for f in type(a)._fields)
 
 
 def test_steps_of_different_types_differ_though_both_have_no_fields():
@@ -75,7 +88,7 @@ def test_steps_of_different_types_differ_though_both_have_no_fields():
 @pytest.mark.parametrize("name", VALUES)
 def test_value_types_reject_attribute_assignment(name):
     value = VALUES[name]()
-    field = dataclasses.fields(value)[0].name if dataclasses.fields(value) else "extra"
+    field = type(value)._fields[0] if type(value)._fields else "extra"
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, field, None)
 
@@ -90,6 +103,8 @@ def test_value_types_reject_attribute_assignment(name):
     (MonomialIdeal(3, frozenset({0b011, 0b100})), "MonomialIdeal(n=3, <x1*x2, x3>)"),
     (MonomialIdeal(2, frozenset()), "MonomialIdeal(n=2, zero)"),
     (sr_ideal(K), "MonomialIdeal(n=3, <x1*x3, x2*x3>)"),
+    (dual_ideal(code_complex(NeuralCode(2, [0b11]))), "MonomialIdeal(n=2, <1>)"),
+    (MonomialIdeal(2, frozenset({0})), "MonomialIdeal(n=2, <1>)"),
 ])
 def test_value_types_write_their_own_repr(value, text):
     assert repr(value) == text
@@ -103,6 +118,10 @@ def test_value_types_write_their_own_repr(value, text):
     (Include(NeuralCode(2, [1])), "Include(target=NeuralCode(n=2, {10}))"),
     (mandatory_set(K), "MandatorySet(field=<Field.GF2: 'GF2'>, n=3, masks=frozenset({0, 3, 4}))"),
     (SuiteResult(), "SuiteResult(instances=0, holds=0, partial=0, violated=0, violations=[])"),
+    (VerificationReport("add_trivial_off", NeuralCode(1, []), "add_trivial_off", Field.GF2, ()),
+     "VerificationReport(theorem='add_trivial_off', code=NeuralCode(n=1, {}), "
+     "map_desc='add_trivial_off', field=<Field.GF2: 'GF2'>, checks=(), observations=(), "
+     "verdict=<Outcome.HOLDS: 'holds'>)"),
 ])
 def test_generated_reprs_name_the_fields(value, text):
     assert repr(value) == text
@@ -115,6 +134,63 @@ def test_suite_result_is_a_mutable_tally_equal_by_value():
     assert a != b and not a.ok and b.ok
     with pytest.raises(TypeError):
         hash(b)
+
+
+def test_report_equality_and_hash_ignore_the_verdict():
+    report = verify_permutation(NeuralCode(3, [0b011, 0b100]), (2, 1, 3))
+    assert report.verdict is Outcome.HOLDS
+    twin = copy.copy(report)
+    twin.__dict__["verdict"] = Outcome.VIOLATED
+    assert twin == report and hash(twin) == hash(report)
+    wrong = CheckResult("mh_image_equal", "=", ("001",), (), Outcome.VIOLATED)
+    other = VerificationReport(report.theorem, report.code, report.map_desc, report.field,
+                               (wrong,), report.observations)
+    assert other.verdict is Outcome.VIOLATED and other != report
+
+
+def _partition_with_its_caches_read():
+    P = mandatory_partition(K, Field.RATIONAL)
+    assert P.out_masks and P.mandatory  # cached on the instance: a copy carries them
+    return P
+
+
+# a value of every exported value type
+ROUND_TRIP = {
+    **VALUES,
+    "MandatoryPartition": _partition_with_its_caches_read,
+    "HomologyProfile": lambda: reduced_homology(K, Field.GF2),
+    "ObstructionCheck": lambda: check_no_local_obstruction(NeuralCode(3, [0b011, 0b110, 0b101])),
+    "CheckResult": lambda: CheckResult("mh_image_equal", "=", ("110",), ("110",), Outcome.HOLDS),
+    "VerificationReport": lambda: verify_permutation(NeuralCode(3, [0b011, 0b100]), (2, 1, 3)),
+}
+
+
+def _copies(value):
+    yield "copy", copy.copy(value)
+    yield "deepcopy", copy.deepcopy(value)
+    for protocol in (0, pickle.HIGHEST_PROTOCOL):
+        yield f"pickle {protocol}", pickle.loads(pickle.dumps(value, protocol))
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP)
+def test_value_types_survive_pickle_and_copy(name):
+    value = ROUND_TRIP[name]()
+    assert type(value).__name__ == name
+    for how, twin in _copies(value):
+        assert type(twin) is type(value), how
+        assert twin == value and hash(twin) == hash(value), how
+        assert twin.__dict__ == value.__dict__, how
+
+
+def test_suite_results_survive_pickle_and_copy_mutable_and_unhashable():
+    result = run_exhaustive(1)
+    assert result.instances > 0
+    for how, twin in _copies(result):
+        assert type(twin) is SuiteResult and twin == result, how
+        with pytest.raises(TypeError):
+            hash(twin)
+        twin.violated += 1
+        assert twin != result and result.ok and not twin.ok, how
 
 
 def test_internal_records_compare_by_value_and_are_immutable():
