@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .codes import MAX_NEURONS, NeuralCode, _Record, binaries
@@ -506,34 +505,17 @@ THEOREMS: dict[str, Theorem] = {
 }
 
 
-class Domain:
-    """A map's domain code with its complex, built on first use, so that
-    every instance checked on one ``Domain`` shares it.  The ``verify_*``
-    functions take a ``Domain`` or a bare code."""
-
-    def __init__(self, code: NeuralCode) -> None:
-        self.code = code
-
-    @cached_property
-    def K(self) -> SimplicialComplex:
-        return code_complex(self.code)
-
-
-def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
+def _verify(theorem: str, code: NeuralCode, K: SimplicialComplex, step: ElementaryMap,
             fld: Field) -> VerificationReport:
-    """Check one row of ``THEOREMS`` on a code and a map.
+    """Check one row of ``THEOREMS`` on a code, its complex K and a map.
 
     Checks come in the order M_H, links, partition, ideals.  An empty code
-    has no complex, so its report holds no checks.
+    has the void complex, and its report holds no checks.
     """
-    if not isinstance(dom, Domain):
-        dom = Domain(dom)
-    code = dom.code
     spec = THEOREMS[theorem]
     r = resolve_step(step, code.n)
     if not code.masks:
         return VerificationReport(theorem, code, step.describe(), fld, (), (("empty_code", True),))
-    K = dom.K
     f, out_n = r.f, r.out_n
     K2 = r.image(K)
 
@@ -572,39 +554,39 @@ def _verify(theorem: str, dom: NeuralCode | Domain, step: ElementaryMap,
 
 
 def verify_permutation(
-    code: NeuralCode | Domain, gamma: Iterable[int], fld: Field = Field.GF2
+    code: NeuralCode, gamma: Iterable[int], fld: Field = Field.GF2
 ) -> VerificationReport:
     """Permutation preserves the mandatory set and the certified partition."""
-    return _verify("permutation", code, Permute(tuple(gamma)), fld)
+    return _verify("permutation", code, code_complex(code), Permute(tuple(gamma)), fld)
 
 
-def verify_add_trivial_on(code: NeuralCode | Domain, fld: Field = Field.GF2) -> VerificationReport:
+def verify_add_trivial_on(code: NeuralCode, fld: Field = Field.GF2) -> VerificationReport:
     """Appending an always-on neuron preserves the mandatory set; the
     certified partition shifts by the empty word according to whether the
     starting complex is contractible."""
-    return _verify("add_trivial_on", code, AddTrivialOn(), fld)
+    return _verify("add_trivial_on", code, code_complex(code), AddTrivialOn(), fld)
 
 
-def verify_add_trivial_off(code: NeuralCode | Domain, fld: Field = Field.GF2) -> VerificationReport:
+def verify_add_trivial_off(code: NeuralCode, fld: Field = Field.GF2) -> VerificationReport:
     """Appending an always-off neuron changes nothing: mandatory data map
     across verbatim and the Stanley-Reisner data gain exactly one variable."""
-    return _verify("add_trivial_off", code, AddTrivialOff(), fld)
+    return _verify("add_trivial_off", code, code_complex(code), AddTrivialOff(), fld)
 
 
 def verify_duplicate(
-    code: NeuralCode | Domain, source: int = 1, fld: Field = Field.GF2
+    code: NeuralCode, source: int = 1, fld: Field = Field.GF2
 ) -> VerificationReport:
     """Duplicating a neuron preserves the mandatory set; links of image faces
     are homotopic to the original links, which the engine checks at the level
     of homology in every degree, plus the two-case link formula, which is
     the image formula for links."""
-    return _verify("duplicate", code, Duplicate(source), fld)
+    return _verify("duplicate", code, code_complex(code), Duplicate(source), fld)
 
 
 def verify_projection(
-    code: NeuralCode | Domain, delete: int, fld: Field = Field.GF2
+    code: NeuralCode, delete: int, fld: Field = Field.GF2
 ) -> VerificationReport:
     """Deleting a neuron can only shrink the mandatory set through the image:
     the target mandatory set is contained in the image of the source one, and
     links in the target are exactly the images of the zero-extended links."""
-    return _verify("projection", code, Project(delete), fld)
+    return _verify("projection", code, code_complex(code), Project(delete), fld)

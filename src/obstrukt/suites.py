@@ -3,11 +3,13 @@
 Exhaustive mode enumerates every code on n neurons (each set of nonempty
 codewords, with and without the empty word); sampled mode draws seeded random
 codes.  Every check depends on a code only through its complex (or on the
-code being empty), so a suite verifies each distinct complex once and counts
-its verdicts once, weighted by the codes that share it.  An exhaustive code
-is read as a bitset over the nonempty words: its facets are the words of the
-bitset with no strict superset in it, and its words are read off a per-width
-table in printed order, only when a line or a violation needs them.  A
+code being empty), so a suite verifies each distinct complex once, building
+it once for all its instances (``code_reports``), keeps its holds, partial
+and violated counts, and adds them to three running totals for each code
+that shares it.  An exhaustive code is read as a bitset over the nonempty
+words: its facets are the words of the bitset with no strict superset in
+it, and its words are read off the text tables of ``binaries`` in printed
+order, only when a line or a violation needs them.  A
 complex's reports are rendered once, as the text of each line before and
 after its ``code`` value (``VerificationReport.line_halves``), and only when
 lines are written or the report is violated.  The complex keeps the text
@@ -24,7 +26,6 @@ serially never load either.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import itertools
@@ -33,17 +34,17 @@ import os
 import random
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .codes import NeuralCode, _Record, binaries
+from .codes import _TEXTS, NeuralCode, _Record, binaries
 from .codemaps import (
     THEOREMS,
-    Domain,
+    AddTrivialOff,
+    AddTrivialOn,
+    Duplicate,
     Outcome,
+    Permute,
+    Project,
     VerificationReport,
-    verify_add_trivial_off,
-    verify_add_trivial_on,
-    verify_duplicate,
-    verify_permutation,
-    verify_projection,
+    _verify,
 )
 from .complexes import code_complex
 from .errors import NeuronOutOfRange
@@ -116,9 +117,9 @@ def code_reports(
     ``gammas=None`` checks every permutation of 1..n, and ``delete=None``
     projects away each neuron in turn (none when n = 1).  ``gammas``,
     ``source`` and ``delete`` are checked whichever theorems are chosen, before
-    any instance runs.  Every instance reads the code's complex from one
-    ``Domain``; the duplicate and projection instances decide their link
-    laws on the facets and list no face unless a law fails.
+    any instance runs.  The code's complex is built once and every instance
+    reads it; the duplicate and projection instances decide their link laws
+    on the facets and list no face unless a law fails.
     """
     n = code.n
     for name, neuron in (("source", source), ("delete", delete)):
@@ -130,16 +131,16 @@ def code_reports(
         deletes = range(1, n + 1) if n >= 2 else ()
     else:
         deletes = (delete,)
-    dom = Domain(code)
-    instances = {
-        "permutation": lambda: [verify_permutation(dom, g, fld) for g in
-                                (symmetric_group(n) if gammas is None else gammas)],
-        "add_trivial_on": lambda: [verify_add_trivial_on(dom, fld)],
-        "add_trivial_off": lambda: [verify_add_trivial_off(dom, fld)],
-        "duplicate": lambda: [verify_duplicate(dom, source, fld)],
-        "projection": lambda: [verify_projection(dom, d, fld) for d in deletes],
+    K = code_complex(code)
+    steps = {
+        "permutation": lambda: map(Permute, symmetric_group(n) if gammas is None else gammas),
+        "add_trivial_on": lambda: (AddTrivialOn(),),
+        "add_trivial_off": lambda: (AddTrivialOff(),),
+        "duplicate": lambda: (Duplicate(source),),
+        "projection": lambda: map(Project, deletes),
     }
-    return [r for theorem in THEOREMS if theorem in theorems for r in instances[theorem]()]
+    return [_verify(theorem, code, K, step, fld)
+            for theorem in THEOREMS if theorem in theorems for step in steps[theorem]()]
 
 
 class SuiteResult(_Record):
@@ -165,13 +166,7 @@ class SuiteResult(_Record):
         return self.violated == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "holds": self.holds,
-            "partial": self.partial,
-            "violated": self.violated,
-            "violations": self.violations,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def _run_one(key: tuple, lines: bool = True) -> list[tuple[str, tuple[str, str] | None]]:
@@ -209,8 +204,8 @@ def run_suite(
     ``gammas_per_code=None`` uses the whole symmetric group (exhaustive mode);
     an integer draws that many seeded permutations per code instead.  Codes
     that share a task key (their complex and the maps to check) are verified
-    once, on the code made of the complex's facets, and verdicts are counted
-    once per key, weighted by its codes.  ``write`` receives each code's
+    once, on the code made of the complex's facets, and each code adds its
+    key's verdict counts to the suite's totals.  ``write`` receives each code's
     JSON lines, newline-terminated, as one string per code, in instance
     order; with ``write=None`` no line is written.
     Codes are keyed by ``_keyed`` and run by ``_run``, which
@@ -234,27 +229,20 @@ def _run(
     binaries, encoded once per code, and go to ``write`` in one call.  A
     violated report is decoded from its line with the code spliced in.
     Codes are read in windows, one at a time serially and ``_WINDOW * jobs``
-    with a pool: the window's unseen keys are verified, then its lines are
-    written, so nothing is kept per code.  Once more than ``_MAX_KEYS`` keys
-    are kept, their weighted verdicts go into the tally and they are
-    dropped.
+    with a pool: the window's unseen keys are verified, then each code adds
+    its key's holds, partial and violated counts to the running totals and
+    its lines are written, so nothing is kept per code.  Once more than
+    ``_MAX_KEYS`` keys are kept they are dropped, since no count is owed to
+    them.  The ``SuiteResult`` is built from the totals at the end.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     # key -> (its lines' text around the code slots, [] when nothing is
-    # written; verdicts; each violated report's line halves)
-    verified: dict[tuple, tuple[list[str], list[str], list[tuple[str, str]]]] = {}
-    weights: collections.Counter[tuple] = collections.Counter()
-    tally: collections.Counter[str] = collections.Counter()
-
-    def fold() -> None:
-        for key, weight in weights.items():
-            for verdict in verified[key][1]:
-                tally[verdict] += weight
-        verified.clear()
-        weights.clear()
-
+    # written; its holds, partial and violated counts; each violated
+    # report's line halves)
+    verified: dict[tuple, tuple[list[str], tuple[int, int, int], list[tuple[str, str]]]] = {}
+    holds = partial = violated = 0
+    violations: list[dict] = []
     run_one = functools.partial(_run_one, lines=write is not None)
-    result = SuiteResult()
     if jobs > 1:
         import multiprocessing  # a serial run never loads it, nor pickle with it
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
@@ -262,26 +250,24 @@ def _run(
         size = 1 if pool is None else _WINDOW * jobs
         while window := list(itertools.islice(keyed, size)):
             if len(verified) > _MAX_KEYS:
-                fold()
+                verified.clear()
             fresh = {key: None for _, key in window if key not in verified}
             if fresh:
                 for key, reports in zip(fresh, mapper(run_one, fresh)):
+                    verdicts = [verdict for verdict, _ in reports]
                     verified[key] = (_segments([h for _, h in reports]) if write is not None else [],
-                                     [verdict for verdict, _ in reports],
+                                     tuple(map(verdicts.count, (_HOLDS, _PARTIAL, _VIOLATED))),
                                      [h for verdict, h in reports if verdict == _VIOLATED])
             for words, key in window:
-                segments, _, violated = verified[key]
-                weights[key] += 1
-                if not (violated or segments):
+                segments, (h, p, v), halves = verified[key]
+                holds, partial, violated = holds + h, partial + p, violated + v
+                if not (halves or segments):
                     continue
                 code = json.dumps(words())
-                result.violations.extend(json.loads(head + code + tail) for head, tail in violated)
+                violations.extend(json.loads(head + code + tail) for head, tail in halves)
                 if segments:
                     write(code.join(segments))
-    fold()
-    result.instances = sum(tally.values())
-    result.holds, result.partial, result.violated = tally[_HOLDS], tally[_PARTIAL], tally[_VIOLATED]
-    return result
+    return SuiteResult(holds + partial + violated, holds, partial, violated, violations)
 
 
 def _keyed(
@@ -314,7 +300,8 @@ def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, str], ...]]:
     in which nonempty word w is bit w - 1.
 
     ``above[w]`` is the bitset of w's strict supersets; ``printed`` holds
-    each word's bit and binary string, in printed (sorted binary) order.
+    each word's bit and binary string, read from the tables that
+    ``binaries`` prints from, in printed (sorted binary) order.
     """
     top = (1 << n) - 1
     above = [0] * (top + 1)
@@ -322,7 +309,7 @@ def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, str], ...]]:
         for v in range(w + 1, top + 1):
             if v & w == w:
                 above[w] |= 1 << (v - 1)
-    printed = sorted((format(w, f"0{n}b")[::-1], w - 1) for w in range(1, top + 1))
+    printed = sorted((_TEXTS[n][w], w - 1) for w in range(1, top + 1))
     return tuple(above), tuple((bit, text) for text, bit in printed)
 
 

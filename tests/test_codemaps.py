@@ -412,7 +412,7 @@ class TestLinkLemmas:
                 K2 = image_complex(step, K)
                 for corrupt in [K2, *self._corrupted(K2)]:
                     monkeypatch.setattr(codemaps.ResolvedStep, "image", lambda r, K: corrupt)
-                    report = codemaps._verify(theorem, c, step, fld)
+                    report = codemaps._verify(theorem, c, K, step, fld)
                     monkeypatch.undo()
                     expected = ref_link_law_failures(theorem, K, step, corrupt, fld)
                     for name, _ in spec.links:
@@ -437,7 +437,7 @@ class TestLinkLemmas:
             K = code_complex(c)
             for source in range(1, c.n + 1):
                 step = Duplicate(source)
-                report = codemaps._verify("duplicate", c, step, fld)
+                report = codemaps._verify("duplicate", c, K, step, fld)
                 expected = ref_link_law_failures("duplicate", K, step, image_complex(step, K), fld)
                 checks = {ch.name: ch for ch in report.checks}
                 assert {name: list(checks[name].lhs) for name in names} == expected, (c, step)

@@ -14,7 +14,6 @@ from obstrukt import (
     NeuralCode,
     SimplicialComplex,
     code_complex,
-    codemaps,
     exhaustive_codes,
     random_code,
     run_exhaustive,
@@ -188,17 +187,17 @@ class TestRunner:
 
     def test_gammas_checked_whatever_the_theorems(self, monkeypatch):
         c = NeuralCode(3, [0b011])
-        monkeypatch.setattr(codemaps, "_verify", None)  # no instance may run
+        monkeypatch.setattr(suites, "_verify", None)  # no instance may run
         with pytest.raises(NotAPermutation):
             code_reports(c, theorems=("duplicate",), gammas=((1, 2, 3), (9, 9, 9)))
 
     def test_domain_complex_built_once_and_no_face_listed(self, monkeypatch):
-        """Every instance of a code reads the complex of one ``Domain``, and
-        the duplicate and projection rows decide their link laws without
-        listing the faces of any complex."""
+        """Every instance of a code reads the one complex that
+        ``code_reports`` builds, and the duplicate and projection rows
+        decide their link laws without listing the faces of any complex."""
         built, listed = collections.Counter(), []
-        real = codemaps.code_complex
-        monkeypatch.setattr(codemaps, "code_complex",
+        real = suites.code_complex
+        monkeypatch.setattr(suites, "code_complex",
                             lambda c: built.update(["code_complex"]) or real(c))
         face_bits = SimplicialComplex.face_bits
         monkeypatch.setattr(SimplicialComplex, "face_bits",
@@ -309,6 +308,25 @@ class TestGrouping:
         assert capped == lines
         if not sampled:
             assert len(calls) > len(set(calls)) == 20
+
+    @pytest.mark.parametrize("fld", [Field.GF2, Field.RATIONAL])
+    @pytest.mark.parametrize("max_keys", [suites._MAX_KEYS, 1])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_totals_are_the_sums_of_the_code_reports(self, monkeypatch, fld, max_keys, pooled):
+        # the pool has partial instances; read twice, its keys recur, so a
+        # kept key is counted again and a cleared one verified again
+        theorems = tuple(t for t in suites.ALL_THEOREMS if t != "permutation")
+        codes = [*sampled_codes(6, 3, 167)] * 2
+        verdicts = collections.Counter(r.verdict.value for c in codes
+                                       for r in code_reports(c, fld, theorems))
+        assert verdicts["partial"] > 0
+        monkeypatch.setattr(suites, "_MAX_KEYS", max_keys)
+        if pooled:
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        result = run_suite(codes, fld, theorems, jobs=2 if pooled else 1)
+        assert (result.instances, result.holds, result.partial, result.violated) == (
+            sum(verdicts.values()), verdicts["holds"], verdicts["partial"], verdicts["violated"])
 
     @pytest.mark.parametrize("n,complexes", [(2, 6), (3, 20)])
     def test_one_verification_per_complex(self, monkeypatch, n, complexes):
