@@ -11,19 +11,18 @@ is undecidable in general).  Faces are mapped and compared as masks.
 
 The rows with link laws (duplicate and projection) have coordinate maps,
 f(A ∖ B) = f(A) ∖ f(B), so the image of a link is read off the images of
-the complex's facets, mapped once per instance, and each law is decided on
-the facets without listing a face unless it fails.  The image formula is
-one comparison of the facet images with the image complex's facets, which
-names the faces it fails at.  The duplicate row's homology law follows
-from that comparison for every face at once: when the facet images are the
-image complex's facets and the map duplicates a vertex, each pair of links
-is equal or one strong collapse apart (``_lattice_faces``).  Failing that,
-it is decided only on the facet-intersection lattices that the two
-partitions hold, since off them both links are cones; equal links, or a
-strong collapse of one onto the other, answer it without ranks.  So
-neither row's cost follows the 2^|F| faces under a facet.  A permutation
-maps masks through tables of images (``ideals.mask_permuter``), built once
-per step.
+the complex's facets, mapped once per instance.  Each link law is one
+function that names the faces where it fails, and lists no face when it
+holds.  The image formula names them from one comparison of the facet
+images with the image complex's facets.  The duplicate row's homology law
+follows from that comparison for every face at once: when the facet images
+are the image complex's facets and the map duplicates a vertex, each pair
+of links is equal or one strong collapse apart (``_lattice_faces``).
+Failing that, it compares the homology of the two links only at the faces
+of the facet-intersection lattices that the two partitions hold, since off
+them both links are cones.  So neither row's cost follows the 2^|F| faces
+under a facet.  A permutation maps masks through tables of images
+(``ideals.mask_permuter``), built once per step.
 """
 
 from __future__ import annotations
@@ -33,11 +32,12 @@ from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .codes import MAX_NEURONS, NeuralCode, _Record, binaries
-from .collapse import Verdict, _facet_homology, collapses_onto
+from .collapse import Verdict, _facet_homology
 from . import complexes  # maximal_masks stays bound in complexes alone, as bench/test_bench.py expects
 from .complexes import SimplicialComplex, code_complex
 from .errors import NeuronOutOfRange, NotInDomain, WidthMismatch
-from .homology import Field, reduced_homology  # noqa: F401  bound for bench/test_bench.py
+from .homology import Field, HomologyProfile
+from .homology import reduced_homology  # noqa: F401  bound for bench/test_bench.py
 from .ideals import (alexander_dual, dual_ideal, invert_permutation, mask_permuter,
                      permutation_tuple, sr_ideal)
 from .mandatory import mandatory_partition
@@ -294,20 +294,22 @@ def _partial(name: str, note: str) -> CheckResult:
 # ---- the theorem table -------------------------------------------------------
 
 class _LinkPairs:
-    """The face pairs (σ, σ') that one instance's link laws read, σ' = q(σ),
-    each listed by one face of ``listed``: every face σ of K, or for a row
-    that lists the image, every face σ' of K2 with σ its least preimage.
-    Every map with link laws is a coordinate map: q(σ) is the union of the
-    sets q(v) over the vertices v of σ, so the largest mask that q sends
-    under m is the union of the vertices that it sends under m."""
+    """What one instance's link laws read: the map q, the complexes K and
+    K2, the images of K's facets, and the facet-intersection lattices that
+    the two partitions hold.  A law names the faces of ``listed`` at which
+    it fails, each standing for the face pair (σ, σ'), σ' = q(σ): every
+    face σ of K, or for a row that lists the image, every face σ' of K2
+    with σ its least preimage.  Every map with link laws is a coordinate
+    map: q(σ) is the union of the sets q(v) over the vertices v of σ, so
+    the largest mask that q sends under m is the union of the vertices that
+    it sends under m."""
 
     def __init__(self, r: ResolvedStep, K: SimplicialComplex, K2: SimplicialComplex,
                  lattices: tuple[frozenset[int], frozenset[int]], lists_image: bool) -> None:
         self.f, self.K, self.K2, self.lattices = r.f, K, K2, lattices
         self.lists_image = lists_image
         self.listed, self.width = (K2, r.out_n) if lists_image else (K, r.n)
-        self.images = {F: r.f(F) for F in K.facet_bits}  # each facet mapped once
-        self.facet_images = frozenset(self.images.values())
+        self.facet_images = frozenset(map(r.f, K.facet_bits))  # each facet mapped once
         self._vertices = [(1 << i, r.f(1 << i)) for i in range(r.n)]
 
     def below(self, m: int) -> int:
@@ -322,31 +324,6 @@ class _LinkPairs:
         return SimplicialComplex.from_masks([g & u for u in under for g in facets],
                                             self.width).face_bits
 
-    def holds(self, law: LinkLaw, shown: int, fld: Field) -> bool:
-        """``law`` at the pair that ``shown`` lists, on the facets over σ
-        and over σ' (none when σ' is no face of K2)."""
-        if self.lists_image:
-            s1, s2 = self.below(shown) & ~self.below(0), shown
-        else:
-            s1, s2 = shown, self.f(shown)
-        over1 = [F for F in self.K.facet_bits if not s1 & ~F]
-        over2 = [G for G in self.K2.facet_bits if not s2 & ~G]
-        return law(self.images.__getitem__, over1, over2, s1, s2, fld)
-
-
-class LinkLaw(NamedTuple):
-    """A law on lk σ and lk σ' at one face pair, called as ``law(image,
-    over1, over2, s1, s2, field)`` on the facet-image lookup, the facets
-    over σ and over σ', the two faces and the field; ``suspects`` names the
-    listed faces of an instance at which it can fail, since a theorem
-    decides it everywhere else."""
-
-    holds: Callable[..., bool]
-    suspects: Callable[[_LinkPairs], Iterable[int]]
-
-    def __call__(self, *args) -> bool:
-        return self.holds(*args)
-
 
 class Theorem(NamedTuple):
     """What one preservation theorem claims about a code C and its image q(C).
@@ -355,7 +332,8 @@ class Theorem(NamedTuple):
     the image, whose reverse containment is then reported as an observation.
     ``links`` are laws on link(K, σ) and link(K2, σ') at the face pairs of
     ``_LinkPairs``, each face of K, or each face of K2 when ``lists_image``;
-    a failing pair lists its face.  ``classes`` pairs a check name with a
+    each law is called as ``law(pairs, field)`` and gives the listed faces
+    at which it fails.  ``classes`` pairs a check name with a
     partition class whose image must equal the target's class; ``partial``
     names the check that stands in when either partition has uncertified
     links (None compares the classes regardless).  ``shift`` replaces the
@@ -366,22 +344,11 @@ class Theorem(NamedTuple):
 
     mh: str = "="
     lists_image: bool = False
-    links: tuple[tuple[str, LinkLaw], ...] = ()
+    links: tuple[tuple[str, Callable[[_LinkPairs, Field], Iterable[int]]], ...] = ()
     classes: tuple[tuple[str, str], ...] = ()
     partial: str | None = None
     shift: Callable | None = None
     ideals: tuple[tuple[str, Callable], ...] = ()
-
-
-def _same_homology(image: Callable[[int], int], over1: list[int], over2: list[int],
-                   s1: int, s2: int, fld: Field) -> bool:
-    """lk σ and lk σ' have the same homology: the facets over σ and σ'
-    with σ and σ' taken away are the two links' facets.  Equal links, or a
-    strong collapse of lk σ' onto lk σ, answer without ranks."""
-    lk1 = frozenset(map((~s1).__and__, over1))
-    lk2 = frozenset(map((~s2).__and__, over2))
-    return (lk1 == lk2 or collapses_onto(lk2, lk1)
-            or _facet_homology(lk1, fld) == _facet_homology(lk2, fld))
 
 
 def _lattice_faces(pairs: _LinkPairs) -> set[int]:
@@ -418,34 +385,31 @@ def _lattice_faces(pairs: _LinkPairs) -> set[int]:
     return faces
 
 
-def _image_formula(image: Callable[[int], int], over1: list[int], over2: list[int],
-                   s1: int, s2: int, fld: Field) -> bool:
-    """The link of an image face is the image of the link: the maximal
-    images of the link of σ's facets are the facets of the link of σ'.  For
-    a duplicate this is the two-case formula: a face holding the source has
-    a link without it, whose image is that link widened.  A map with link
-    laws is a coordinate map, so the image of lk σ is q(F) ∖ q(σ) over the
-    facets F holding σ; these q(F) and the facets over q(σ) all hold q(σ),
-    and taking it away keeps their order, so the law is read on the facets
-    over σ and over σ' as it would be on the links.  The facets over σ' are
-    an antichain, so they are the maximal images exactly when each is an
-    image and every other image lies under one of them; no
-    ``maximal_masks`` pass is needed."""
-    images, targets = frozenset(map(image, over1)), frozenset(over2)
-    if images == targets:
-        return True
-    return targets <= images and all(i in map(i.__and__, targets) for i in images - targets)
+def _homology_faces(pairs: _LinkPairs, fld: Field) -> list[int]:
+    """The faces σ of K, among those that ``_lattice_faces`` names, at
+    which lk σ and lk σ' differ in homology."""
+    def link_homology(facets: frozenset[int], s: int) -> HomologyProfile:
+        return _facet_homology([F & ~s for F in facets if not s & ~F], fld)
+
+    return [s for s in _lattice_faces(pairs) if link_homology(pairs.K.facet_bits, s)
+            != link_homology(pairs.K2.facet_bits, pairs.f(s))]
 
 
-def _image_formula_faces(pairs: _LinkPairs) -> frozenset[int]:
-    """The listed faces at which the image formula fails, from one
-    comparison of the facet images P with the facets T of K2.  At every
-    pair a facet F holds σ exactly when q(F) holds σ' (q is an order
-    embedding on the rows that list K, and σ is the least preimage of σ' on
-    the others), so the law compares the members of P and of T over σ'.
-    It fails exactly when σ' lies under a member of T ∖ P, or under an
-    image outside T that lies under no member of T; with neither, no face
-    is listed."""
+def _image_formula_faces(pairs: _LinkPairs, fld: Field) -> frozenset[int]:
+    """The listed faces at which the link of an image face is not the image
+    of the link, from one comparison of the facet images P with the facets
+    T of K2.  For a duplicate this is the two-case formula: a face holding
+    the source has a link without it, whose image is that link widened.
+
+    A map with link laws is a coordinate map, so the image of lk σ is
+    generated by q(F) ∖ q(σ) over the facets F holding σ, and the law asks
+    that the maximal ones be the facets G ∖ σ' of lk σ' over the facets G
+    of K2 holding σ'.  At every pair a facet F holds σ exactly when q(F)
+    holds σ' (q is an order embedding on the rows that list K, and σ is the
+    least preimage of σ' on the others), so the law compares the members of
+    P and of T over σ'.  It fails exactly when σ' lies under a member of
+    T ∖ P, or under an image outside T that lies under no member of T;
+    with neither, no face is listed."""
     P, T = pairs.facet_images, pairs.K2.facet_bits
     blockers = (T - P) | {p for p in P - T if all(p & ~t for t in T)}
     return pairs.listed_under(blockers) if blockers else frozenset()
@@ -483,7 +447,6 @@ def _dual_gains_new_variable_factor(K: SimplicialComplex, K2: SimplicialComplex)
 
 _IN = ("cmin_in_image_equal", "in_masks")
 _OUT = ("cmin_out_image_equal", "out_masks")
-_IMAGE_FORMULA = LinkLaw(_image_formula, _image_formula_faces)
 
 THEOREMS: dict[str, Theorem] = {
     "permutation": Theorem(classes=(_IN, _OUT), partial="cmin_image_equal"),
@@ -494,13 +457,13 @@ THEOREMS: dict[str, Theorem] = {
                 ("dual_ideal_gens_gain_new_variable_factor", _dual_gains_new_variable_factor)),
     ),
     "duplicate": Theorem(
-        links=(("link_homology_preserved", LinkLaw(_same_homology, _lattice_faces)),
-               ("link_two_case_formula", _IMAGE_FORMULA)),
+        links=(("link_homology_preserved", _homology_faces),
+               ("link_two_case_formula", _image_formula_faces)),
         classes=(_IN,),
         partial="cmin_in_image_equal",
     ),
     "projection": Theorem(
-        mh="⊆", lists_image=True, links=(("link_image_formula", _IMAGE_FORMULA),)
+        mh="⊆", lists_image=True, links=(("link_image_formula", _image_formula_faces),)
     ),
 }
 
@@ -534,7 +497,7 @@ def _verify(theorem: str, code: NeuralCode, K: SimplicialComplex, step: Elementa
     if spec.links:
         pairs = _LinkPairs(r, K, K2, (p1.lattice, p2.lattice), spec.lists_image)
         for name, law in spec.links:
-            failed = [m for m in law.suspects(pairs) if not pairs.holds(law, m, fld)]
+            failed = law(pairs, fld)
             note = "faces listed on the left violate the relation" if failed else ""
             checks.append(_check(name, "∀", pairs.width, failed, holds=not failed, note=note))
 

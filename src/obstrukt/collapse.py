@@ -13,9 +13,7 @@ the strong-collapse core is unique up to isomorphism whatever order the
 dominated vertices go in (Barmak-Minian, Strong homotopy types, nerves and
 collapses, DCG 2012), so a stage met again, from another link or another
 labelling, is decided once.  Every collapse deletes the highest dominated
-vertex first.  ``collapses_onto`` certifies a single deletion between two
-given complexes, as between the link of a face in a duplicate's image,
-whose copy of the source is dominated, and the link it came from.
+vertex first.
 
 A core on vertices 1..k that holds more than half of the 2^k subsets is
 ranked on its Alexander dual on [k], the complements of its non-faces,
@@ -69,18 +67,6 @@ def _delete_bit(facets: Collection[int], bit: int) -> list[int]:
     without = [f for f in facets if not f & bit]
     return without + [g for g in (f ^ bit for f in facets if f & bit)
                       if all(g & ~k for k in without)]
-
-
-def collapses_onto(facets: Collection[int], onto: frozenset[int]) -> bool:
-    """Whether deleting one dominated vertex of the complex with these
-    facets leaves exactly the facets ``onto``: a strong collapse, so the two
-    complexes have one homotopy type and the same homology over every field.
-    The deleted vertex is the one vertex of the first that the second lacks."""
-    bit = reduce(or_, facets, 0) & ~reduce(or_, onto, 0)
-    if not bit or bit & bit - 1:
-        return False
-    return (reduce(and_, (f for f in facets if f & bit)) != bit
-            and frozenset(_delete_bit(facets, bit)) == onto)
 
 
 def _collapse_masks(facets: list[int]) -> list[int]:

@@ -1,8 +1,9 @@
 """Simplicial-complex kernel: each complex is stored as its facets.
 
 The antichain of maximal faces, as bit masks, is the only stored state; every
-operation works on it.  The constructor checks the width and the antichain;
-every construction of the engine, whose facets are an antichain that fits by
+operation works on it.  The constructor stores any collection of masks it
+is given as a frozenset and checks the width and the antichain; every
+construction of the engine, whose facets are an antichain that fits by
 how it is built, goes through ``SimplicialComplex.trusted``, which checks
 nothing.  A face set is built by the pass that reads it and is
 not kept, so a complex held as a memo key holds its facets alone.  The one
@@ -125,7 +126,8 @@ class SimplicialComplex(_Record):
 
     _fields = ("n", "facet_bits")
 
-    def __init__(self, n: int, facet_bits: frozenset[int]) -> None:
+    def __init__(self, n: int, facet_bits: Iterable[int]) -> None:
+        facet_bits = frozenset(facet_bits)
         check_width(n, "vertex", "facet", facet_bits)
         for m in facet_bits:
             for f in facet_bits:

@@ -29,7 +29,8 @@ class MonomialIdeal(_Record):
 
     _fields = ("n", "gen_bits")
 
-    def __init__(self, n: int, gen_bits: frozenset[int]) -> None:
+    def __init__(self, n: int, gen_bits: Iterable[int]) -> None:
+        gen_bits = frozenset(gen_bits)
         check_width(n, "variable", "generator", gen_bits)
         if minimal_masks(gen_bits) != gen_bits:
             raise ValueError("generators must form an antichain under divisibility")

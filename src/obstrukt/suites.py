@@ -195,24 +195,21 @@ def run_suite(
     fld: Field = Field.GF2,
     theorems: Sequence[str] = ALL_THEOREMS,
     jobs: int = 1,
-    gammas_per_code: int | None = None,
-    gamma_seed: int = 0,
     write: Callable[[str], None] | None = None,
 ) -> SuiteResult:
-    """Run the theorem suite over many codes.
+    """Run the theorem suite over many codes, checking every permutation of
+    each code's neurons.
 
-    ``gammas_per_code=None`` uses the whole symmetric group (exhaustive mode);
-    an integer draws that many seeded permutations per code instead.  Codes
-    that share a task key (their complex and the maps to check) are verified
-    once, on the code made of the complex's facets, and each code adds its
-    key's verdict counts to the suite's totals.  ``write`` receives each code's
-    JSON lines, newline-terminated, as one string per code, in instance
-    order; with ``write=None`` no line is written.
-    Codes are keyed by ``_keyed`` and run by ``_run``, which
-    ``run_exhaustive`` shares.  ``jobs`` is capped at the CPU count; output
+    Codes that share a task key (their complex and the maps to check) are
+    verified once, on the code made of the complex's facets, and each code
+    adds its key's verdict counts to the suite's totals.  ``write``
+    receives each code's JSON lines, newline-terminated, as one string per
+    code, in instance order; with ``write=None`` no line is written.  Codes
+    are keyed by ``_keyed`` and run by ``_run``, which ``run_exhaustive``
+    and ``run_sampled`` share.  ``jobs`` is capped at the CPU count; output
     does not depend on it.
     """
-    return _run(_keyed(codes, fld, theorems, gammas_per_code, gamma_seed), jobs, write)
+    return _run(_keyed(codes, fld, theorems), jobs, write)
 
 
 def _run(
@@ -274,23 +271,18 @@ def _keyed(
     codes: Iterable[NeuralCode],
     fld: Field,
     theorems: Sequence[str],
-    gammas_per_code: int | None,
-    gamma_seed: int,
+    gammas: Iterable[tuple[tuple[int, ...], ...] | None] = itertools.repeat(None),
 ) -> Iterator[tuple[Callable[[], list[str]], tuple]]:
     """Each code's sorted binaries (as a call that makes them) and task key,
-    in instance order.
+    in instance order; ``gammas`` gives each code's permutations in turn.
 
     The key leaves out what ``code_reports`` derives from n: the projection
-    deletes and, when ``gammas`` is None, the whole symmetric group.
+    deletes and, when a code's gammas are None, the whole symmetric group.
     """
-    for idx, code in enumerate(codes):
+    for code, drawn in zip(codes, gammas):
         n = code.n
-        gammas = None
-        if gammas_per_code is not None and "permutation" in theorems:
-            rng = random.Random(gamma_seed * 1_000_003 + idx)
-            gammas = tuple(tuple(rng.sample(range(1, n + 1), n)) for _ in range(gammas_per_code))
         facets = tuple(sorted(code_complex(code).facet_bits))
-        key = (n, facets, fld, tuple(theorems), gammas)
+        key = (n, facets, fld, tuple(theorems), drawn)
         yield functools.partial(binaries, code.masks, n), key
 
 
@@ -323,7 +315,7 @@ def _words(n: int, bits: int, empty: bool) -> list[str]:
 def _exhaustive_keyed(
     n: int, fld: Field, theorems: Sequence[str]
 ) -> Iterator[tuple[Callable[[], list[str]], tuple]]:
-    """``_keyed(exhaustive_codes(n), fld, theorems, None, 0)``, read from
+    """``_keyed(exhaustive_codes(n), fld, theorems)``, read from
     each code's bitset: its facets are the words with no strict superset in
     the code, which the twin with ∅ shares.  Alone, ∅ is the one facet of
     the code {∅}; the empty code has none."""
@@ -358,13 +350,11 @@ def run_sampled(
     jobs: int = 1,
     write: Callable[[str], None] | None = None,
 ) -> SuiteResult:
-    """Sampled suite: two seeded permutations per code stand in for S_n."""
-    return run_suite(
-        sampled_codes(n, count, seed, density),
-        fld,
-        theorems=theorems,
-        jobs=jobs,
-        gammas_per_code=2,
-        gamma_seed=seed,
-        write=write,
-    )
+    """Sampled suite: two seeded permutations per code stand in for S_n,
+    code i drawing them from ``random.Random(seed * 1_000_003 + i)``, and
+    only when the permutation theorem is checked."""
+    gammas = itertools.repeat(None)
+    if "permutation" in theorems:
+        rngs = (random.Random(seed * 1_000_003 + idx) for idx in itertools.count())
+        gammas = (tuple(tuple(rng.sample(range(1, n + 1), n)) for _ in range(2)) for rng in rngs)
+    return _run(_keyed(sampled_codes(n, count, seed, density), fld, theorems, gammas), jobs, write)

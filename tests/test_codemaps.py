@@ -3,7 +3,6 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from obstrukt import (
     AddTrivialOff,
@@ -33,12 +32,11 @@ from obstrukt import (
 )
 from obstrukt import codemaps
 from obstrukt.codemaps import THEOREMS, resolve_step
-from obstrukt.complexes import maximal_masks
 from obstrukt.errors import NeuronOutOfRange, NotAPermutation, NotInDomain, WidthMismatch
 from obstrukt.suites import exhaustive_codes
 
-from conftest import (code, embed_mask, enumerate_complexes, ref_dominated, ref_link_law_failures,
-                      w)
+from conftest import (REF_LINK_LAWS, code, embed_mask, enumerate_complexes, ref_dominated,
+                      ref_link_law_failures, w)
 
 
 def rand_codes(seed, count, lo=1, hi=5, density=0.4, allow_empty_word=False):
@@ -189,11 +187,12 @@ def two_case_formula(step, sigma, lk1, lk2):
 class TestLinkLemmas:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_duplicate_law_is_the_two_case_formula(self, n):
-        """The duplicate row's link law agrees with the two-case formula on
-        every (complex, source, face), on the matching link and on three
+        """The reference for the duplicate row's image law
+        (``ref_image_formula``) agrees with the two-case formula on every
+        (complex, source, face), on the matching link and on three
         mismatched ones: the whole image complex, the widened link and the
         image of the link."""
-        law = dict(THEOREMS["duplicate"].links)["link_two_case_formula"]
+        law = REF_LINK_LAWS["link_two_case_formula"]
         triples = 0
         for K in enumerate_complexes(n):
             for source in range(1, n + 1):
@@ -215,11 +214,12 @@ class TestLinkLemmas:
     @pytest.mark.parametrize("fld", [Field.GF2, Field.RATIONAL])
     def test_duplicate_homology_law_compares_reduced_homology(self, fld):
         """On every pair of nonvoid complexes with n ≤ 3, equal facet sets
-        included, the duplicate row's homology law answers as comparing the
-        plain ranks of the two: given as the facets over ∅, and as the
-        facets over the apexes 4 and 5 of cones over the two, which the law
-        takes away."""
-        law = dict(THEOREMS["duplicate"].links)["link_homology_preserved"]
+        included, the reference for the duplicate row's homology law
+        (``ref_same_homology``), which reads a cone as acyclic without
+        ranking it, answers as comparing the plain ranks of the two: given
+        as the facets over ∅, and as the facets over the apexes 4 and 5 of
+        cones over the two, which the law takes away."""
+        law = REF_LINK_LAWS["link_homology_preserved"]
         f = resolve_step(Duplicate(1), 3).f
         cases = [SimplicialComplex(3, K.facet_bits)
                  for n in range(1, 4) for K in enumerate_complexes(n) if not K.is_void]
@@ -231,12 +231,12 @@ class TestLinkLemmas:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_projection_law_is_the_closed_image_of_the_link(self, n):
-        """The projection row's link law agrees with the closure of the
-        projected link's face set on every (complex, delete, face of the
-        image), on the matching link and on the whole image complex.  Plain
-        equality of the images with the target link fails on a matching
-        link."""
-        law = dict(THEOREMS["projection"].links)["link_image_formula"]
+        """The reference for the projection row's link law
+        (``ref_image_formula``) agrees with the closure of the projected
+        link's face set on every (complex, delete, face of the image), on
+        the matching link and on the whole image complex.  Plain equality
+        of the images with the target link fails on a matching link."""
+        law = REF_LINK_LAWS["link_image_formula"]
 
         def unreduced(r, lk1, lk2, fld):
             return frozenset(map(r.f, lk1)) == lk2
@@ -260,26 +260,6 @@ class TestLinkLemmas:
                     triples += 1
         assert triples == {2: 16, 3: 159, 4: 3532}[n]  # 3,707 in all
         assert unreduced_failures > 0
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_projection_law_subset_check_is_the_maximal_masks_comparison(self, data):
-        """On random antichains lk2 up to width 12 and image sets built around
-        them (some members of lk2, masks under them, random masks), the law's
-        check, lk2 ⊆ images with every other image under a member of lk2,
-        answers as comparing ``maximal_masks(images)`` with lk2.  An
-        identity step makes the images the given masks."""
-        law = dict(THEOREMS["projection"].links)["link_image_formula"]
-        width = data.draw(st.integers(1, 12))
-        masks = st.integers(0, (1 << width) - 1)
-        lk2 = maximal_masks(data.draw(st.lists(masks, min_size=1, max_size=8)))
-        members = data.draw(st.lists(st.sampled_from(sorted(lk2)), max_size=len(lk2) + 2))
-        if data.draw(st.booleans()):
-            members += sorted(lk2)
-        under = [m & data.draw(masks) for m in members]
-        images = frozenset(members + under + data.draw(st.lists(masks, max_size=2)))
-        identity = resolve_step(AddTrivialOff(), width).f
-        assert law(identity, images, lk2, 0, 0, Field.GF2) == (maximal_masks(images) == lk2)
 
     def test_add_on_preserves_links_verbatim(self):
         for c in rand_codes(13, 25):
@@ -398,8 +378,8 @@ class TestLinkLemmas:
     @pytest.mark.parametrize("theorem", ["duplicate", "projection"])
     def test_verify_fails_the_faces_the_laws_fail(self, theorem, fld, monkeypatch):
         """The failure list of each link check equals the face-by-face
-        reference (``ref_link_law_failures``), which calls each law on the
-        facets over every face pair: on every code with n ≤ 3 and on seeded
+        reference (``ref_link_law_failures``), which decides each law on
+        the facets over every face pair: on every code with n ≤ 3 and on seeded
         codes up to n = 8, with K2 as built and corrupted through
         ``ResolvedStep.image``, so that the laws fail somewhere."""
         spec = THEOREMS[theorem]
@@ -443,6 +423,33 @@ class TestLinkLemmas:
                 assert {name: list(checks[name].lhs) for name in names} == expected, (c, step)
                 assert all(checks[name].outcome is Outcome.HOLDS for name in names)
 
+    @pytest.mark.parametrize("fld", [Field.GF2, Field.RATIONAL])
+    def test_link_laws_name_no_face_on_the_built_image(self, fld, monkeypatch):
+        """With K2 as ``_verify`` builds it, from the facet images, no link
+        law of the duplicate or the projection row names a face, and the
+        homology law ranks no link: ``_facet_homology`` is never called.
+        On every code with n ≤ 4, through its complex (a code's link checks
+        read only its complex), and on seeded codes with n = 5..8, for
+        every source and every deleted neuron."""
+        calls = []
+        facet_homology = codemaps._facet_homology
+        monkeypatch.setattr(codemaps, "_facet_homology",
+                            lambda *args: calls.append(args) or facet_homology(*args))
+        codes = [NeuralCode(K.n, K.facet_bits)
+                 for n in range(1, 5) for K in enumerate_complexes(n) if not K.is_void]
+        codes += rand_codes(43, 24, lo=5, hi=8, density=0.15)
+        instances = 0
+        for c in codes:
+            K = code_complex(c)
+            for theorem in ("duplicate", "projection"):
+                names = [name for name, _ in THEOREMS[theorem].links]
+                for step in self.ROW_STEPS[theorem](c.n):
+                    checks = {ch.name: ch for ch in codemaps._verify(theorem, c, K, step, fld).checks}
+                    assert [(checks[name].lhs, checks[name].outcome) for name in names] == \
+                        [((), Outcome.HOLDS)] * len(names), (c, step)
+                    instances += 1
+        assert calls == [] and instances > 1500
+
     def test_duplicate_certificate_needs_both_checks(self):
         """The homology law names no face when the facet images are K2's
         facets and the step duplicates a vertex; with K2 corrupted, or with
@@ -465,18 +472,19 @@ class TestLinkLemmas:
 
     def test_sampled_duplicates_call_the_homology_law_at_no_pair(self, monkeypatch, capsys):
         """On sampled n = 8 ops with cold memos every duplicate instance
-        passes the certificate, so the homology law is called at no face
-        pair; deciding each lattice pair instead calls it 233 times on
-        these three ops."""
+        passes the certificate, so the homology law ranks no link: it calls
+        ``_facet_homology`` at no face pair; deciding each of the 233
+        lattice pairs instead calls it 466 times on these three ops."""
         from obstrukt import collapse
         from obstrukt.cli import main
 
         (name, law), rest = THEOREMS["duplicate"].links[0], THEOREMS["duplicate"].links[1:]
         calls, rows = [], []
-        counted = codemaps.LinkLaw(lambda *args: calls.append(1) or law(*args),
-                                   lambda pairs: rows.append(1) or law.suspects(pairs))
-        monkeypatch.setitem(THEOREMS, "duplicate",
-                            THEOREMS["duplicate"]._replace(links=((name, counted), *rest)))
+        facet_homology = codemaps._facet_homology
+        monkeypatch.setattr(codemaps, "_facet_homology",
+                            lambda *args: calls.append(1) or facet_homology(*args))
+        monkeypatch.setitem(THEOREMS, "duplicate", THEOREMS["duplicate"]._replace(
+            links=((name, lambda *args: rows.append(1) or law(*args)), *rest)))
         for seed in (11, 12, 13):
             for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
                 memo.cache_clear()

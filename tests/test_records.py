@@ -4,8 +4,8 @@ themselves (``NeuralCode``'s is checked in ``test_codes.py``), and their
 round trips through ``pickle`` and ``copy``.  The value types are not
 dataclasses: each names its fields in the tuple ``_fields``.
 
-The three internal records of ``codemaps`` (``ResolvedStep``, ``LinkLaw``
-and ``Theorem``) are named tuples: they compare by value, as tuples do.
+The two internal records of ``codemaps`` (``ResolvedStep`` and
+``Theorem``) are named tuples: they compare by value, as tuples do.
 """
 
 import copy
@@ -40,7 +40,7 @@ from obstrukt import (
     sr_ideal,
     verify_permutation,
 )
-from obstrukt.codemaps import THEOREMS, LinkLaw, ResolvedStep, Theorem, resolve_step
+from obstrukt.codemaps import THEOREMS, ResolvedStep, Theorem, resolve_step
 from obstrukt.ideals import dual_ideal
 
 K = SimplicialComplex(3, frozenset({0b011, 0b100}))
@@ -67,6 +67,23 @@ def test_value_types_compare_by_value_and_hash_alike(name):
     a, b = VALUES[name](), VALUES[name]()
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("build", [
+    list, set, iter, lambda masks: (m for m in masks),
+], ids=["list", "set", "iterator", "generator"])
+def test_constructors_keep_any_collection_of_masks(build):
+    """``SimplicialComplex`` and ``MonomialIdeal``, like ``NeuralCode``,
+    store any collection of masks they are given as a frozenset before they
+    check it: each equals and hashes like the value built from the
+    frozenset, and the mandatory set of such a complex, a memo key, is
+    answered."""
+    masks = (0b011, 0b110)
+    for cls in (SimplicialComplex, MonomialIdeal):
+        value, expected = cls(3, build(masks)), cls(3, frozenset(masks))
+        assert value == expected and hash(value) == hash(expected), cls
+    assert mandatory_set(SimplicialComplex(3, build(masks))) == mandatory_set(
+        SimplicialComplex(3, frozenset(masks)))
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -197,10 +214,8 @@ def test_internal_records_compare_by_value_and_are_immutable():
     step = resolve_step(Project(3), 3)
     assert (step.n, step.out_n) == (3, 2) and step == ResolvedStep(Project(3), 3, 2, step.f)
     assert step != ResolvedStep(Project(2), 3, 2, step.f)
-    law = THEOREMS["duplicate"].links[0][1]
-    assert law == LinkLaw(law.holds, law.suspects) and hash(law) == hash(LinkLaw(*law))
     assert Theorem() == Theorem(mh="=") != Theorem(mh="⊆")
     assert THEOREMS["projection"]._replace(mh="=") != THEOREMS["projection"]
-    for record, field in ((step, "n"), (law, "holds"), (THEOREMS["permutation"], "mh")):
+    for record, field in ((step, "n"), (THEOREMS["permutation"], "mh")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)

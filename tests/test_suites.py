@@ -115,7 +115,7 @@ class TestBitsetKeys:
         *((n, ("add_trivial_off", "projection")) for n in (1, 2, 3)),
     ])
     def test_stream_matches_keyed_codes(self, n, theorems):
-        expected = suites._keyed(exhaustive_codes(n), Field.GF2, theorems, None, 0)
+        expected = suites._keyed(exhaustive_codes(n), Field.GF2, theorems)
         streamed = suites._exhaustive_keyed(n, Field.GF2, theorems)
         assert [(words(), key) for words, key in streamed] == \
             [(words(), key) for words, key in expected]
