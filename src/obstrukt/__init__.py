@@ -11,7 +11,7 @@ under the elementary code maps.
 from .codes import Codeword, NeuralCode, NotationForm, code_to_json, parse_codeword
 from .complexes import SimplicialComplex, code_complex, complex_to_json_dict, dual_complex, link
 from .homology import Field, HomologyProfile, reduced_homology
-from .collapse import Verdict, contractibility, core_homology
+from .collapse import Verdict, core_homology
 from .mandatory import MandatoryPartition, MandatorySet, mandatory_partition, mandatory_set
 from .ideals import MonomialIdeal, alexander_dual, sr_ideal
 from .codemaps import (
@@ -24,15 +24,22 @@ from .codemaps import (
     Permute,
     Project,
     VerificationReport,
-    image_complex,
     map_code,
+)
+from .randgen import random_code
+
+# One-code checks that cli.main does not reach: a verifier per theorem (verify runs the
+# same THEOREMS rows through codemaps._verify), one step's image complex and one complex's
+# contractibility verdict.
+from .codemaps import (
+    image_complex,
     verify_add_trivial_off,
     verify_add_trivial_on,
     verify_duplicate,
     verify_permutation,
     verify_projection,
 )
-from .randgen import random_code
+from .collapse import contractibility
 
 # Notation: format_codeword writes each form that parse_codeword reads on the CLI path.
 from .codes import format_codeword

@@ -50,7 +50,7 @@ from .complexes import code_complex
 from .errors import NeuronOutOfRange
 from .homology import Field
 from .ideals import permutation_tuple
-from .randgen import random_code
+from .randgen import check_draw, random_code
 
 ALL_THEOREMS = tuple(THEOREMS)
 
@@ -100,7 +100,9 @@ def exhaustive_codes(n: int) -> Iterator[NeuralCode]:
 
 def sampled_codes(n: int, count: int, seed: int, density: float = 0.3) -> Iterator[NeuralCode]:
     """``count`` reproducible codes, each drawn when it is read; code i uses
-    child seed ``seed + i``."""
+    child seed ``seed + i``.  n and ``density`` are checked before the first
+    draw, so a bad one raises even when ``count`` is 0."""
+    check_draw(n, density)
     return (random_code(n, seed + i, density) for i in range(count))
 
 

@@ -281,6 +281,17 @@ class TestRandom:
         status, out, err = run_cli(capsys, "random", "--n", "3", "--count", "-1")
         assert status == 2 and out == "" and "--count" in err
 
+    @pytest.mark.parametrize("argv,named", [
+        (["--n", "0"], "got 0"),
+        (["--n", "99", "--density", "7"], "got 99"),
+        (["--n", "3", "--density", "7"], "got 7.0"),
+    ], ids=["n_0", "n_99_density_7", "density_7"])
+    def test_no_codes_drawn_still_checks_n_and_density(self, capsys, argv, named):
+        # --count 0 draws nothing, and is refused as --count 1 is
+        for count in ("0", "1"):
+            status, out, err = run_cli(capsys, "random", *argv, "--count", count)
+            assert status == 2 and out == "" and named in err
+
 
 class TestClosedStdout:
     """A reader that closes stdout early ends the run with status 141

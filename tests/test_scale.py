@@ -19,7 +19,8 @@ listing the kernel bounds too.  The link-law rows of ``verify`` list no
 face unless a law fails, so they must answer the all-ones word within 1 s
 at every width up to 64 (63 for a duplicate).  A sweep runs every command
 on the all-ones word at each n that is listed quickly or refused, and each
-run must end, with status 0 or 2, within 1 s.
+run must end, with status 0 or 2, within 1 s.  Every timed case but the
+sweep starts with empty memos, as a fresh process does.
 """
 
 import hashlib
@@ -127,11 +128,18 @@ def _mh_by_nerves(facets: list[int], field: Field) -> set[int]:
     return mandatory
 
 
+@pytest.fixture
+def cold_memos():
+    """Empty the whole-complex memos, so that a timed run starts as a fresh
+    process would."""
+    for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
+        memo.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_memos")
 @pytest.mark.parametrize("field", ["GF2", "Q"])
 @pytest.mark.parametrize("name", sorted(WIDE_CODES))
 def test_wide_mh_answers_in_time(name, field, capsys):
-    for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
-        memo.cache_clear()
     words = WIDE_CODES[name]
     start = time.perf_counter()
     assert main(["mh", "--field", field, "--n", "64", "--form", "binary",
@@ -189,10 +197,9 @@ def _timed_main(argv: list[str], capsys, seconds: float) -> tuple[int, float, st
     return status, elapsed, out, err
 
 
+@pytest.mark.usefixtures("cold_memos")
 @pytest.mark.parametrize("field", ["GF2", "Q"])
 def test_sparse_wide_core_answers_in_time(field, capsys):
-    for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
-        memo.cache_clear()
     facets = [_mask(w) for w in SPARSE_CORE]
     fld = Field(field)
     argv = ["--field", field, "--n", "64", "--form", "binary", "--code", ",".join(SPARSE_CORE)]
@@ -209,6 +216,7 @@ def test_sparse_wide_core_answers_in_time(field, capsys):
     assert elapsed < 2.0, f"mh took {elapsed:.2f} s"
 
 
+@pytest.mark.usefixtures("cold_memos")
 @pytest.mark.parametrize("command", ["cmin", "analyze"])
 def test_listing_the_faces_of_the_full_simplex_at_64_is_refused(command, capsys):
     status, elapsed, out, err = _timed_main(
@@ -231,6 +239,7 @@ def test_listed_inputs_lie_under_the_bound():
     assert max(counts["8x16"], counts["sparse_core"]) <= MAX_LISTED_FACES < counts["4x20"]
 
 
+@pytest.mark.usefixtures("cold_memos")
 @pytest.mark.parametrize("argv,count", [
     (["link", "--n", "64", "--sigma", "1" + "0" * 63], 1 << 63),
 ], ids=["link_64"])
@@ -242,6 +251,7 @@ def test_listings_past_the_bound_are_refused(argv, count, capsys):
     assert elapsed < 1.0, f"{argv[0]} took {elapsed:.2f} s"
 
 
+@pytest.mark.usefixtures("cold_memos")
 @pytest.mark.parametrize("row,n", [
     *(("projection", n) for n in (8, 16, 20, 40, 64)),
     *(("duplicate", n) for n in (8, 16, 20, 40, 63)),
