@@ -28,17 +28,10 @@ from .codemaps import (
 )
 from .randgen import random_code
 
-# One-code checks that cli.main does not reach: a verifier per theorem (verify runs the
-# same THEOREMS rows through codemaps._verify), one step's image complex and one complex's
-# contractibility verdict.
-from .codemaps import (
-    image_complex,
-    verify_add_trivial_off,
-    verify_add_trivial_on,
-    verify_duplicate,
-    verify_permutation,
-    verify_projection,
-)
+# One-code checks that cli.main does not reach: verify checks the THEOREMS row that a step
+# names (the verify command runs the same rows through suites.code_reports), and one
+# step's image complex and one complex's contractibility verdict.
+from .codemaps import image_complex, verify
 from .collapse import contractibility
 
 # Notation: format_codeword writes each form that parse_codeword reads on the CLI path.

@@ -4,10 +4,12 @@ Maps: permutation, adding a trivial on/off neuron, duplicating a neuron
 (appended at position n+1), projecting a neuron away, and inclusion.  Each
 row of ``THEOREMS`` states what one preservation theorem claims about a code
 and its image: the relation on the mandatory set, and laws on links, on the
-certified partition and on the Stanley-Reisner ideals.  One interpreter
-recomputes both sides with the engine and reports holds / violated /
-partial, where partial means a certificate was unavailable (contractibility
-is undecidable in general).  Faces are mapped and compared as masks.
+certified partition and on the Stanley-Reisner ideals.  Each step class but
+``Include`` names its row in its ``theorem`` attribute, and ``verify(step,
+code)`` checks that row: one interpreter recomputes both sides with the
+engine and reports holds / violated / partial, where partial means a
+certificate was unavailable (contractibility is undecidable in general).
+Faces are mapped and compared as masks.
 
 The rows with link laws (duplicate and projection) have coordinate maps,
 f(A ∖ B) = f(A) ∖ f(B), so the image of a link is read off the images of
@@ -46,6 +48,7 @@ from .mandatory import mandatory_partition
 class Permute(_Record):
     """Permute the neurons: position i of the image reads neuron γ(i)."""
 
+    theorem = "permutation"
     _fields = ("gamma",)
 
     def __init__(self, gamma: tuple[int, ...]) -> None:
@@ -58,12 +61,16 @@ class Permute(_Record):
 class AddTrivialOn(_Record):
     """Append neuron n+1, on in every word."""
 
+    theorem = "add_trivial_on"
+
     def describe(self) -> str:
         return "add_trivial_on"
 
 
 class AddTrivialOff(_Record):
     """Append neuron n+1, off in every word."""
+
+    theorem = "add_trivial_off"
 
     def describe(self) -> str:
         return "add_trivial_off"
@@ -72,6 +79,7 @@ class AddTrivialOff(_Record):
 class Duplicate(_Record):
     """Append neuron n+1 as a copy of neuron ``source``."""
 
+    theorem = "duplicate"
     _fields = ("source",)
 
     def __init__(self, source: int = 1) -> None:
@@ -84,6 +92,7 @@ class Duplicate(_Record):
 class Project(_Record):
     """Delete neuron ``delete``; the neurons above it move down by one."""
 
+    theorem = "projection"
     _fields = ("delete",)
 
     def __init__(self, delete: int) -> None:
@@ -326,7 +335,8 @@ class _LinkPairs:
 
 
 class Theorem(NamedTuple):
-    """What one preservation theorem claims about a code C and its image q(C).
+    """What one preservation theorem claims about a code C and its image q(C),
+    for the maps of the step class whose ``theorem`` names its row.
 
     ``mh`` relates M_H(q(C)) to q(M_H(C)): "=", or "⊆" for the target inside
     the image, whose reverse containment is then reported as an observation.
@@ -449,32 +459,42 @@ _IN = ("cmin_in_image_equal", "in_masks")
 _OUT = ("cmin_out_image_equal", "out_masks")
 
 THEOREMS: dict[str, Theorem] = {
+    # A permutation preserves the mandatory set and the certified partition.
     "permutation": Theorem(classes=(_IN, _OUT), partial="cmin_image_equal"),
+    # An always-on neuron preserves the mandatory set; the certified partition
+    # shifts by the empty word as the complex is contractible or not.
     "add_trivial_on": Theorem(shift=_shift_by_empty_word, partial="cmin_branch"),
+    # An always-off neuron moves nothing across; the ideals gain one variable.
     "add_trivial_off": Theorem(
         classes=(_IN, _OUT, ("cmin_unknown_image_equal", "unknown_masks")),
         ideals=(("sr_ideal_gains_one_variable", _sr_gains_one_variable),
                 ("dual_ideal_gens_gain_new_variable_factor", _dual_gains_new_variable_factor)),
     ),
+    # A duplicate preserves the mandatory set and each link's homology, and
+    # the links of image faces follow the two-case (image) formula.
     "duplicate": Theorem(
         links=(("link_homology_preserved", _homology_faces),
                ("link_two_case_formula", _image_formula_faces)),
         classes=(_IN,),
         partial="cmin_in_image_equal",
     ),
+    # A projection's target mandatory set lies in the image of the source's,
+    # and its links are the images of the links.
     "projection": Theorem(
         mh="⊆", lists_image=True, links=(("link_image_formula", _image_formula_faces),)
     ),
 }
 
 
-def _verify(theorem: str, code: NeuralCode, K: SimplicialComplex, step: ElementaryMap,
+def _verify(step: ElementaryMap, code: NeuralCode, K: SimplicialComplex,
             fld: Field) -> VerificationReport:
-    """Check one row of ``THEOREMS`` on a code, its complex K and a map.
+    """Check on a code and its complex K the row of ``THEOREMS`` that the
+    step names in its ``theorem`` attribute.
 
     Checks come in the order M_H, links, partition, ideals.  An empty code
     has the void complex, and its report holds no checks.
     """
+    theorem = step.theorem
     spec = THEOREMS[theorem]
     r = resolve_step(step, code.n)
     if not code.masks:
@@ -516,40 +536,12 @@ def _verify(theorem: str, code: NeuralCode, K: SimplicialComplex, step: Elementa
     return VerificationReport(theorem, code, step.describe(), fld, tuple(checks), observations)
 
 
-def verify_permutation(
-    code: NeuralCode, gamma: Iterable[int], fld: Field = Field.GF2
-) -> VerificationReport:
-    """Permutation preserves the mandatory set and the certified partition."""
-    return _verify("permutation", code, code_complex(code), Permute(tuple(gamma)), fld)
+def verify(step: ElementaryMap, code: NeuralCode, fld: Field = Field.GF2) -> VerificationReport:
+    """Check on a code the row of ``THEOREMS`` that the step names.
 
-
-def verify_add_trivial_on(code: NeuralCode, fld: Field = Field.GF2) -> VerificationReport:
-    """Appending an always-on neuron preserves the mandatory set; the
-    certified partition shifts by the empty word according to whether the
-    starting complex is contractible."""
-    return _verify("add_trivial_on", code, code_complex(code), AddTrivialOn(), fld)
-
-
-def verify_add_trivial_off(code: NeuralCode, fld: Field = Field.GF2) -> VerificationReport:
-    """Appending an always-off neuron changes nothing: mandatory data map
-    across verbatim and the Stanley-Reisner data gain exactly one variable."""
-    return _verify("add_trivial_off", code, code_complex(code), AddTrivialOff(), fld)
-
-
-def verify_duplicate(
-    code: NeuralCode, source: int = 1, fld: Field = Field.GF2
-) -> VerificationReport:
-    """Duplicating a neuron preserves the mandatory set; links of image faces
-    are homotopic to the original links, which the engine checks at the level
-    of homology in every degree, plus the two-case link formula, which is
-    the image formula for links."""
-    return _verify("duplicate", code, code_complex(code), Duplicate(source), fld)
-
-
-def verify_projection(
-    code: NeuralCode, delete: int, fld: Field = Field.GF2
-) -> VerificationReport:
-    """Deleting a neuron can only shrink the mandatory set through the image:
-    the target mandatory set is contained in the image of the source one, and
-    links in the target are exactly the images of the zero-extended links."""
-    return _verify("projection", code, code_complex(code), Project(delete), fld)
+    Raises ``TypeError`` for an ``Include``, which names no row, and for
+    anything that is not a step, before the code's complex is built.
+    """
+    if getattr(type(step), "theorem", None) not in THEOREMS:
+        raise TypeError(f"no preservation theorem for {step!r}")
+    return _verify(step, code, code_complex(code), fld)

@@ -15,13 +15,14 @@ partition, the duplicate theorem's link check) go through
 to a point without ranks and ranks any other complex on its strong-collapse
 core, with each collapse stage decided once per relabelled copy.  A core
 on k vertices with more than 2^(k-1) faces is handed to
-``reduced_homology`` as its Alexander dual, which has fewer.
+``reduced_homology`` as its Alexander dual, which has fewer.  That stage
+memo is the only one: ``reduced_homology`` keeps none of its own, since the
+cores it is handed are already memoised there.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from math import gcd
 
 from .codes import _Record
@@ -194,8 +195,6 @@ def _boundary_rank(grades: list[list[int]], k: int, field: Field, room: int) -> 
     return rank_fraction_free(_dense(len(grades[k - 1]), columns, field))
 
 
-# Bounded like the partition memo: a long suite's complexes rarely recur.
-@lru_cache(maxsize=1024)
 def reduced_homology(K: SimplicialComplex, field: Field) -> HomologyProfile:
     """Dimensions of reduced homology in every degree from -1 up to dim K."""
     if K.is_void:

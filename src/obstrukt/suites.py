@@ -120,8 +120,9 @@ def code_reports(
     projects away each neuron in turn (none when n = 1).  ``gammas``,
     ``source`` and ``delete`` are checked whichever theorems are chosen, before
     any instance runs.  The code's complex is built once and every instance
-    reads it; the duplicate and projection instances decide their link laws
-    on the facets and list no face unless a law fails.
+    reads it, checked against the row that its step names (``_verify``); the
+    duplicate and projection instances decide their link laws on the facets
+    and list no face unless a law fails.
     """
     n = code.n
     for name, neuron in (("source", source), ("delete", delete)):
@@ -134,15 +135,15 @@ def code_reports(
     else:
         deletes = (delete,)
     K = code_complex(code)
-    steps = {
-        "permutation": lambda: map(Permute, symmetric_group(n) if gammas is None else gammas),
-        "add_trivial_on": lambda: (AddTrivialOn(),),
-        "add_trivial_off": lambda: (AddTrivialOff(),),
-        "duplicate": lambda: (Duplicate(source),),
-        "projection": lambda: map(Project, deletes),
+    steps = {  # the instances of each step class, in the order of THEOREMS
+        Permute: lambda: map(Permute, symmetric_group(n) if gammas is None else gammas),
+        AddTrivialOn: lambda: (AddTrivialOn(),),
+        AddTrivialOff: lambda: (AddTrivialOff(),),
+        Duplicate: lambda: (Duplicate(source),),
+        Project: lambda: map(Project, deletes),
     }
-    return [_verify(theorem, code, K, step, fld)
-            for theorem in THEOREMS if theorem in theorems for step in steps[theorem]()]
+    return [_verify(step, code, K, fld)
+            for cls, made in steps.items() if cls.theorem in theorems for step in made()]
 
 
 class SuiteResult(_Record):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import typing
 
 import pytest
 
@@ -24,16 +25,12 @@ from obstrukt import (
     mandatory_set,
     random_code,
     reduced_homology,
-    verify_add_trivial_off,
-    verify_add_trivial_on,
-    verify_duplicate,
-    verify_permutation,
-    verify_projection,
+    verify,
 )
 from obstrukt import codemaps
 from obstrukt.codemaps import THEOREMS, resolve_step
 from obstrukt.errors import NeuronOutOfRange, NotAPermutation, NotInDomain, WidthMismatch
-from obstrukt.suites import exhaustive_codes
+from obstrukt.suites import code_reports, exhaustive_codes
 
 from conftest import (REF_LINK_LAWS, code, embed_mask, enumerate_complexes, ref_dominated,
                       ref_link_law_failures, w)
@@ -333,7 +330,7 @@ class TestLinkLemmas:
         # every construction, checked or trusted, is counted once
         monkeypatch.setattr(SimplicialComplex, "__init__", counting)
         monkeypatch.setattr(SimplicialComplex, "trusted", classmethod(counting_trusted))
-        report = verify_projection(c, 5)
+        report = verify(Project(5), c)
         assert built == [K, images[4]]
         laws = [ch for ch in report.checks if ch.name == "link_image_formula"]
         assert [ch.outcome for ch in laws] == [Outcome.HOLDS]
@@ -392,7 +389,7 @@ class TestLinkLemmas:
                 K2 = image_complex(step, K)
                 for corrupt in [K2, *self._corrupted(K2)]:
                     monkeypatch.setattr(codemaps.ResolvedStep, "image", lambda r, K: corrupt)
-                    report = codemaps._verify(theorem, c, K, step, fld)
+                    report = codemaps._verify(step, c, K, fld)
                     monkeypatch.undo()
                     expected = ref_link_law_failures(theorem, K, step, corrupt, fld)
                     for name, _ in spec.links:
@@ -417,7 +414,7 @@ class TestLinkLemmas:
             K = code_complex(c)
             for source in range(1, c.n + 1):
                 step = Duplicate(source)
-                report = codemaps._verify("duplicate", c, K, step, fld)
+                report = codemaps._verify(step, c, K, fld)
                 expected = ref_link_law_failures("duplicate", K, step, image_complex(step, K), fld)
                 checks = {ch.name: ch for ch in report.checks}
                 assert {name: list(checks[name].lhs) for name in names} == expected, (c, step)
@@ -444,7 +441,7 @@ class TestLinkLemmas:
             for theorem in ("duplicate", "projection"):
                 names = [name for name, _ in THEOREMS[theorem].links]
                 for step in self.ROW_STEPS[theorem](c.n):
-                    checks = {ch.name: ch for ch in codemaps._verify(theorem, c, K, step, fld).checks}
+                    checks = {ch.name: ch for ch in codemaps._verify(step, c, K, fld).checks}
                     assert [(checks[name].lhs, checks[name].outcome) for name in names] == \
                         [((), Outcome.HOLDS)] * len(names), (c, step)
                     instances += 1
@@ -486,7 +483,7 @@ class TestLinkLemmas:
         monkeypatch.setitem(THEOREMS, "duplicate", THEOREMS["duplicate"]._replace(
             links=((name, lambda *args: rows.append(1) or law(*args)), *rest)))
         for seed in (11, 12, 13):
-            for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
+            for memo in (mandatory_partition, collapse._packed_profile):
                 memo.cache_clear()
             assert main(["verify", "--n", "8", "--samples", "1", "--seed", str(seed)]) == 0
         capsys.readouterr()
@@ -595,97 +592,97 @@ class TestCodeMap:
 
 class TestVerifyPermutation:
     def test_small_example(self):
-        report = verify_permutation(code(["1", "12"], 2), (2, 1))
+        report = verify(Permute((2, 1)), code(["1", "12"], 2))
         assert report.verdict is Outcome.HOLDS
 
     def test_exhaustive_s4_on_pendant_code(self):
         c = code(["123", "24", "2"], 4)
         for gamma in itertools.permutations(range(1, 5)):
-            assert verify_permutation(c, gamma).verdict is Outcome.HOLDS
+            assert verify(Permute(gamma), c).verdict is Outcome.HOLDS
 
     def test_identity(self):
         c = code(["123", "24", "2"], 4)
-        report = verify_permutation(c, (1, 2, 3, 4))
+        report = verify(Permute((1, 2, 3, 4)), c)
         assert report.verdict is Outcome.HOLDS
 
     def test_empty_code_trivial(self):
-        report = verify_permutation(NeuralCode(2, frozenset()), (2, 1))
+        report = verify(Permute((2, 1)), NeuralCode(2, frozenset()))
         assert report.verdict is Outcome.HOLDS
         assert dict(report.observations)["empty_code"] is True
 
 
 class TestVerifyAddTrivialOn:
     def test_contractible_branch(self):
-        report = verify_add_trivial_on(code(["12"], 2))
+        report = verify(AddTrivialOn(), code(["12"], 2))
         names = {c.name for c in report.checks}
         assert report.verdict is Outcome.HOLDS
         assert "cmin_nonempty_image_equal" in names
 
     def test_non_contractible_branch(self):
-        report = verify_add_trivial_on(code(["1", "2"], 2))
+        report = verify(AddTrivialOn(), code(["1", "2"], 2))
         names = {c.name for c in report.checks}
         assert report.verdict is Outcome.HOLDS
         assert "cmin_image_strictly_below" in names
 
     def test_pendant_code(self):
-        assert verify_add_trivial_on(code(["123", "24", "2"], 4)).verdict is Outcome.HOLDS
+        assert verify(AddTrivialOn(), code(["123", "24", "2"], 4)).verdict is Outcome.HOLDS
 
 
 class TestVerifyAddTrivialOff:
     def test_single_facet(self):
-        report = verify_add_trivial_off(code(["12"], 2))
+        report = verify(AddTrivialOff(), code(["12"], 2))
         assert report.verdict is Outcome.HOLDS
         # the full simplex has the unit dual ideal, so its image's is <x_3>
         (law,) = [c for c in report.checks if c.name == "dual_ideal_gens_gain_new_variable_factor"]
         assert law.lhs == law.rhs == ("001",)
 
     def test_pendant_code(self):
-        assert verify_add_trivial_off(code(["123", "24", "2"], 4)).verdict is Outcome.HOLDS
+        assert verify(AddTrivialOff(), code(["123", "24", "2"], 4)).verdict is Outcome.HOLDS
 
     def test_random_codes(self):
         for c in rand_codes(43, 30, allow_empty_word=True):
-            assert verify_add_trivial_off(c).verdict is Outcome.HOLDS
+            assert verify(AddTrivialOff(), c).verdict is Outcome.HOLDS
 
 
 class TestVerifyDuplicate:
     def test_two_singletons(self):
         c = NeuralCode(2, [0b01, 0b10])
-        assert verify_duplicate(c, 1).verdict is Outcome.HOLDS
+        assert verify(Duplicate(1), c).verdict is Outcome.HOLDS
 
     def test_pendant_code(self):
-        assert verify_duplicate(code(["123", "24", "2"], 4), 1).verdict is Outcome.HOLDS
+        assert verify(Duplicate(1), code(["123", "24", "2"], 4)).verdict is Outcome.HOLDS
 
     def test_single_word_exercises_firing_branch(self):
         c = code(["1"], 1)
-        report = verify_duplicate(c, 1)
+        report = verify(Duplicate(1), c)
         assert report.verdict is Outcome.HOLDS
 
     def test_every_source(self):
         c = code(["123", "24", "2"], 4)
         for s in range(1, 5):
-            assert verify_duplicate(c, s).verdict is Outcome.HOLDS
+            assert verify(Duplicate(s), c).verdict is Outcome.HOLDS
 
 
 class TestVerifyProjection:
     def test_counterexample_direction(self):
-        report = verify_projection(code(["123", "24", "2"], 4), 4)
+        report = verify(Project(4), code(["123", "24", "2"], 4))
         assert report.verdict is Outcome.HOLDS
         assert dict(report.observations)["mh_reverse_containment_holds"] is False
 
     def test_equality_case(self):
-        report = verify_projection(code(["12"], 2), 2)
+        report = verify(Project(2), code(["12"], 2))
         assert report.verdict is Outcome.HOLDS
         assert dict(report.observations)["mh_reverse_containment_holds"] is True
 
     def test_random_containment_never_violated(self):
         for c in rand_codes(47, 30, lo=2, hi=6, allow_empty_word=True):
             for d in range(1, c.n + 1):
-                assert verify_projection(c, d).verdict is Outcome.HOLDS
+                assert verify(Project(d), c).verdict is Outcome.HOLDS
 
 
 class TestReportShape:
     def test_json_line_fields(self):
-        report = verify_projection(code(["123", "24", "2"], 4), 4)
+        report = verify(Project(4), code(["123", "24", "2"], 4))
         payload = json.loads(report.to_json_line())
         assert payload["theorem"] == "projection"
         assert payload["map"] == "project(4)"
@@ -696,23 +693,61 @@ class TestReportShape:
         )
 
     def test_verdict_recomputable_from_sets(self):
-        report = verify_projection(code(["123", "24", "2"], 4), 4)
+        report = verify(Project(4), code(["123", "24", "2"], 4))
         check = next(c for c in report.checks if c.name == "mh_containment")
         assert set(check.lhs) <= set(check.rhs)
 
 
-@pytest.mark.parametrize("n,verify,error", [
-    (3, lambda c: verify_permutation(c, (1, 1, 2)), NotAPermutation),
-    (3, lambda c: verify_duplicate(c, 7), NeuronOutOfRange),
-    (3, lambda c: verify_projection(c, 9), NeuronOutOfRange),
-    (64, verify_add_trivial_on, NeuronOutOfRange),
-    (64, verify_add_trivial_off, NeuronOutOfRange),
+@pytest.mark.parametrize("n,run,error", [
+    (3, lambda c: verify(Permute((1, 1, 2)), c), NotAPermutation),
+    (3, lambda c: verify(Duplicate(7), c), NeuronOutOfRange),
+    (3, lambda c: verify(Project(9), c), NeuronOutOfRange),
+    (64, lambda c: verify(AddTrivialOn(), c), NeuronOutOfRange),
+    (64, lambda c: verify(AddTrivialOff(), c), NeuronOutOfRange),
 ])
-def test_invalid_map_rejected_whatever_the_code(n, verify, error):
+def test_invalid_map_rejected_whatever_the_code(n, run, error):
     # the step is validated before the shortcut for the empty code
     messages = []
     for masks in ([], [1]):
         with pytest.raises(error) as info:
-            verify(NeuralCode(n, masks))
+            run(NeuralCode(n, masks))
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+class TestOneVerifier:
+    """``verify(step, code)`` checks the row of ``THEOREMS`` that the step's
+    class names, as the suites do."""
+
+    def test_each_row_is_named_by_exactly_one_step_class(self):
+        classes = typing.get_args(codemaps.ElementaryMap)
+        named = [cls.theorem for cls in classes if cls is not Include]
+        assert sorted(named) == sorted(THEOREMS) and not hasattr(Include, "theorem")
+        for row, steps in TestLinkLemmas.ROW_STEPS.items():
+            for n in range(1, 5):
+                assert all(step.theorem == row for step in steps(n)), row
+
+    @pytest.mark.parametrize("fld", [Field.GF2, Field.RATIONAL])
+    def test_verify_is_the_suite_report_of_its_step(self, fld):
+        """Each report of ``code_reports``, in its order, is ``verify`` of
+        the same step: on every code with n ≤ 3 and on seeded codes with
+        n = 5..8, for two gammas, every source and every deleted neuron."""
+        codes = [c for n in range(1, 4) for c in exhaustive_codes(n)]
+        codes += rand_codes(59, 8, lo=5, hi=8, density=0.2, allow_empty_word=True)
+        for c in codes:
+            n = c.n
+            gammas = [tuple(range(1, n + 1)), tuple(range(n, 0, -1))]
+            for source in range(1, n + 1):
+                steps = [*map(Permute, gammas), AddTrivialOn(), AddTrivialOff(),
+                         Duplicate(source), *(Project(d) for d in range(1, n + 1) if n > 1)]
+                reports = code_reports(c, fld, gammas=gammas, source=source)
+                mine = [verify(step, c, fld) for step in steps]
+                assert mine == reports, (c, source)
+                assert [r.to_json_line() for r in mine] == [r.to_json_line() for r in reports]
+
+    @pytest.mark.parametrize("step", [Include(code(["1"], 1)), "permutation", Permute,
+                                      verify(Permute((1,)), code(["1"], 1))])
+    def test_no_theorem_raises_before_any_work(self, step, monkeypatch):
+        monkeypatch.setattr(codemaps, "code_complex", None)  # no complex may be built
+        with pytest.raises(TypeError, match="no preservation theorem"):
+            verify(step, code(["1"], 1))

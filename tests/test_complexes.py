@@ -9,6 +9,7 @@ from obstrukt import (
     Codeword,
     Field,
     NeuralCode,
+    Project,
     SimplicialComplex,
     code_complex,
     complex_to_json_dict,
@@ -17,9 +18,9 @@ from obstrukt import (
     link,
     mandatory_partition,
     restriction,
-    verify_projection,
+    verify,
 )
-from obstrukt import collapse, homology
+from obstrukt import collapse
 from obstrukt.cli import main
 from obstrukt.codemaps import ResolvedStep
 from obstrukt.codes import binaries
@@ -332,12 +333,12 @@ class TestListingBound:
             monkeypatch.setattr(ResolvedStep, "image", lambda r, K: boundary)
             code = NeuralCode(n, [(1 << n) - 1])
             if n == 11:
-                (check,) = [ch for ch in verify_projection(code, 1).checks
+                (check,) = [ch for ch in verify(Project(1), code).checks
                             if ch.name == "link_image_formula"]
                 assert len(check.lhs) == (1 << 10) - 1
             else:
                 with pytest.raises(TooManyFaces, match="; the complex has 2047$"):
-                    verify_projection(code, 1)
+                    verify(Project(1), code)
 
     def test_exact_count_decides_past_the_bound(self, capsys):
         K = self.THREE_NINES
@@ -364,10 +365,10 @@ class TestTrustedConstructions:
 
         for cls in (SimplicialComplex, MonomialIdeal):
             monkeypatch.setattr(cls, "trusted", classmethod(checked))
-        for memo in (mandatory_partition, collapse._packed_profile, homology.reduced_homology):
+        for memo in (mandatory_partition, collapse._packed_profile):
             memo.cache_clear()
         yield seen
-        for memo in (mandatory_partition, collapse._packed_profile, homology.reduced_homology):
+        for memo in (mandatory_partition, collapse._packed_profile):
             memo.cache_clear()
 
     @staticmethod
@@ -408,8 +409,8 @@ class TestTrustedConstructions:
             return SimplicialComplex.trusted(r.out_n, frozenset(map(r.f, K.facet_bits)))
 
         c = NeuralCode(4, [0b0011, 0b1001, 0b0100])
-        assert verify_projection(c, 4).verdict.value == "holds"
+        assert verify(Project(4), c).verdict.value == "holds"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ResolvedStep, "image", unreduced)
             with pytest.raises(ValueError, match="lies inside"):
-                verify_projection(c, 4)
+                verify(Project(4), c)

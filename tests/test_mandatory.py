@@ -5,10 +5,14 @@ from operator import and_
 import pytest
 
 from obstrukt import (
+    AddTrivialOn,
     Codeword,
+    Duplicate,
     Field,
     MandatoryPartition,
     NeuralCode,
+    Permute,
+    Project,
     SimplicialComplex,
     Verdict,
     check_no_local_obstruction,
@@ -20,10 +24,7 @@ from obstrukt import (
     mandatory_set,
     random_code,
     reduced_homology,
-    verify_add_trivial_on,
-    verify_duplicate,
-    verify_permutation,
-    verify_projection,
+    verify,
 )
 from obstrukt import complexes
 from obstrukt.errors import TooManyFaces, VoidComplex
@@ -379,8 +380,8 @@ def test_mh_and_the_link_law_rows_never_read_out_masks(monkeypatch, field):
         c = NeuralCode(K.n, K.facet_bits)
         mandatory_set(K, field)
         for delete in range(1, K.n + 1) if K.n > 1 else ():
-            verify_projection(c, delete, field)
-        verify_duplicate(c, 1, field)
-        verify_add_trivial_on(c, field)
+            verify(Project(delete), c, field)
+        verify(Duplicate(1), c, field)
+        verify(AddTrivialOn(), c, field)
     with pytest.raises(AssertionError, match="out_masks read"):  # a row that compares it
-        verify_permutation(NeuralCode(2, [0b01, 0b10]), (2, 1), field)
+        verify(Permute((2, 1)), NeuralCode(2, [0b01, 0b10]), field)

@@ -38,7 +38,7 @@ from obstrukt import (
     reduced_homology,
     run_exhaustive,
     sr_ideal,
-    verify_permutation,
+    verify,
 )
 from obstrukt.codemaps import THEOREMS, ResolvedStep, Theorem, resolve_step
 from obstrukt.ideals import dual_ideal
@@ -154,7 +154,7 @@ def test_suite_result_is_a_mutable_tally_equal_by_value():
 
 
 def test_report_equality_and_hash_ignore_the_verdict():
-    report = verify_permutation(NeuralCode(3, [0b011, 0b100]), (2, 1, 3))
+    report = verify(Permute((2, 1, 3)), NeuralCode(3, [0b011, 0b100]))
     assert report.verdict is Outcome.HOLDS
     twin = copy.copy(report)
     twin.__dict__["verdict"] = Outcome.VIOLATED
@@ -178,7 +178,7 @@ ROUND_TRIP = {
     "HomologyProfile": lambda: reduced_homology(K, Field.GF2),
     "ObstructionCheck": lambda: check_no_local_obstruction(NeuralCode(3, [0b011, 0b110, 0b101])),
     "CheckResult": lambda: CheckResult("mh_image_equal", "=", ("110",), ("110",), Outcome.HOLDS),
-    "VerificationReport": lambda: verify_permutation(NeuralCode(3, [0b011, 0b100]), (2, 1, 3)),
+    "VerificationReport": lambda: verify(Permute((2, 1, 3)), NeuralCode(3, [0b011, 0b100])),
 }
 
 

@@ -35,7 +35,7 @@ from operator import and_
 import pytest
 
 from obstrukt import (Duplicate, Field, Project, SimplicialComplex, collapse, image_complex,
-                      mandatory_partition, reduced_homology)
+                      mandatory_partition, reduced_homology, suites)
 from obstrukt.cli import main
 from obstrukt.codes import binaries
 from obstrukt.complexes import MAX_LISTED_FACES, face_count
@@ -130,9 +130,8 @@ def _mh_by_nerves(facets: list[int], field: Field) -> set[int]:
 
 @pytest.fixture
 def cold_memos():
-    """Empty the whole-complex memos, so that a timed run starts as a fresh
-    process would."""
-    for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
+    """Empty the memos, so that a timed run starts as a fresh process would."""
+    for memo in (mandatory_partition, collapse._packed_profile):
         memo.cache_clear()
 
 
@@ -223,6 +222,27 @@ def test_listing_the_faces_of_the_full_simplex_at_64_is_refused(command, capsys)
         [command, "--n", "64", "--form", "binary", "--code", "1" * 64], capsys, 1.0)
     assert status == 2 and not out and str(1 << 64) in err
     assert elapsed < 1.0, f"{command} took {elapsed:.2f} s"
+
+
+@pytest.mark.usefixtures("cold_memos")
+def test_single_code_verify_prints_all_or_nothing(monkeypatch, capsys):
+    """A single-code ``verify`` prints once every instance has run.  On the
+    sparse core at n = 64 the permutation row runs first and holds, then
+    the add_trivial_on row refuses to widen the code, and stdout stays
+    empty; the permutation row alone prints its one line."""
+    ran = []
+    real = suites._verify
+    monkeypatch.setattr(suites, "_verify", lambda step, *args: ran.append(step.theorem)
+                        or real(step, *args))
+    argv = ["verify", "--n", "64", "--form", "binary", "--code", ",".join(SPARSE_CORE),
+            "--gamma", ",".join(map(str, range(64, 0, -1))), "--delete", "1"]
+    status, elapsed, out, err = _timed_main([*argv, "--theorem", "all"], capsys, 2.0)
+    assert status == 2 and out == "" and "widening past 64 neurons" in err
+    assert ran == ["permutation", "add_trivial_on"] and elapsed < 2.0, f"took {elapsed:.2f} s"
+    status, elapsed, out, _ = _timed_main([*argv, "--theorem", "permutation"], capsys, 2.0)
+    assert status == 0 and elapsed < 2.0, f"took {elapsed:.2f} s"
+    (line,) = out.splitlines()
+    assert json.loads(line)["verdict"] == "holds" and ran[2:] == ["permutation"]
 
 
 def test_listed_inputs_lie_under_the_bound():

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from obstrukt import (
+    Duplicate,
     Field,
     NeuralCode,
+    Project,
     SimplicialComplex,
     code_complex,
     exhaustive_codes,
@@ -20,8 +22,7 @@ from obstrukt import (
     run_sampled,
     run_suite,
     suites,
-    verify_duplicate,
-    verify_projection,
+    verify,
 )
 from obstrukt.cli import main
 from obstrukt.codemaps import CheckResult, Outcome, VerificationReport
@@ -137,12 +138,12 @@ class TestBitsetKeys:
     def test_no_complex_built_per_code(self, monkeypatch, capsys):
         # 20 complexes with cold memos take 85 maximal_masks calls; keying
         # each of the 256 codes through its own complex took 341
-        from obstrukt import collapse, complexes, mandatory_partition, reduced_homology
+        from obstrukt import collapse, complexes, mandatory_partition
 
         calls = []
         real = complexes.maximal_masks
         monkeypatch.setattr(complexes, "maximal_masks", lambda masks: calls.append(1) or real(masks))
-        for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
+        for memo in (mandatory_partition, collapse._packed_profile):
             memo.cache_clear()
         assert main(["verify", "--theorem", "all", "--exhaustive", "--n", "3"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3072 + 1
@@ -215,7 +216,7 @@ class TestRunner:
         reports = code_reports(c, theorems=("duplicate", "projection"))
         assert built == {"code_complex": 1} and len(reports) == 5 and listed == []
         monkeypatch.undo()
-        assert reports == [verify_duplicate(c), *(verify_projection(c, d) for d in range(1, 5))]
+        assert reports == [verify(Duplicate(), c), *(verify(Project(d), c) for d in range(1, 5))]
 
     def test_sampled_deterministic_and_parallel_equal(self):
         serial_lines, parallel_lines = [], []
@@ -553,7 +554,7 @@ class TestMaskRepresentation:
         # and 77 complexes in all.  Storing a code's words as Codewords built
         # 262, and holding faces as Codewords and ranking links as complexes
         # built 12,622 Codewords and 2,450 complexes.
-        from obstrukt import Codeword, SimplicialComplex, mandatory_partition, reduced_homology
+        from obstrukt import Codeword, SimplicialComplex, mandatory_partition
 
         built = collections.Counter()
         for cls in (Codeword, SimplicialComplex):
@@ -563,7 +564,6 @@ class TestMaskRepresentation:
 
             monkeypatch.setattr(cls, "__init__", counting)
         mandatory_partition.cache_clear()
-        reduced_homology.cache_clear()
         for seed in (11, 12, 13):
             argv = ["verify", "--n", "8", "--samples", "1", "--seed", str(seed), "--field", "GF2"]
             assert main(argv) == 0
@@ -573,27 +573,28 @@ class TestMaskRepresentation:
 
     def test_sampled_verify_decides_each_link_once(self, monkeypatch, capsys):
         # Three n = 8 sampled ops with cold memos scan for a dominated vertex
-        # 238 times, rank 32 cores and call maximal_masks 30 times.  Deciding
+        # 238 times, rank 26 cores and call maximal_masks 30 times.  Deciding
         # each link's whole collapse once per relabelled copy took 679 scans
         # and 37 ranks, and taking the maximal masks of every projected link
         # whose images differ from the target link took 1,659 calls.
-        from obstrukt import collapse, complexes, mandatory_partition, reduced_homology
+        from obstrukt import collapse, complexes, mandatory_partition
 
         calls = collections.Counter()
-        for module, name in ((collapse, "_highest_domination"), (complexes, "maximal_masks")):
+        for module, name in ((collapse, "_highest_domination"), (complexes, "maximal_masks"),
+                             (collapse, "reduced_homology")):
             def counting(*args, _real=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counting)
-        for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
+        for memo in (mandatory_partition, collapse._packed_profile):
             memo.cache_clear()
         for seed in (11, 12, 13):
             argv = ["verify", "--n", "8", "--samples", "1", "--seed", str(seed), "--field", "GF2"]
             assert main(argv) == 0
             assert len(capsys.readouterr().out.splitlines()) == 14
         assert calls["_highest_domination"] <= 320
-        assert reduced_homology.cache_info().misses <= 35
+        assert calls["reduced_homology"] <= 35
         assert calls["maximal_masks"] <= 100
 
     def test_sampled_verify_ranks_dense_cores_on_their_duals(self, monkeypatch, capsys):
@@ -601,7 +602,7 @@ class TestMaskRepresentation:
         # core holding more than half of the subsets of its vertices is
         # ranked on its Alexander dual.  Ranking every core as it is handed
         # over 1,256 faces.
-        from obstrukt import collapse, mandatory_partition, reduced_homology
+        from obstrukt import collapse, mandatory_partition
 
         faces = []
 
@@ -610,7 +611,7 @@ class TestMaskRepresentation:
             return _real(K, fld)
 
         monkeypatch.setattr(collapse, "reduced_homology", counting)
-        for memo in (mandatory_partition, reduced_homology, collapse._packed_profile):
+        for memo in (mandatory_partition, collapse._packed_profile):
             memo.cache_clear()
         for seed in (11, 12, 13):
             argv = ["verify", "--n", "8", "--samples", "1", "--seed", str(seed), "--field", "GF2"]

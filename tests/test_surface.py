@@ -9,11 +9,16 @@ definition or the relative import of that name in its own module; an
 ``Attribute`` resolves to every module-level definition of that name, which
 can only over-approximate what is reached.  Any other module-level statement
 runs on import, so what it references is reached too.
+
+The package's export list is pinned as well: ``__all__`` is built from
+``dir()``, so a name imported into ``__init__.py`` joins it unseen.
 """
 
 import ast
 from collections import defaultdict
 from pathlib import Path
+
+import obstrukt
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "obstrukt"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -115,3 +120,21 @@ def test_references_reach_through_tables_attributes_and_imports():
              "def shadowed():\n    pass\n",
     }
     assert unreached(sources) == ["b.shadowed"]
+
+
+def test_exports_are_the_listed_api():
+    # the submodules are listed too: importing one binds its name in the package
+    assert sorted(obstrukt.__all__) == [
+        "AddTrivialOff", "AddTrivialOn", "CheckResult", "Codeword", "Duplicate", "Field",
+        "HomologyProfile", "Include", "MandatoryPartition", "MandatorySet", "MonomialIdeal",
+        "NeuralCode", "NotationForm", "ObstructionCheck", "Outcome", "Permute", "Project",
+        "SimplicialComplex", "SuiteResult", "Verdict", "VerificationReport", "alexander_dual",
+        "boundary_matrix", "check_no_local_obstruction", "code_complex", "code_to_json",
+        "codemaps", "codes", "collapse", "complex_to_json_dict", "complexes", "contractibility",
+        "core_homology", "dual_complex", "errors", "euler_characteristic", "exhaustive_codes",
+        "facet_intersection", "facets", "format_codeword", "homology", "ideal_contains",
+        "ideals", "image_complex", "link", "mandatory", "mandatory_partition", "mandatory_set",
+        "map_code", "parse_codeword", "permute_ideal", "randgen", "random_code",
+        "reduced_homology", "restriction", "run_exhaustive", "run_sampled", "run_suite",
+        "sr_ideal", "strong_collapse_core", "suites", "verify",
+    ]
